@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race bench-guard bench bench-place bench-smoke fmt fuzz-smoke serve-smoke chaos-smoke analytics-smoke federation-smoke selfheal-smoke bench-federation bench-replace bench-replace-smoke
+.PHONY: ci build vet test race bench-guard bench bench-smoke benchmark-check fmt fuzz-smoke serve-smoke chaos-smoke analytics-smoke federation-smoke selfheal-smoke
 
-ci: vet build race bench-guard bench-smoke fuzz-smoke serve-smoke chaos-smoke analytics-smoke federation-smoke selfheal-smoke bench-replace-smoke
+ci: vet build race bench-guard bench-smoke benchmark-check fuzz-smoke serve-smoke chaos-smoke analytics-smoke federation-smoke selfheal-smoke
 
 build:
 	$(GO) build ./...
@@ -30,36 +30,19 @@ bench-guard:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Which benchmarks the fast-placement-path report (BENCH_PR4.json)
-# tracks, and the fixed iteration count that bench/pr4_before.txt was
-# recorded with (-benchtime=20x keeps before/after comparable).
-PLACE_BENCH = BenchmarkSolve$$|BenchmarkPlaceMap|BenchmarkPlaceReduce|BenchmarkEngineSubmit
-PLACE_PKGS  = ./internal/lp ./internal/place ./internal/engine
-
-# Which benchmarks the warm-start/batching report (BENCH_PR7.json)
-# tracks. The regex deliberately also matches the cold controls
-# (BenchmarkResolveCold, BenchmarkEngineBurstSubmitNoBatch) so the
-# report shows the ~1.0 baselines next to the warm/batched wins.
-PLACE_BENCH7 = BenchmarkResolve|BenchmarkEngineReplace|BenchmarkEngineBurstSubmit
-PLACE_PKGS7  = ./internal/lp ./internal/engine
-
-# Regenerate the placement fast-path benchmark report: run the tracked
-# benchmarks 5×, then diff the medians against the checked-in baseline
-# bench/pr4_before.txt into BENCH_PR4.json (speedup + allocation
-# ratios).
-bench-place:
-	$(GO) test -run '^$$' -bench '$(PLACE_BENCH)' -benchmem -benchtime=20x -count=5 $(PLACE_PKGS) | tee bench/pr4_after.txt
-	$(GO) run ./cmd/benchjson -before bench/pr4_before.txt -after bench/pr4_after.txt -out BENCH_PR4.json
-	@grep geomean BENCH_PR4.json
-	$(GO) test -run '^$$' -bench '$(PLACE_BENCH7)' -benchmem -benchtime=20x -count=5 $(PLACE_PKGS7) | tee bench/pr7_after.txt
-	$(GO) run ./cmd/benchjson -before bench/pr7_before.txt -after bench/pr7_after.txt -out BENCH_PR7.json
-	@grep geomean BENCH_PR7.json
-
-# One-iteration pass over every benchmark in the placement path: proves
-# the bench harnesses still compile and run without paying for a full
-# measurement.
+# One-iteration pass over the micro-benchmarks of the placement path
+# (LP solve and warm re-solve, map/reduce placement, engine submit):
+# proves the harnesses still compile and run. Measurement is the
+# service benchmark's job (BENCHMARK.json, benchmark/README.md).
 bench-smoke:
-	$(GO) test -run '^$$' -bench '$(PLACE_BENCH)|$(PLACE_BENCH7)' -benchtime=1x $(PLACE_PKGS)
+	$(GO) test -run '^$$' -bench 'BenchmarkSolve$$|BenchmarkResolve|BenchmarkPlaceMap|BenchmarkPlaceReduce|BenchmarkEngineSubmit|BenchmarkEngineBurstSubmit' -benchtime=1x ./internal/lp ./internal/place ./internal/engine
+
+# The service benchmark is its own module, so the root `go test ./...`
+# does not descend into it; this is what catches a change that breaks
+# the surface it pins (benchmark/README.md "Pinned surface").
+benchmark-check:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
 
 # Short fuzzing passes over the LP solver (every solution certified
 # against the brute-force reference / duality bound) and the placement
@@ -121,36 +104,6 @@ selfheal-smoke:
 	$(GO) test -race -count=1 -run 'TestSelfHealChaos|TestBreakerParksFlappingShard|TestChaosTimelineFires|TestFederationIdemExactlyOnce|TestUnhealthyRetryAfterDeadline' ./internal/federation
 	$(GO) test -race -count=1 -run 'TestCrashRestartCorruptJournal' ./cmd/tetrium-serve
 	$(GO) run ./cmd/tetrium-serve -smoke -shards 2 -supervise -journal $$(mktemp -d)/journal -time-scale 0.002
-
-# Regenerate the federation scaling report: aggregate submit throughput
-# at 1 vs 2 vs 4 shards over a 4000-job resident fleet (best-of-3 per
-# configuration), written to BENCH_PR8.json.
-bench-federation:
-	TETRIUM_FED_BENCH_OUT=$(CURDIR)/BENCH_PR8.json $(GO) test -count=1 -run TestSubmitThroughputScaling -v -timeout 600s ./internal/federation
-	@grep speedup BENCH_PR8.json
-
-# Regenerate the incremental re-placement report (BENCH_PR9.json):
-# cluster-update latency over a 2048-job resident fleet at 1/2/4 shards,
-# full replaceAll (TETRIUM_REPLACE_MODE=full, the pre-PR 9 baseline)
-# vs dirty-set async (incr). benchjson gates the geomean at ≥ 1.0 so a
-# regressed report can never be committed silently; the PR 9 acceptance
-# bar is ≥ 5×.
-bench-replace:
-	TETRIUM_REPLACE_MODE=full $(GO) test -run '^$$' -bench BenchmarkClusterUpdate -benchtime=5x -count=5 -timeout 1200s ./internal/federation | tee bench/pr9_full.txt
-	TETRIUM_REPLACE_MODE=incr $(GO) test -run '^$$' -bench BenchmarkClusterUpdate -benchtime=5x -count=5 -timeout 1200s ./internal/federation | tee bench/pr9_incr.txt
-	$(GO) run ./cmd/benchjson -before bench/pr9_full.txt -after bench/pr9_incr.txt -min-speedup 1.0 -out BENCH_PR9.json
-	@grep geomean BENCH_PR9.json
-
-# CI-sized version of bench-replace: a small resident fleet, two
-# iterations, throwaway output files — proves the harness runs and that
-# incremental §4.2 is not slower than the full scan it replaced.
-bench-replace-smoke:
-	@dir=$$(mktemp -d); \
-	TETRIUM_REPLACE_MODE=full TETRIUM_REPLACE_RESIDENT=160 $(GO) test -run '^$$' -bench BenchmarkClusterUpdate -benchtime=2x ./internal/federation > $$dir/full.txt && \
-	TETRIUM_REPLACE_MODE=incr TETRIUM_REPLACE_RESIDENT=160 $(GO) test -run '^$$' -bench BenchmarkClusterUpdate -benchtime=2x ./internal/federation > $$dir/incr.txt && \
-	$(GO) run ./cmd/benchjson -before $$dir/full.txt -after $$dir/incr.txt -min-speedup 1.0 -out $$dir/smoke.json && \
-	grep geomean $$dir/smoke.json; \
-	rc=$$?; rm -rf $$dir; exit $$rc
 
 fmt:
 	gofmt -l -w .

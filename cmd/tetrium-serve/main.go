@@ -92,7 +92,6 @@ func main() {
 		eventsCap   = flag.Int("events-cap", 65536, "retained /debug/events entries")
 		solvers     = flag.Int("solve-workers", 0, "off-loop placement solver pool size (0 = GOMAXPROCS)")
 		cacheSize   = flag.Int("place-cache", 0, "placement memo cache entries (0 = default 4096, negative disables)")
-		batchAdmit  = flag.Int("batch-admit", 0, "queued admissions drained into one scheduling instance (0 = default 8, 1 disables batching)")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on shutdown")
 		checkRun    = flag.Bool("check", false, "certify every LP solve")
 
@@ -102,7 +101,6 @@ func main() {
 		snapEvery  = flag.Int("snapshot-every", 0, "journal records between snapshot+truncate (0 = 1024)")
 		speculate  = flag.Bool("speculate", false, "launch duplicates of straggling stages; first finish wins")
 		solveDL    = flag.Duration("solve-deadline", 0, "per-stage LP solve bound before greedy fallback (0: none)")
-		replAsync  = flag.Bool("replace-async", false, "run §4.2 re-placement solves off the event loop (async, generation-guarded)")
 
 		analytics   = flag.Bool("analytics", false, "enable the fleet-analytics store and /v1/analytics endpoints")
 		analyticsSP = flag.String("analytics-snap", "", "fleet store snapshot path (empty: no snapshots)")
@@ -157,7 +155,6 @@ func main() {
 		EventCap:       *eventsCap,
 		SolveWorkers:   *solvers,
 		PlaceCacheSize: *cacheSize,
-		BatchAdmit:     *batchAdmit,
 		Check:          *checkRun,
 		FaultSpec:      *faultSpec,
 		FaultSeed:      *faultSeed,
@@ -165,7 +162,6 @@ func main() {
 		SnapshotEvery:  *snapEvery,
 		Speculate:      *speculate,
 		SolveDeadline:  *solveDL,
-		ReplaceAsync:   *replAsync,
 		Supervise:      *supervise,
 		RestartBackoff: *restartBO,
 

@@ -28,9 +28,18 @@ func Handler(e *engine.Engine) http.Handler {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		st, err := e.Submit(job)
+		// An Idempotency-Key makes retrying this POST safe: a replay of an
+		// already-admitted key returns the original job (200 with
+		// Tetrium-Idempotent-Replay: true) instead of admitting a twin,
+		// including after a restart from the journal.
+		st, dup, err := e.SubmitIdem(job, r.Header.Get("Idempotency-Key"))
 		if err != nil {
 			writeEngineErr(e, w, err)
+			return
+		}
+		if dup {
+			w.Header().Set("Tetrium-Idempotent-Replay", "true")
+			writeJSON(w, http.StatusOK, jobStatus(st))
 			return
 		}
 		writeJSON(w, http.StatusAccepted, jobStatus(st))
@@ -80,11 +89,7 @@ func Handler(e *engine.Engine) http.Handler {
 		}
 		replaced, err := e.UpdateCluster(ups)
 		if err != nil {
-			if errors.Is(err, engine.ErrStopped) {
-				writeEngineErr(e, w, err)
-			} else {
-				writeErr(w, http.StatusBadRequest, err)
-			}
+			writeEngineErr(e, w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, UpdateResponse{StagesReplaced: replaced})
@@ -178,14 +183,16 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 
 // writeEngineErr maps engine sentinels to HTTP semantics: backpressure
 // is 429 with a Retry-After hint computed from queue overflow and the
-// recent drain rate, drain/stop is 503, unknown IDs 404, anything else
-// a submission-validation 400.
+// recent drain rate, drain/stop and a request aborted by a contained
+// loop panic are 503 (the caller did nothing wrong; retry), unknown IDs
+// 404, anything else a validation 400.
 func writeEngineErr(e *engine.Engine, w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, engine.ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter()))
 		writeErr(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, engine.ErrDraining), errors.Is(err, engine.ErrStopped):
+	case errors.Is(err, engine.ErrDraining), errors.Is(err, engine.ErrStopped),
+		errors.Is(err, engine.ErrPanicked):
 		writeErr(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, engine.ErrNotFound):
 		writeErr(w, http.StatusNotFound, err)

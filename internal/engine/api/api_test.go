@@ -7,13 +7,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tetrium/internal/cluster"
 	"tetrium/internal/engine"
+	"tetrium/internal/journal"
 	"tetrium/internal/place"
 	"tetrium/internal/sched"
 	"tetrium/internal/workload"
@@ -404,5 +407,139 @@ func TestRetryAfterComputed(t *testing.T) {
 	}
 	if secs < 1 || secs > 60 {
 		t.Errorf("Retry-After = %d, want within [1,60]", secs)
+	}
+}
+
+// panicPlacer panics inside PlaceMap while armed — a stand-in for any
+// bug that blows up a request's closure on the event loop.
+type panicPlacer struct {
+	place.Placer
+	armed atomic.Bool
+}
+
+func (p *panicPlacer) PlaceMap(res place.Resources, req place.MapRequest) (place.MapPlacement, error) {
+	if p.armed.Load() {
+		panic("placer bug")
+	}
+	return p.Placer.PlaceMap(res, req)
+}
+
+// TestPanickedRequestIs503: a request whose loop closure is aborted by
+// a contained panic did nothing wrong and may be retried, so it answers
+// 503 like the federation router does, not the validation 400 — and the
+// engine keeps serving afterwards, an InjectPanic later included.
+func TestPanickedRequestIs503(t *testing.T) {
+	pp := &panicPlacer{Placer: place.Tetrium{}}
+	srv, e := testServer(t, func(cfg *engine.Config) {
+		cfg.Placer = pp
+		cfg.TimeScale = 1e6 // the stage stays live for the update to re-place
+		cfg.PlaceCacheSize = -1
+	})
+	resp, st := postJob(t, srv, submitBody(t))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	pollJobState(t, srv, st.ID, "running")
+
+	// The §4.2 restamp solves inline, inside the update's own closure.
+	pp.armed.Store(true)
+	up, err := http.Post(srv.URL+"/v1/cluster/update", "application/json",
+		strings.NewReader(`{"sites":[{"site":0,"frac":0.5}]}`))
+	if err != nil {
+		t.Fatalf("POST update: %v", err)
+	}
+	up.Body.Close()
+	if up.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("update aborted by a contained panic: status %d, want 503", up.StatusCode)
+	}
+	pp.armed.Store(false)
+
+	e.InjectPanic("chaos")
+	deadline := time.Now().Add(10 * time.Second)
+	for e.PanicsRecovered() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("PanicsRecovered = %d, want 2", e.PanicsRecovered())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	hz, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("GET healthz: %v", err)
+	}
+	hz.Body.Close()
+	if hz.StatusCode != http.StatusOK {
+		t.Errorf("healthz after contained panics: %d, want 200", hz.StatusCode)
+	}
+}
+
+// TestIdempotencyKeySurvivesRestart: the single-engine handler honours
+// Idempotency-Key like the federation's — first POST 202, replay 200
+// with Tetrium-Idempotent-Replay and the same ID — and the key still
+// dedups after the engine is killed and reopened from its journal.
+func TestIdempotencyKeySurvivesRestart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "eng.journal")
+	open := func() (*httptest.Server, *engine.Engine) {
+		j, st, err := journal.Open(path, 1024)
+		if err != nil {
+			t.Fatalf("journal.Open: %v", err)
+		}
+		return testServer(t, func(cfg *engine.Config) {
+			cfg.Journal, cfg.Restore = j, st
+			cfg.TimeScale = 1e6 // the job is still live when the engine dies
+		})
+	}
+	post := func(srv *httptest.Server, key string) (*http.Response, JobStatus) {
+		req, err := http.NewRequest("POST", srv.URL+"/v1/jobs", bytes.NewReader(submitBody(t)))
+		if err != nil {
+			t.Fatalf("NewRequest: %v", err)
+		}
+		req.Header.Set("Idempotency-Key", key)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("POST /v1/jobs: %v", err)
+		}
+		defer resp.Body.Close()
+		var st JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		return resp, st
+	}
+	wantReplay := func(when string, resp *http.Response, got, want JobStatus) {
+		t.Helper()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Tetrium-Idempotent-Replay") != "true" {
+			t.Errorf("%s: status %d replay header %q, want 200 + true",
+				when, resp.StatusCode, resp.Header.Get("Tetrium-Idempotent-Replay"))
+		}
+		if got.ID != want.ID {
+			t.Errorf("%s: replay returned job %d, want %d", when, got.ID, want.ID)
+		}
+	}
+
+	srv, e := open()
+	first, st1 := post(srv, "key-1")
+	if first.StatusCode != http.StatusAccepted || first.Header.Get("Tetrium-Idempotent-Replay") != "" {
+		t.Fatalf("first submit: status %d replay header %q, want 202 and none",
+			first.StatusCode, first.Header.Get("Tetrium-Idempotent-Replay"))
+	}
+	again, st2 := post(srv, "key-1")
+	wantReplay("live replay", again, st2, st1)
+	e.Kill() // no final snapshot: the key must come back from the journal tail
+
+	srv2, e2 := open()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if ok, _ := e2.Ready(); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("reopened engine never became ready")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	after, st3 := post(srv2, "key-1")
+	wantReplay("replay after restart", after, st3, st1)
+	if fresh, st4 := post(srv2, "key-2"); fresh.StatusCode != http.StatusAccepted || st4.ID == st1.ID {
+		t.Errorf("fresh key after restart: status %d id %d, want 202 and a new id", fresh.StatusCode, st4.ID)
 	}
 }

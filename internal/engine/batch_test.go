@@ -46,16 +46,17 @@ func placementsByName(t *testing.T, e *Engine) map[string][]int {
 	return out
 }
 
-// TestBatchAdmitMatchesSequential: batched admission (BatchAdmit=8) must
-// produce exactly the placements sequential admission (BatchAdmit=1)
-// does — batching and warm-starting change solve latency, never the
-// decision. Distinct job shapes keep every batch group a singleton, so
-// the comparison is deterministic.
-func TestBatchAdmitMatchesSequential(t *testing.T) {
+// TestParallelSubmitMatchesSequential: a burst of concurrent submits —
+// which the loop drains into shared scheduling instances and dispatches
+// as multi-member batches — must produce exactly the placements that
+// one-at-a-time submission (every batch a batch of one) does: batching
+// and warm-starting change solve latency, never the decision. Distinct
+// job shapes keep every batch group a singleton, so the comparison is
+// deterministic.
+func TestParallelSubmitMatchesSequential(t *testing.T) {
 	cl := cluster.PaperExample()
-	run := func(batchAdmit int, parallelSubmit bool) map[string][]int {
+	run := func(parallelSubmit bool) map[string][]int {
 		cfg := testConfig(cl)
-		cfg.BatchAdmit = batchAdmit
 		cfg.MaxPending = 1 << 20
 		e := mustEngine(t, cfg)
 		jobs := batchJobs(cl.N())
@@ -83,8 +84,8 @@ func TestBatchAdmitMatchesSequential(t *testing.T) {
 		return placementsByName(t, e)
 	}
 
-	sequential := run(1, false)
-	batched := run(8, true)
+	sequential := run(false)
+	batched := run(true)
 	if len(batched) != len(sequential) {
 		t.Fatalf("job counts differ: batched %d vs sequential %d", len(batched), len(sequential))
 	}
@@ -269,7 +270,6 @@ func TestCloseCountsDroppedSolves(t *testing.T) {
 	}
 	cfg.Placer = gp
 	cfg.SolveWorkers = 1
-	cfg.BatchAdmit = 1
 	e := mustEngine(t, cfg)
 
 	if _, err := e.Submit(oneStageJob(0, 6, 5)); err != nil {

@@ -56,75 +56,10 @@ func BenchmarkEngineSubmit(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineReplace measures the §4.2 re-placement path: a fleet of
-// jobs is held running by a large TimeScale while cluster updates force
-// replaceAll to re-solve every live placement synchronously on the loop.
-// The memo cache is disabled so each update pays real LP solves — the
-// hot path basis warm-starting targets.
-func BenchmarkEngineReplace(b *testing.B) {
-	cl := cluster.EC2EightRegions()
-	e, err := New(Config{
-		Cluster:    cl,
-		Placer:     place.Tetrium{},
-		Policy:     sched.SRPT,
-		Rho:        1,
-		Eps:        1,
-		MaxPending: 1 << 30,
-		// Stages stay running across the whole measurement; re-placement
-		// is only exercised on live placements.
-		TimeScale:      3600,
-		PlaceCacheSize: -1,
-	})
-	if err != nil {
-		b.Fatalf("New: %v", err)
-	}
-	defer e.Close()
-
-	jobs := workload.Generate(workload.BigData(cl.N(), 16, 7))
-	for _, j := range jobs {
-		if _, err := e.Submit(j); err != nil {
-			b.Fatalf("Submit: %v", err)
-		}
-	}
-	// Wait for the async admission solves to commit: every job running
-	// means every map stage has a live placement for replaceAll to touch.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		js, err := e.Jobs()
-		if err != nil {
-			b.Fatalf("Jobs: %v", err)
-		}
-		running := 0
-		for _, j := range js {
-			if j.Phase == JobRunning {
-				running++
-			}
-		}
-		if running == len(jobs) {
-			break
-		}
-		if time.Now().After(deadline) {
-			b.Fatalf("placements did not settle: %d/%d running", running, len(jobs))
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frac := 0.3 + 0.2*float64(i%2)
-		if _, err := e.UpdateCluster([]SiteUpdate{{Site: 0, Frac: frac}}); err != nil {
-			b.Fatalf("UpdateCluster: %v", err)
-		}
-	}
-	b.StopTimer()
-}
-
-// benchBurstSubmit is the shared body of the burst-admission benchmarks:
-// concurrent submitters slam the admission path (cache disabled, instant
-// completion), so the cost measured is admission + placement solve +
-// dispatch under contention.
-func benchBurstSubmit(b *testing.B, batchAdmit int) {
+// BenchmarkEngineBurstSubmit: concurrent submitters slam the admission
+// path (cache disabled, instant completion), so the cost measured is
+// admission + placement solve + dispatch under contention.
+func BenchmarkEngineBurstSubmit(b *testing.B) {
 	cl := cluster.EC2EightRegions()
 	cfg := Config{
 		Cluster:        cl,
@@ -134,7 +69,6 @@ func benchBurstSubmit(b *testing.B, batchAdmit int) {
 		Eps:            1,
 		MaxPending:     1 << 30,
 		PlaceCacheSize: -1,
-		BatchAdmit:     batchAdmit,
 	}
 	e, err := New(cfg)
 	if err != nil {
@@ -170,11 +104,3 @@ func benchBurstSubmit(b *testing.B, batchAdmit int) {
 		b.Fatalf("Drain: %v", err)
 	}
 }
-
-// BenchmarkEngineBurstSubmit runs the burst workload with the default
-// batched admission path.
-func BenchmarkEngineBurstSubmit(b *testing.B) { benchBurstSubmit(b, 0) }
-
-// BenchmarkEngineBurstSubmitNoBatch pins BatchAdmit to 1 (one admission
-// per scheduling instance) — the batch-off control.
-func BenchmarkEngineBurstSubmitNoBatch(b *testing.B) { benchBurstSubmit(b, 1) }

@@ -15,15 +15,16 @@
 // same way. This mirrors the paper's global manager: one decision
 // maker observing arrivals and resource reports (§5).
 //
-// Placement LP solves — the expensive part of a scheduling instance —
-// do not run on the loop. The loop snapshots the current capacities,
-// dispatches the solve to a sized worker pool (Config.SolveWorkers),
-// and commits the resulting placement when the solve re-enters the
-// loop. A resource-generation counter guards the commit: if a §4.2
-// cluster update landed while the LP was solving, the stale result is
-// dropped and the solve re-dispatched against the fresh capacities.
-// Repeated (Resources, request) pairs skip the LP entirely via a
-// canonical-signature memo cache (Config.PlaceCacheSize).
+// Every placement takes one pipeline (state.go): request → memo cache
+// (Config.PlaceCacheSize) → solve → commit. Admission solves — the
+// expensive part of a scheduling instance — leave the loop: the pass
+// snapshots the current capacities once, dispatches its solves as a
+// batch to a sized worker pool (Config.SolveWorkers), and commits each
+// placement when it re-enters the loop. A resource-generation counter
+// guards the commit: if a §4.2 cluster update landed while the LP was
+// solving, the stale result is dropped and the solve re-requested
+// against the fresh capacities. §4.2 re-placements run the same solve
+// step inline, against the live capacities.
 //
 // Execution model: the engine is a scheduler, not an executor. When a
 // stage is dispatched it holds the slots its placement demands and
@@ -105,13 +106,6 @@ type Config struct {
 	// (Resources, request) pairs reuse the memoized solve. 0 means the
 	// default (4096); negative disables caching.
 	PlaceCacheSize int
-	// BatchAdmit bounds how many queued requests the event loop drains
-	// into one scheduling instance: the pass takes a single capacity
-	// snapshot and solves every uncached placement it produced as one
-	// batch on the worker pool, warm-starting across batch members with
-	// the same stage shape. 0 means the default (8); 1 solves one
-	// admission per instance (the pre-batching behavior).
-	BatchAdmit int
 	// TimeScale converts a stage's LP-estimated seconds into wall-clock
 	// run time. ≤ 0 completes stages immediately.
 	TimeScale float64
@@ -153,17 +147,6 @@ type Config struct {
 	// disables retries.
 	SolveRetries int
 
-	// ReplaceAsync pushes §4.2 re-placement solves through the worker
-	// pool instead of solving them synchronously on the event loop: a
-	// cluster update returns after dispatching the dirty set, and each
-	// re-solve commits as it lands (resource-generation guarded, with a
-	// bounded-staleness sync fallback). Drain runs stay synchronous.
-	ReplaceAsync bool
-	// ReplaceFull disables the dirty-set optimization and re-solves
-	// every live placement on a §4.2 change — the pre-incremental
-	// behavior, kept as the differential-testing oracle.
-	ReplaceFull bool
-
 	// Analytics, when non-nil, receives every emitted event (typically a
 	// *fleet.Store) for fleet-wide per-tenant attribution. Must be a
 	// concrete non-nil observer or left nil: the hot path guards on the
@@ -171,6 +154,11 @@ type Config struct {
 	// nil the event path does no extra work and allocates nothing new.
 	// If the observer also implements io.Closer, Close closes it.
 	Analytics obs.Observer
+
+	// replaceFull disables the dirty-set optimization and re-solves
+	// every live placement on a §4.2 change. Test-only: the oracle the
+	// incremental≡full differential (replace_test.go) compares against.
+	replaceFull bool
 }
 
 // Engine is a live scheduling service. Create with New; all methods are
@@ -227,12 +215,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.PlaceCacheSize == 0 {
 		cfg.PlaceCacheSize = 4096
-	}
-	if cfg.BatchAdmit == 0 {
-		cfg.BatchAdmit = 8
-	}
-	if cfg.BatchAdmit < 1 {
-		cfg.BatchAdmit = 1
 	}
 	if cfg.SpecPercentile <= 0 || cfg.SpecPercentile > 100 {
 		cfg.SpecPercentile = 95

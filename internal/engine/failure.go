@@ -11,7 +11,7 @@ package engine
 //     duplicate on the fastest eligible site; first finish wins, the
 //     loser is cancelled (arXiv:1404.1328: replicate-on-threshold bounds
 //     tail latency at bounded extra load).
-//   - Wedged LP solves: each async solve races Config.SolveDeadline;
+//   - Wedged LP solves: each pooled solve races Config.SolveDeadline;
 //     on expiry the stage is placed by the greedy in-place baseline
 //     (flagged, never cached) and the real solve is retried with
 //     jittered backoff, upgrading the placement if it lands before
@@ -276,103 +276,54 @@ func (s *state) cancelSpec(sr *stageRun) {
 
 // LP-solve deadline -----------------------------------------------------------
 
-// dispatchSolve runs one async solve attempt for a stage: the LP goes to
-// the worker pool (with any injected stall), and if Config.SolveDeadline
-// is set, a deadline races it — on expiry the stage falls back to the
-// greedy in-place baseline and the LP is retried with jittered backoff
-// (bounded by Config.SolveRetries). Caller has set sr.solving and bumped
-// sr.solveSeq.
-func (s *state) dispatchSolve(js *jobState, sr *stageRun, pr placeRequest, key placeKey, attempt int) {
-	seq := sr.solveSeq
-	gen := s.resGen
-	res := place.Resources{
-		Slots:  append([]int(nil), s.capSlots...),
-		UpBW:   append([]float64(nil), s.upBW...),
-		DownBW: append([]float64(nil), s.downBW...),
-	}
-	placer := s.e.cfg.Placer
-	var stall time.Duration
-	if inj := s.e.cfg.Faults; inj != nil {
-		stall = inj.SolveStall(s.solveCount)
-	}
-	s.solveCount++
-	// The worker gets its own clone of the stage's warm state: deadline
-	// retries can put two attempts in flight concurrently, and the
-	// loop's copy must never be written off-loop. The clone is installed
-	// back on commit (latest attempt wins via the seq guard).
-	warm := sr.warm.Clone()
-	if warm == nil {
-		warm = place.NewWarmState()
-	}
-	pr.setWarm(warm)
-	s.e.pool.submit(func() {
-		if stall > 0 {
-			// Injected wedged solver. Stalls only ever run on a pool
-			// worker — the loop's synchronous force-path never sleeps.
-			time.Sleep(stall)
-		}
-		t0 := time.Now()
-		r, fb := solveRequest(placer, res, pr)
-		nanos := time.Since(t0).Nanoseconds()
-		s.e.inject(func() {
-			s.noteWarmStats(warm)
-			if seq == sr.solveSeq {
-				sr.warm = warm
-			}
-			s.commitPlacement(js, sr, pr, key, gen, seq, r, fb, nanos)
-		})
-	})
-	if deadline := s.e.cfg.SolveDeadline; deadline > 0 {
-		s.e.afterFunc(deadline, func() {
-			s.e.inject(func() { s.solveDeadline(js, sr, pr, gen, seq, attempt) })
-		})
-	}
-}
-
-// solveDeadline fires when an async solve outlives Config.SolveDeadline
+// solveDeadline fires when a pooled solve outlives Config.SolveDeadline
 // without committing: place the stage NOW with the cheap greedy baseline
 // so scheduling never stalls behind a wedged solver, and retry the real
-// LP after a jittered backoff.
-func (s *state) solveDeadline(js *jobState, sr *stageRun, pr placeRequest, gen, seq, attempt int) {
-	if seq != sr.solveSeq || sr.placed || js.terminal() || gen != s.resGen {
+// LP after a jittered backoff (bounded by Config.SolveRetries). it is
+// the loop's own copy of the dispatched item, taken before the pool
+// task could touch it.
+func (s *state) solveDeadline(it solveItem) {
+	sr, js := it.sr, it.sr.job
+	if it.seq != sr.solveSeq || sr.placed || js.terminal() || it.gen != s.resGen {
 		return // the solve (or a newer attempt, or an update) got there first
 	}
-	t0 := time.Now()
-	res := place.Resources{Slots: s.capSlots, UpBW: s.upBW, DownBW: s.downBW}
-	r, _ := solveRequest(place.InPlace{}, res, pr)
+	stopgap := it
+	stopgap.deadline = true
+	stopgap.solve(place.InPlace{}, s.liveResources(), nil)
 	// In-place means "run where the data is" — but a crashed data site
 	// has no slots, and an estimate computed against zero capacity is
 	// garbage. Spread over surviving capacity instead.
-	for x, n := range r.tasks {
+	for x, n := range stopgap.res.tasks {
 		if n > 0 && s.capSlots[x] == 0 {
-			r = fallbackResult(s.capSlots, pr.numTasks(), stageTaskCompute(pr))
+			stopgap.res = fallbackResult(s.capSlots, it.pr.numTasks(), stageTaskCompute(it.pr))
 			break
 		}
 	}
 	s.rec.Registry().Counter("engine.solves_deadline_fallback").Inc()
-	// Deadline placements are never cached: they are an emergency
-	// stopgap, not the placer's answer for this signature.
-	s.applyPlacement(js, sr, pr, r, false, false, false, true, time.Since(t0).Nanoseconds())
+	s.commit(&stopgap)
 	s.scheduleSoon()
 
-	if attempt < s.e.cfg.SolveRetries {
+	if it.attempt < s.e.cfg.SolveRetries {
 		// Bounded retry: re-dispatch the real LP after 25ms·2^attempt
-		// plus jitter; if it lands before the stage launches, the
-		// placement upgrades in commitPlacement.
-		backoff := (25 * time.Millisecond) << attempt
+		// plus jitter, as a batch of one; if it lands before the stage
+		// launches, commit upgrades the placement.
+		backoff := (25 * time.Millisecond) << it.attempt
 		backoff += time.Duration(s.rng.Int63n(int64(backoff)/2 + 1))
 		sr.solveSeq++
-		newSeq := sr.solveSeq
+		retry := it
+		retry.seq = sr.solveSeq
+		retry.attempt++
 		s.e.afterFunc(backoff, func() {
 			s.e.inject(func() {
-				if sr.solveSeq != newSeq || js.terminal() || sr.phase != stageReady || !sr.deadlineFB {
+				if sr.solveSeq != retry.seq || js.terminal() || sr.phase != stageReady || !sr.deadlineFB {
 					return
 				}
-				var key placeKey
 				if s.cache != nil {
-					key = s.requestKey(pr)
+					// The key covers capacities, which may have moved
+					// since the first attempt.
+					retry.key = s.requestKey(retry.pr)
 				}
-				s.dispatchSolve(js, sr, pr, key, attempt+1)
+				s.dispatch([]solveItem{retry})
 			})
 		})
 	}

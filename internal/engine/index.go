@@ -19,7 +19,7 @@ package engine
 //
 // placedLive is the union of the stageSites buckets (every placed stage
 // touches at least one site), kept flat so "re-solve everything" paths
-// (capacity grew, Config.ReplaceFull) need no union walk.
+// (capacity grew, the test oracle's full scan) need no union walk.
 
 import (
 	"sort"

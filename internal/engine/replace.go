@@ -15,51 +15,28 @@ package engine
 //     all placed live stages dirty — the old full behavior.
 //   - Impact rank: running stages before ready ones, larger slot
 //     holdings first — the work most worth re-pointing lands first.
-//   - Config.ReplaceAsync pushes the dirty re-solves through the solve
-//     pool (shapeKey-grouped, warm-start chained, one capacity
-//     snapshot), so the update returns after dispatch instead of after
-//     O(dirty) solves. Commits are guarded by the resource generation;
-//     a result staled by a newer update is re-dispatched, and after
-//     maxStaleDrops consecutive invalidations the stage re-solves
-//     synchronously (bounded staleness, as the admission path's solves
-//     in PR 4). Drain runs stay synchronous.
+//   - Each dirty stage goes through the pipeline's inline route
+//     (requestPlacement with restamp): the update reports how many
+//     stages it re-placed and re-levels holds against the committed
+//     placements before it returns, so those solves run on the loop.
 //
 // The differential tests (replace_test.go) pin incremental ≡ full
-// bit-identically across fault timelines; Config.ReplaceFull keeps the
-// full scan available as the oracle.
+// bit-identically across fault timelines; the unexported
+// Config.replaceFull keeps the full scan available as their oracle.
 
-import (
-	"sort"
-	"time"
-
-	"tetrium/internal/dynamics"
-	"tetrium/internal/place"
-)
+import "sort"
 
 // replacePlacements re-places stages affected by a capacity change at
 // the given sites. grew reports whether any capacity dimension
 // increased (forces a full pass). Returns the number of stages
-// re-solved (sync) or scheduled for re-solve (async).
+// re-placed.
 func (s *state) replacePlacements(affected []int, grew bool) int {
-	if s.e.cfg.ReplaceFull {
-		grew = true
-	}
-	dirty := s.collectDirty(affected, grew)
+	dirty := s.collectDirty(affected, grew || s.e.cfg.replaceFull)
 	if skipped := len(s.placedLive) - len(dirty); skipped > 0 {
 		s.rec.Registry().Counter("engine.replace_skipped_clean").Add(float64(skipped))
 	}
-	if s.e.cfg.ReplaceAsync && !s.draining {
-		s.dispatchReplace(dirty)
-		return len(dirty)
-	}
-	k := s.e.cfg.UpdateK
 	for _, sr := range dirty {
-		old := append([]int(nil), sr.tasks...)
-		s.ensurePlacement(sr.job, sr, true) // re-solve: sr.tasks is now the ideal f*
-		if k > 0 {
-			sr.tasks = dynamics.Reassign(old, sr.tasks, k)
-		}
-		s.indexStage(sr)
+		s.requestPlacement(sr, true)
 	}
 	// Hold re-leveling runs over every running stage in submission
 	// order, exactly as the full scan did: clean running stages keep
@@ -132,161 +109,4 @@ func (s *state) migrateHeld(sr *stageRun) {
 	}
 	sr.held = alloc
 	sr.heldTotal = total
-}
-
-// replaceOne is the synchronous re-place of a single stage — the async
-// path's bounded-staleness fallback.
-func (s *state) replaceOne(js *jobState, sr *stageRun) {
-	old := append([]int(nil), sr.tasks...)
-	s.ensurePlacement(js, sr, true)
-	if k := s.e.cfg.UpdateK; k > 0 {
-		sr.tasks = dynamics.Reassign(old, sr.tasks, k)
-	}
-	s.migrateHeld(sr)
-	s.indexStage(sr)
-	s.rec.Registry().Counter("engine.stages_replaced").Inc()
-	s.scheduleSoon()
-}
-
-// replaceItem is one async §4.2 re-solve in flight on the worker pool.
-// The result fields are written by the pool worker and read by the
-// commit injection (ordered by the inject channel send).
-type replaceItem struct {
-	js    *jobState
-	sr    *stageRun
-	pr    placeRequest
-	key   placeKey
-	seq   int
-	res   placeResult
-	fb    bool
-	nanos int64
-}
-
-// dispatchReplace ships dirty stages to the solve pool: cache hits
-// commit immediately on the loop, misses group by LP shape (one
-// capacity snapshot, one pool task per group chaining a shared warm
-// basis) exactly like the admission path's flushBatch.
-func (s *state) dispatchReplace(dirty []*stageRun) {
-	var items []replaceItem
-	for _, sr := range dirty {
-		js := sr.job
-		pr := s.buildRequest(sr)
-		var key placeKey
-		if s.cache != nil {
-			key = s.requestKey(pr)
-			if r, ok := s.cache.get(key); ok {
-				s.rec.Registry().Counter("engine.place_cache_hits").Inc()
-				old := append([]int(nil), sr.tasks...)
-				s.applyPlacement(js, sr, pr, r, false, true, true, false, 0)
-				if k := s.e.cfg.UpdateK; k > 0 {
-					sr.tasks = dynamics.Reassign(old, sr.tasks, k)
-				}
-				s.migrateHeld(sr)
-				s.indexStage(sr)
-				s.rec.Registry().Counter("engine.stages_replaced").Inc()
-				continue
-			}
-			s.rec.Registry().Counter("engine.place_cache_misses").Inc()
-		}
-		sr.replaceSeq++
-		items = append(items, replaceItem{js: js, sr: sr, pr: pr, key: key, seq: sr.replaceSeq})
-	}
-	if len(items) == 0 {
-		return
-	}
-	gen := s.resGen
-	res := place.Resources{
-		Slots:  append([]int(nil), s.capSlots...),
-		UpBW:   append([]float64(nil), s.upBW...),
-		DownBW: append([]float64(nil), s.downBW...),
-	}
-	placer := s.e.cfg.Placer
-	byShape := make(map[uint64][]*replaceItem, len(items))
-	var order []uint64
-	for i := range items {
-		k := items[i].pr.shapeKey()
-		if _, ok := byShape[k]; !ok {
-			order = append(order, k)
-		}
-		byShape[k] = append(byShape[k], &items[i])
-	}
-	s.setReplaceInflight(s.replaceInflight + len(items))
-	for _, k := range order {
-		group := byShape[k]
-		warm := group[0].sr.warm.Clone()
-		if warm == nil {
-			warm = place.NewWarmState()
-		}
-		s.e.pool.submit(func() {
-			for _, it := range group {
-				t0 := time.Now()
-				it.pr.setWarm(warm)
-				it.res, it.fb = solveRequest(placer, res, it.pr)
-				it.nanos = time.Since(t0).Nanoseconds()
-			}
-			s.e.inject(func() {
-				s.noteWarmStats(warm)
-				for i, it := range group {
-					if it.seq == it.sr.replaceSeq {
-						// Hand the chained basis back for the next
-						// re-solve; clones keep the stages' warm states
-						// independent from here on.
-						if i == 0 {
-							it.sr.warm = warm
-						} else {
-							it.sr.warm = warm.Clone()
-						}
-					}
-					s.commitReplace(it, gen)
-				}
-			})
-		})
-	}
-}
-
-// commitReplace lands an off-loop §4.2 re-solve back on the loop.
-func (s *state) commitReplace(it *replaceItem, gen int) {
-	s.setReplaceInflight(s.replaceInflight - 1)
-	js, sr := it.js, it.sr
-	if it.seq != sr.replaceSeq || js.terminal() || !sr.placed ||
-		(sr.phase != stageReady && sr.phase != stageRunning) {
-		return // superseded, or the stage moved on (finished, requeued)
-	}
-	if gen != s.resGen {
-		// Another update landed mid-solve: this result describes stale
-		// capacities. Retry against the fresh snapshot, falling back to
-		// a synchronous re-solve after maxStaleDrops consecutive
-		// invalidations so a rapid update stream cannot starve the
-		// stage of a current placement.
-		s.rec.Registry().Counter("engine.replace_stale_dropped").Inc()
-		sr.replaceDrops++
-		if sr.replaceDrops > maxStaleDrops {
-			sr.replaceDrops = 0
-			s.replaceOne(js, sr)
-			return
-		}
-		s.dispatchReplace([]*stageRun{sr})
-		return
-	}
-	sr.replaceDrops = 0
-	old := append([]int(nil), sr.tasks...)
-	s.applyPlacement(js, sr, it.pr, it.res, it.fb, false, true, false, it.nanos)
-	if s.cache != nil && !it.fb {
-		s.cache.put(it.key, it.res)
-	}
-	if k := s.e.cfg.UpdateK; k > 0 {
-		sr.tasks = dynamics.Reassign(old, sr.tasks, k)
-	}
-	s.migrateHeld(sr)
-	s.indexStage(sr)
-	s.rec.Registry().Counter("engine.stages_replaced").Inc()
-	s.scheduleSoon()
-}
-
-// setReplaceInflight tracks the async re-solves outstanding on the
-// pool, surfaced as the engine.replace_inflight gauge (benches and
-// tests poll it for quiescence).
-func (s *state) setReplaceInflight(n int) {
-	s.replaceInflight = n
-	s.gReplaceInflight.Set(float64(n))
 }

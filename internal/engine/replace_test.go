@@ -4,20 +4,21 @@ package engine
 // indistinguishable from the full replaceAll scan it replaced.
 //
 //   - The differential test drives two engines — dirty-set incremental
-//     vs Config.ReplaceFull — through identical submissions and an
+//     vs Config.replaceFull — through identical submissions and an
 //     identical fault/update timeline, and requires every stage's
 //     placement, estimates, and slot holdings to match bit-for-bit
 //     after each event.
 //   - The index-invariant checker recomputes the ready/running/site
 //     indexes from scratch and compares them with the incrementally
 //     maintained ones.
-//   - The hammer runs ReplaceAsync under concurrent submits, updates,
-//     and reads (meant for -race).
+//   - The hammer runs §4.2 re-placement under concurrent submits,
+//     updates, and reads (meant for -race).
 //   - The alloc guard pins the steady-state schedule() pass — populated
 //     ready index, saturated cluster — at zero allocations.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -30,31 +31,64 @@ import (
 )
 
 // diffConfig is the deterministic single-file configuration both
-// differential engines share: one solve worker, no admission batching,
-// no placement cache, and a time scale so large nothing completes
-// mid-test (stages hold their slots, so §4.2 always has live work).
+// differential engines share: one solve worker, no placement cache,
+// and a time scale so large nothing completes mid-test (stages hold
+// their slots, so §4.2 always has live work).
 func diffConfig(cl *cluster.Cluster, full bool) Config {
 	cfg := testConfig(cl)
 	cfg.TimeScale = 1e6
-	cfg.BatchAdmit = 1
 	cfg.SolveWorkers = 1
 	cfg.PlaceCacheSize = -1
 	cfg.UpdateK = 2
-	cfg.ReplaceFull = full
+	cfg.replaceFull = full
 	return cfg
 }
 
-// quiesceLoop polls until the engine has no scheduling pass queued, no
-// solve in flight, and no async re-placement outstanding.
+// diffEngine starts one engine of the differential pair with pooled
+// solves stepped: each waits for an idle loop before it runs. A
+// scheduling pass drains queued requests before it runs, so whether the
+// commit of a batch's second shape group joins the pass that follows
+// the first group's commit depends on timing — and with slots scarce,
+// that decides who launches. Stepping makes the sequence commit → pass
+// → commit → pass on both engines, whatever the timing. (Inline solves
+// run on the loop, which the idle poll would deadlock; probePlacer
+// leaves them alone.)
+func diffEngine(t *testing.T, cl *cluster.Cluster, full bool) *Engine {
+	t.Helper()
+	cfg := diffConfig(cl, full)
+	pp := &probePlacer{Placer: cfg.Placer}
+	cfg.Placer = pp
+	e := mustEngine(t, cfg)
+	pp.bind(e)
+	pp.onPooled = func() {
+		// On a pool worker: report, never Fatal. A stopped engine is the
+		// test ending with this solve still queued.
+		if err := waitLoopIdle(e, false); err != nil && !errors.Is(err, ErrStopped) {
+			t.Errorf("stepped solve: %v", err)
+		}
+	}
+	return e
+}
+
+// quiesceLoop polls until the engine has no scheduling pass queued and
+// no solve in flight.
 func quiesceLoop(t *testing.T, e *Engine) {
 	t.Helper()
+	if err := waitLoopIdle(e, true); err != nil {
+		t.Fatalf("quiesce: %v", err)
+	}
+}
+
+// waitLoopIdle polls until no scheduling pass is queued and, if
+// solvesToo, no stage has a solve in flight.
+func waitLoopIdle(e *Engine, solvesToo bool) error {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		idle := false
 		err := e.do(func() {
 			s := e.st
-			idle = !s.schedQueued && s.replaceInflight == 0 && len(s.todo) == 0
-			if !idle {
+			idle = !s.schedQueued && len(s.todo) == 0
+			if !idle || !solvesToo {
 				return
 			}
 			for _, js := range s.order {
@@ -69,16 +103,13 @@ func quiesceLoop(t *testing.T, e *Engine) {
 				}
 			}
 		})
-		if err != nil {
-			t.Fatalf("quiesce: %v", err)
-		}
-		if idle {
-			return
+		if err != nil || idle {
+			return err
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("engine did not quiesce within 30s")
+			return errors.New("engine did not quiesce within 30s")
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
@@ -221,8 +252,8 @@ func checkIndexes(t *testing.T, e *Engine, step string) {
 // placement, estimates, and holdings after every event.
 func TestIncrementalEqualsFullDifferential(t *testing.T) {
 	cl := cluster.EC2EightRegions()
-	incr := mustEngine(t, diffConfig(cl, false))
-	full := mustEngine(t, diffConfig(cl, true))
+	incr := diffEngine(t, cl, false)
+	full := diffEngine(t, cl, true)
 	both := []*Engine{incr, full}
 
 	// Each engine gets its own structurally identical copy of the
@@ -281,15 +312,14 @@ func TestIncrementalEqualsFullDifferential(t *testing.T) {
 	step("restore-1", inject(fault.Fault{Kind: fault.LinkRestore, Site: 1}))
 }
 
-// TestReplaceUpdateHammer drives ReplaceAsync with concurrent submits,
-// cluster updates (shrinks and grows), and status reads. Run under
-// -race this exercises the index bookkeeping against the full API
-// surface; every admitted job must still reach a terminal state.
+// TestReplaceUpdateHammer drives §4.2 re-placement with concurrent
+// submits, cluster updates (shrinks and grows), and status reads. Run
+// under -race this exercises the index bookkeeping against the full
+// API surface; every admitted job must still reach a terminal state.
 func TestReplaceUpdateHammer(t *testing.T) {
 	cl := cluster.EC2EightRegions()
 	cfg := testConfig(cl)
 	cfg.TimeScale = 0.002
-	cfg.ReplaceAsync = true
 	cfg.UpdateK = 2
 	e := mustEngine(t, cfg)
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"tetrium/internal/dynamics"
 	"tetrium/internal/obs"
 	"tetrium/internal/place"
 	"tetrium/internal/sched"
@@ -183,15 +184,13 @@ type stageRun struct {
 	outBySite   []float64 // where this stage's output landed
 
 	// Incremental §4.2 state (index.go, replace.go).
-	dataSites    []bool // sites whose capacity perturbs this stage's LP input
-	idxSites     []bool // current stageSites membership
-	replaceSeq   int    // latest async re-place attempt (supersede guard)
-	replaceDrops int    // consecutive re-places invalidated by newer updates
+	dataSites []bool // sites whose capacity perturbs this stage's LP input
+	idxSites  []bool // current stageSites membership
 
 	// warm carries the simplex basis of this stage's latest placement so
 	// re-solves (§4.2 re-placements, deadline retries) skip phase 1.
-	// Loop-owned: async dispatches hand the pool a Clone and install it
-	// back on commit, so the loop's copy is never written concurrently.
+	// Loop-owned: dispatch hands the pool a Clone and installs it back
+	// on commit, so the loop's copy is never written concurrently.
 	warm *place.WarmState
 }
 
@@ -233,10 +232,6 @@ type state struct {
 	placedLive    map[*stageRun]struct{}
 	touchScratch  []bool
 
-	// Async §4.2 re-placement (replace.go).
-	replaceInflight  int
-	gReplaceInflight *obs.Gauge
-
 	// Event-loop occupancy instrumentation (engine.go loop): the gauge
 	// tracks the max busy interval ever; the histogram samples only
 	// intervals ≥ loopStallFloor so steady sub-stall traffic does not
@@ -250,10 +245,9 @@ type state struct {
 	candScratch  []schedCand
 	stageScratch []*stageRun
 
-	// pendingBatch collects the async placement solves one scheduling
-	// pass produced; flushBatch ships them to the worker pool as grouped
-	// batch tasks (one capacity snapshot, warm-starting within a group).
-	pendingBatch []batchItem
+	// pending collects the pool-bound solves one scheduling pass
+	// produced; the pass ends by handing them to dispatch as one batch.
+	pending []solveItem
 
 	// Failure domain (failure.go).
 	restoring  bool        // journal replay in progress; skip re-journaling
@@ -277,24 +271,23 @@ func newState(e *Engine) *state {
 		sites[i] = make(map[*stageRun]struct{})
 	}
 	return &state{
-		cache:            cache,
-		e:                e,
-		n:                n,
-		capSlots:         cl.Slots(),
-		free:             cl.Slots(),
-		upBW:             cl.UpBW(),
-		downBW:           cl.DownBW(),
-		jobs:             make(map[int]*jobState),
-		idemKeys:         make(map[string]int),
-		rec:              rec,
-		rng:              rand.New(rand.NewSource(1)), // jitter only; determinism beats entropy
-		runningStages:    make(map[*stageRun]struct{}),
-		stageSites:       sites,
-		placedLive:       make(map[*stageRun]struct{}),
-		touchScratch:     make([]bool, n),
-		gReplaceInflight: rec.Registry().Gauge("engine.replace_inflight"),
-		gLoopStall:       rec.Registry().Gauge("engine.loop_stall_max_ns"),
-		hLoopStall:       rec.Registry().Histogram("engine.loop_stall_ns", 1e5, 2, 24),
+		cache:         cache,
+		e:             e,
+		n:             n,
+		capSlots:      cl.Slots(),
+		free:          cl.Slots(),
+		upBW:          cl.UpBW(),
+		downBW:        cl.DownBW(),
+		jobs:          make(map[int]*jobState),
+		idemKeys:      make(map[string]int),
+		rec:           rec,
+		rng:           rand.New(rand.NewSource(1)), // jitter only; determinism beats entropy
+		runningStages: make(map[*stageRun]struct{}),
+		stageSites:    sites,
+		placedLive:    make(map[*stageRun]struct{}),
+		touchScratch:  make([]bool, n),
+		gLoopStall:    rec.Registry().Gauge("engine.loop_stall_max_ns"),
+		hLoopStall:    rec.Registry().Histogram("engine.loop_stall_ns", 1e5, 2, 24),
 	}
 }
 
@@ -377,26 +370,30 @@ func (s *state) accrueSlots(sr *stageRun) {
 	sr.slotT0 = now
 }
 
+// batchAdmit bounds how many queued requests one scheduling instance
+// absorbs. Measured dispatch sizes on the service benchmark average
+// 1.0–1.2 (benchmark/README.md), so the bound is a burst ceiling, not a
+// tuning knob.
+const batchAdmit = 8
+
 // scheduleSoon queues one coalesced scheduling pass on the todo queue.
-// With batched admission the pass first drains up to BatchAdmit−1
-// already-queued external requests, so a burst of submissions shares
-// one scheduling instance — one capacity snapshot, one solve batch —
-// instead of paying a full pass each.
+// The pass first drains up to batchAdmit−1 already-queued external
+// requests, so a burst of submissions shares one scheduling instance —
+// one capacity snapshot, one solve batch — instead of paying a full
+// pass each.
 func (s *state) scheduleSoon() {
 	if s.schedQueued {
 		return
 	}
 	s.schedQueued = true
 	s.todo = append(s.todo, func() {
-		if k := s.e.cfg.BatchAdmit; k > 1 {
-		drain:
-			for i := 0; i < k-1; i++ {
-				select {
-				case fn := <-s.e.reqs:
-					fn()
-				default:
-					break drain
-				}
+	drain:
+		for i := 0; i < batchAdmit-1; i++ {
+			select {
+			case fn := <-s.e.reqs:
+				fn()
+			default:
+				break drain
 			}
 		}
 		s.schedQueued = false
@@ -530,7 +527,7 @@ func (s *state) schedule() {
 		est := 0.0
 		for _, sr := range arena[c.lo:c.hi] {
 			if !sr.placed {
-				sv, ht := s.ensurePlacement(c.js, sr, false)
+				sv, ht := s.requestPlacement(sr, false)
 				solves += sv
 				hits += ht
 			}
@@ -571,7 +568,8 @@ func (s *state) schedule() {
 		}
 	}
 	s.candScratch, s.stageScratch = cands[:0], arena[:0]
-	s.flushBatch()
+	s.dispatch(s.pending)
+	s.pending = nil
 	s.emit(obs.SchedInstance{
 		T: s.now(), Seq: s.instSeq, Considered: len(cands),
 		Order: orderIDs, FreeSlots: freeAtStart, Launched: launched,
@@ -739,28 +737,240 @@ func fallbackResult(slots []int, numTasks int, taskCompute float64) placeResult 
 }
 
 // maxStaleDrops is how many consecutive generation-guard drops a stage
-// tolerates before its next solve runs synchronously on the loop.
+// tolerates before its next solve runs inline on the loop.
 const maxStaleDrops = 2
 
-// applyPlacement commits a solve result to the stage and emits the
-// Placement event. Always runs on the loop.
-func (s *state) applyPlacement(js *jobState, sr *stageRun, pr placeRequest, r placeResult, fallback, cached, restamp, deadline bool, solveNanos int64) {
+// solveItem is one placement decision moving through the pipeline:
+//
+//	request → cache → {inline | pool} solve → commit
+//
+// The request half is filled on the loop. The result half is written by
+// whichever goroutine runs the solve and read by commit on the loop
+// (ordered by the inject channel send when that goroutine is a pool
+// worker).
+type solveItem struct {
+	sr  *stageRun
+	pr  placeRequest
+	key placeKey
+
+	seq     int           // sr.solveSeq this attempt was issued under
+	gen     int           // s.resGen of the capacities it solves against
+	attempt int           // solve-deadline retries so far (failure.go)
+	restamp bool          // §4.2 re-placement of a live placement
+	stall   time.Duration // injected wedged-solver delay; pool only
+
+	res      placeResult
+	nanos    int64
+	fallback bool // placer error: capacity-proportional stand-in
+	cached   bool // served by the memo cache, no solve ran
+	deadline bool // solve-deadline greedy stopgap (failure.go)
+}
+
+// solve runs the item's placement against res, warm-starting from (and
+// re-snapshotting into) warm. It touches no loop state, so the same
+// step serves the loop — live capacity slices, the stage's own warm
+// state — and a pool worker — capacity snapshot, cloned warm state.
+func (it *solveItem) solve(placer place.Placer, res place.Resources, warm *place.WarmState) {
+	t0 := time.Now()
+	it.pr.setWarm(warm)
+	it.res, it.fallback = solveRequest(placer, res, it.pr)
+	it.nanos = time.Since(t0).Nanoseconds()
+}
+
+// liveResources views the loop's capacity slices without copying; only
+// valid for a solve that finishes before the loop moves on.
+func (s *state) liveResources() place.Resources {
+	return place.Resources{Slots: s.capSlots, UpBW: s.upBW, DownBW: s.downBW}
+}
+
+// requestPlacement (re)computes a stage's placement against current
+// capacities. The memo cache answers first. On a miss the solve either
+// runs inline — a §4.2 restamp, whose caller reports the re-placed
+// count and re-levels holds right after, and a stage whose pooled
+// solves keep being invalidated by a rapid stream of updates, where
+// solving on the loop is the only way to guarantee progress — or is
+// parked for the pass's dispatch to the worker pool. restamp re-solves
+// a stage that already has a placement and marks the event Restamp.
+// Returns (LP solves started, cache hits), each 0 or 1.
+func (s *state) requestPlacement(sr *stageRun, restamp bool) (solves, hits int) {
+	if (sr.placed && !restamp) || sr.solving {
+		return 0, 0
+	}
+	it := solveItem{
+		sr: sr, pr: s.buildRequest(sr),
+		seq: sr.solveSeq, gen: s.resGen, restamp: restamp,
+	}
+	if s.cache != nil {
+		it.key = s.requestKey(it.pr)
+		if r, ok := s.cache.get(it.key); ok {
+			s.rec.Registry().Counter("engine.place_cache_hits").Inc()
+			it.res, it.cached = r, true
+			s.commit(&it)
+			return 0, 1
+		}
+		s.rec.Registry().Counter("engine.place_cache_misses").Inc()
+	}
+	if restamp || sr.staleDrops >= maxStaleDrops {
+		if sr.warm == nil {
+			sr.warm = place.NewWarmState()
+		}
+		it.solve(s.e.cfg.Placer, s.liveResources(), sr.warm)
+		s.noteWarmStats(sr.warm)
+		s.commit(&it)
+		return 1, 0
+	}
+	sr.solveSeq++
+	it.seq = sr.solveSeq
+	s.pending = append(s.pending, it)
+	return 1, 0
+}
+
+// dispatch ships a batch of solves to the worker pool: one capacity
+// snapshot and one resource generation for the whole batch, one pool
+// task per LP-shape group solving its members in order through a shared
+// warm state (member j re-enters phase 2 from member j−1's basis), and
+// one commit injection per group. A §4.2 update landing mid-batch
+// therefore invalidates every member, exactly as it would each solve
+// alone. A solve-deadline retry is a batch of one.
+func (s *state) dispatch(items []solveItem) {
+	if len(items) == 0 {
+		return
+	}
+	s.rec.Registry().Histogram("engine.batch_sizes", 1, 2, 8).
+		Observe(float64(len(items)))
+	res := place.Resources{
+		Slots:  append([]int(nil), s.capSlots...),
+		UpBW:   append([]float64(nil), s.upBW...),
+		DownBW: append([]float64(nil), s.downBW...),
+	}
+	placer := s.e.cfg.Placer
+	inj := s.e.cfg.Faults
+	deadline := s.e.cfg.SolveDeadline
+	// Group by LP shape, preserving encounter order within and across
+	// groups so commits land in a deterministic order per group.
+	byShape := make(map[uint64][]*solveItem, len(items))
+	var order []uint64
+	for i := range items {
+		it := &items[i]
+		it.gen = s.resGen
+		it.sr.solving = true
+		if inj != nil {
+			it.stall = inj.SolveStall(s.solveCount)
+		}
+		s.solveCount++
+		if deadline > 0 {
+			// Armed with a value copy, BEFORE any pool task exists: the
+			// worker writes the item (warm pointer, result), and the
+			// deadline closure must not read the same struct.
+			armed := *it
+			s.e.afterFunc(deadline, func() {
+				s.e.inject(func() { s.solveDeadline(armed) })
+			})
+		}
+		k := it.pr.shapeKey()
+		if _, ok := byShape[k]; !ok {
+			order = append(order, k)
+		}
+		byShape[k] = append(byShape[k], it)
+	}
+	for _, k := range order {
+		group := byShape[k]
+		warm := group[0].sr.warm.Clone()
+		if warm == nil {
+			warm = place.NewWarmState()
+		}
+		s.e.pool.submit(func() {
+			for _, it := range group {
+				if it.stall > 0 {
+					// Injected wedged solver. Stalls only ever run on a
+					// pool worker — the inline route never sleeps.
+					time.Sleep(it.stall)
+				}
+				it.solve(placer, res, warm)
+			}
+			s.e.inject(func() {
+				s.noteWarmStats(warm)
+				for i, it := range group {
+					if it.seq == it.sr.solveSeq {
+						// Hand the chained basis back to each member for
+						// its next re-solve; clones keep the stages' warm
+						// states independent from here on.
+						if i == 0 {
+							it.sr.warm = warm
+						} else {
+							it.sr.warm = warm.Clone()
+						}
+					}
+					s.commit(it)
+				}
+				// Launch what just got placed, or re-request what the
+				// generation guard dropped.
+				s.scheduleSoon()
+			})
+		})
+	}
+}
+
+// commit lands a solved item on its stage. Every route ends here — it
+// is the only code that writes sr.tasks from a solve and the only
+// emitter of obs.Placement. Two guards protect it: the solve seq (a
+// newer attempt for this stage superseded the item) and the resource
+// gen (a §4.2 update moved the capacities the item was solved against).
+// Items committed in the loop turn that created them pass both
+// trivially.
+func (s *state) commit(it *solveItem) {
+	sr, js := it.sr, it.sr.job
+	if it.seq != sr.solveSeq {
+		return
+	}
+	sr.solving = false
+	if js.terminal() {
+		return
+	}
+	if sr.placed && !it.restamp {
+		// A solve-deadline fallback placed the stage while this LP was
+		// still running: upgrade to the real solution if the stage has
+		// not launched yet against current capacities.
+		if !(sr.deadlineFB && sr.phase == stageReady && it.gen == s.resGen) {
+			return
+		}
+		s.rec.Registry().Counter("engine.solves_late_upgrades").Inc()
+	}
+	if it.gen != s.resGen {
+		// Capacities changed while the LP was solving. Drop the result;
+		// the next scheduling pass re-requests against fresh capacities
+		// (inline, after maxStaleDrops consecutive invalidations).
+		sr.staleDrops++
+		s.rec.Registry().Counter("engine.solves_stale_dropped").Inc()
+		return
+	}
+	old := sr.tasks
 	sr.staleDrops = 0
-	sr.deadlineFB = deadline
-	sr.tasks = append([]int(nil), r.tasks...)
-	sr.estNet, sr.estCompute = r.estNet, r.estCompute
-	sr.wan = r.wan
-	sr.est = r.estNet + r.estCompute
+	sr.deadlineFB = it.deadline
+	sr.tasks = append([]int(nil), it.res.tasks...)
+	sr.estNet, sr.estCompute = it.res.estNet, it.res.estCompute
+	sr.wan = it.res.wan
+	sr.est = it.res.estNet + it.res.estCompute
 	sr.placed = true
-	s.indexStage(sr)
 	s.emit(obs.Placement{
-		T: s.now(), Job: js.id, Stage: sr.idx, StageKind: pr.kind,
-		Placer: s.e.cfg.Placer.Name(), Pending: pr.numTasks(),
+		T: s.now(), Job: js.id, Stage: sr.idx, StageKind: it.pr.kind,
+		Placer: s.e.cfg.Placer.Name(), Pending: it.pr.numTasks(),
 		EstNet: sr.estNet, EstCompute: sr.estCompute, Est: sr.est,
 		TasksBySite: append([]int(nil), sr.tasks...),
-		Fallback:    fallback, Restamp: restamp, Cached: cached, Deadline: deadline,
-		SolveNanos: solveNanos,
+		Fallback:    it.fallback, Restamp: it.restamp, Cached: it.cached, Deadline: it.deadline,
+		SolveNanos: it.nanos,
 	})
+	if k := s.e.cfg.UpdateK; it.restamp && k > 0 {
+		// §4.2: the solve gave the ideal f*; move toward it changing at
+		// most k sites.
+		sr.tasks = dynamics.Reassign(old, sr.tasks, k)
+	}
+	s.indexStage(sr)
+	// Fallbacks and deadline stopgaps are never cached: they reflect a
+	// transient failure, not the placer's answer for this signature.
+	if s.cache != nil && !it.cached && !it.fallback && !it.deadline {
+		s.cache.put(it.key, it.res)
+	}
 	if js.placed.IsZero() {
 		js.placed = time.Now()
 		if js.phase == JobPending {
@@ -777,69 +987,6 @@ func (s *state) applyPlacement(js *jobState, sr *stageRun, pr placeRequest, r pl
 	}
 }
 
-// ensurePlacement (re)computes a stage's placement against current
-// capacities. The memo cache is consulted first; a hit commits
-// synchronously. On a miss the LP solve is dispatched to the worker
-// pool with a snapshot of the capacities and the current resource
-// generation — the loop never blocks on a solve — and the placement is
-// committed when the solve re-enters the loop, unless the generation
-// moved (a §4.2 update landed mid-solve), in which case the stale
-// result is dropped and scheduling re-triggered.
-//
-// force re-solves even when a placement exists (the §4.2 re-place
-// path); that path stays synchronous — updateCluster must report how
-// many stages it re-placed — and marks the emitted event Restamp.
-// Returns (LP solves started, cache hits), each 0 or 1.
-func (s *state) ensurePlacement(js *jobState, sr *stageRun, force bool) (solves, hits int) {
-	if (sr.placed && !force) || sr.solving {
-		return 0, 0
-	}
-	pr := s.buildRequest(sr)
-	var key placeKey
-	if s.cache != nil {
-		key = s.requestKey(pr)
-		if r, ok := s.cache.get(key); ok {
-			s.rec.Registry().Counter("engine.place_cache_hits").Inc()
-			s.applyPlacement(js, sr, pr, r, false, true, force, false, 0)
-			return 0, 1
-		}
-		s.rec.Registry().Counter("engine.place_cache_misses").Inc()
-	}
-	// Synchronous solves: the §4.2 re-place path (force), and stages
-	// whose async solves keep getting invalidated by a rapid stream of
-	// cluster updates — solving on the loop is the only way to guarantee
-	// progress against the current capacities, so bound the starvation.
-	if force || sr.staleDrops >= maxStaleDrops {
-		t0 := time.Now()
-		res := place.Resources{Slots: s.capSlots, UpBW: s.upBW, DownBW: s.downBW}
-		// Loop-owned, so the stage's warm state is used in place: a §4.2
-		// replaceAll re-solves the exact same stage shape against drifted
-		// capacities — the warm start's best case.
-		if sr.warm == nil {
-			sr.warm = place.NewWarmState()
-		}
-		pr.setWarm(sr.warm)
-		r, fb := solveRequest(s.e.cfg.Placer, res, pr)
-		s.noteWarmStats(sr.warm)
-		s.applyPlacement(js, sr, pr, r, fb, false, force, false, time.Since(t0).Nanoseconds())
-		if s.cache != nil && !fb {
-			s.cache.put(key, r)
-		}
-		return 1, 0
-	}
-	sr.solving = true
-	sr.solveSeq++
-	if s.e.cfg.BatchAdmit > 1 {
-		// Deferred to the end of the scheduling pass: flushBatch ships
-		// every solve this pass produced to the pool as grouped batch
-		// tasks sharing one capacity snapshot.
-		s.pendingBatch = append(s.pendingBatch, batchItem{js: js, sr: sr, pr: pr, key: key, seq: sr.solveSeq})
-		return 1, 0
-	}
-	s.dispatchSolve(js, sr, pr, key, 0)
-	return 1, 0
-}
-
 // noteWarmStats drains a warm state's solve-outcome counters into the
 // registry. Loop-only.
 func (s *state) noteWarmStats(w *place.WarmState) {
@@ -849,146 +996,6 @@ func (s *state) noteWarmStats(w *place.WarmState) {
 	}
 	if fallback > 0 {
 		s.rec.Registry().Counter("engine.solves_warm_fallback").Add(float64(fallback))
-	}
-}
-
-// commitPlacement lands an off-loop solve back on the loop. seq guards
-// against superseded solve attempts (deadline retries, failure.go).
-func (s *state) commitPlacement(js *jobState, sr *stageRun, pr placeRequest, key placeKey, gen, seq int, r placeResult, fallback bool, nanos int64) {
-	if seq != sr.solveSeq {
-		return // a retry superseded this attempt
-	}
-	sr.solving = false
-	if js.terminal() {
-		return
-	}
-	if sr.placed {
-		// A solve-deadline fallback placed the stage while this LP was
-		// still running: upgrade to the real solution if the stage has
-		// not launched yet against current capacities.
-		if !(sr.deadlineFB && sr.phase == stageReady && gen == s.resGen) {
-			return
-		}
-		s.rec.Registry().Counter("engine.solves_late_upgrades").Inc()
-	}
-	if gen != s.resGen {
-		// Capacities changed while the LP was solving: the result is
-		// against a stale snapshot. Drop it; the scheduling pass below
-		// re-dispatches against the fresh capacities (synchronously,
-		// after maxStaleDrops consecutive invalidations).
-		sr.staleDrops++
-		s.rec.Registry().Counter("engine.solves_stale_dropped").Inc()
-		s.scheduleSoon()
-		return
-	}
-	s.applyPlacement(js, sr, pr, r, fallback, false, false, false, nanos)
-	if s.cache != nil && !fallback {
-		s.cache.put(key, r)
-	}
-	s.scheduleSoon()
-}
-
-// batchItem is one async placement solve produced by a scheduling pass,
-// parked until flushBatch ships it to the worker pool. The result
-// fields are written by the pool worker and read by the commit
-// injection (ordered by the inject channel send).
-type batchItem struct {
-	js    *jobState
-	sr    *stageRun
-	pr    placeRequest
-	key   placeKey
-	seq   int
-	stall time.Duration
-	res   placeResult
-	fb    bool
-	nanos int64
-}
-
-// flushBatch ships the scheduling pass's collected solves to the worker
-// pool: one capacity snapshot for the whole batch, one pool task per
-// LP-shape group solving its members sequentially through a shared warm
-// state (member j re-enters phase 2 from member j−1's basis), and one
-// commit injection per group. Every member commits under the resource
-// generation captured here, so a §4.2 update landing mid-batch
-// invalidates the whole batch's results, exactly as it would each
-// individual solve.
-func (s *state) flushBatch() {
-	items := s.pendingBatch
-	s.pendingBatch = nil
-	if len(items) == 0 {
-		return
-	}
-	s.rec.Registry().Histogram("engine.batch_sizes", 1, 2, 8).
-		Observe(float64(len(items)))
-	gen := s.resGen
-	res := place.Resources{
-		Slots:  append([]int(nil), s.capSlots...),
-		UpBW:   append([]float64(nil), s.upBW...),
-		DownBW: append([]float64(nil), s.downBW...),
-	}
-	placer := s.e.cfg.Placer
-	inj := s.e.cfg.Faults
-	for i := range items {
-		if inj != nil {
-			items[i].stall = inj.SolveStall(s.solveCount)
-		}
-		s.solveCount++
-	}
-	// Group by LP shape, preserving encounter order within and across
-	// groups so commits land in a deterministic order per group.
-	byShape := make(map[uint64][]*batchItem, len(items))
-	var order []uint64
-	for i := range items {
-		k := items[i].pr.shapeKey()
-		if _, ok := byShape[k]; !ok {
-			order = append(order, k)
-		}
-		byShape[k] = append(byShape[k], &items[i])
-	}
-	for _, k := range order {
-		group := byShape[k]
-		warm := group[0].sr.warm.Clone()
-		if warm == nil {
-			warm = place.NewWarmState()
-		}
-		// Deadlines are armed with value copies of each request BEFORE
-		// the pool task exists: the worker writes it.pr's warm pointer,
-		// and the deadline closure must not read the same struct.
-		if deadline := s.e.cfg.SolveDeadline; deadline > 0 {
-			for _, it := range group {
-				js, sr, pr, seq := it.js, it.sr, it.pr, it.seq
-				s.e.afterFunc(deadline, func() {
-					s.e.inject(func() { s.solveDeadline(js, sr, pr, gen, seq, 0) })
-				})
-			}
-		}
-		s.e.pool.submit(func() {
-			for _, it := range group {
-				if it.stall > 0 {
-					time.Sleep(it.stall)
-				}
-				t0 := time.Now()
-				it.pr.setWarm(warm)
-				it.res, it.fb = solveRequest(placer, res, it.pr)
-				it.nanos = time.Since(t0).Nanoseconds()
-			}
-			s.e.inject(func() {
-				s.noteWarmStats(warm)
-				for i, it := range group {
-					if it.seq == it.sr.solveSeq {
-						// Hand the chained basis back to each member for
-						// its next re-solve; clones keep the stages'
-						// warm states independent from here on.
-						if i == 0 {
-							it.sr.warm = warm
-						} else {
-							it.sr.warm = warm.Clone()
-						}
-					}
-					s.commitPlacement(it.js, it.sr, it.pr, it.key, gen, it.seq, it.res, it.fb, it.nanos)
-				}
-			})
-		})
 	}
 }
 

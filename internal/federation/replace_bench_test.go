@@ -2,30 +2,20 @@ package federation
 
 // BenchmarkClusterUpdate measures §4.2 cluster-update latency with a
 // large resident population whose placements mostly do NOT touch the
-// updated site — the regime PR 9's dirty-set re-placement targets.
-// `make bench-replace` runs it twice and diffs with cmd/benchjson:
-//
-//	TETRIUM_REPLACE_MODE=full  — Config.ReplaceFull: every live stage
-//	    re-solves synchronously on the event loop (the pre-PR 9
-//	    replaceAll behavior, kept as the baseline).
-//	TETRIUM_REPLACE_MODE=incr  — dirty-set + Config.ReplaceAsync: only
-//	    stages touching the updated site re-solve, off-loop.
+// updated site — the regime dirty-set re-placement targets.
 //
 // TETRIUM_REPLACE_RESIDENT sets the fleet-wide resident job count
-// (default 2048; `make bench-replace-smoke` shrinks it). Every resident
-// is a single-task job placed in-place at its data site. Sites 0..7
-// hold the population; one spare site keeps a sliver of free capacity
-// that no job targets, so the scheduling pass keeps placing parked
-// jobs — every resident ends up with a live placement for §4.2 to
-// consider. Data sources put 1/16 of residents at site 7, so an update
-// there dirties ~6.25% of placements.
+// (default 2048). Every resident is a single-task job placed in-place
+// at its data site. Sites 0..7 hold the population; one spare site
+// keeps a sliver of free capacity that no job targets, so the
+// scheduling pass keeps placing parked jobs — every resident ends up
+// with a live placement for §4.2 to consider. Data sources put 1/16 of
+// residents at site 7, so an update there dirties ~6.25% of placements.
 //
 // Each iteration shrinks site 7's bandwidth by a strictly decreasing
 // step (slots unchanged), so the dirty-set skip stays exact (capacity
-// never grows) and no two updates are identical. In incr mode the async
-// re-solves are drained off the timer, so both modes measure their full
-// re-placement cost; the loop-stall gauge is reported alongside as
-// maxstall-ns.
+// never grows) and no two updates are identical. The loop-stall gauge
+// is reported alongside as maxstall-ns.
 
 import (
 	"fmt"
@@ -77,21 +67,14 @@ func BenchmarkClusterUpdate(b *testing.B) {
 		}
 		resident = n
 	}
-	mode := os.Getenv("TETRIUM_REPLACE_MODE")
-	if mode == "" {
-		mode = "incr"
-	}
-	if mode != "incr" && mode != "full" {
-		b.Fatalf("bad TETRIUM_REPLACE_MODE=%q (want incr or full)", mode)
-	}
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchClusterUpdate(b, shards, resident, mode)
+			benchClusterUpdate(b, shards, resident)
 		})
 	}
 }
 
-func benchClusterUpdate(b *testing.B, shards, resident int, mode string) {
+func benchClusterUpdate(b *testing.B, shards, resident int) {
 	f, err := New(Config{
 		Shards:  shards,
 		Cluster: replaceBenchCluster(),
@@ -103,11 +86,8 @@ func benchClusterUpdate(b *testing.B, shards, resident int, mode string) {
 				Eps:            1,
 				MaxPending:     resident + 64,
 				TimeScale:      1,  // wall-clock durations: residents never finish
-				BatchAdmit:     1,  // one scheduling pass per admission everywhere
 				SolveWorkers:   1,  // deterministic solve ordering
 				PlaceCacheSize: -1, // measure re-solves, not cache lookups
-				ReplaceFull:    mode == "full",
-				ReplaceAsync:   mode == "incr",
 			}, nil
 		},
 	})
@@ -138,14 +118,6 @@ func benchClusterUpdate(b *testing.B, shards, resident int, mode string) {
 		}
 		if _, err := f.UpdateCluster([]engine.SiteUpdate{{Site: 7, Slots: -1, UpBW: bw, DownBW: bw}}); err != nil {
 			b.Fatalf("UpdateCluster: %v", err)
-		}
-		if mode == "incr" {
-			// Async re-solves land off the timer: the measured latency is
-			// what a caller (and the event loop) observes per update, the
-			// drain below just keeps iterations from overlapping.
-			b.StopTimer()
-			waitReplaceIdle(b, f, shards)
-			b.StartTimer()
 		}
 	}
 	b.StopTimer()
@@ -187,32 +159,5 @@ func waitAllPlaced(b *testing.B, f *Federation, shards, resident int) {
 			b.Fatalf("only %d/%d residents placed after 120s", placed, resident)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// waitReplaceIdle polls every shard's engine.replace_inflight gauge
-// back to zero — all dispatched async re-solves have committed.
-func waitReplaceIdle(b *testing.B, f *Federation, shards int) {
-	b.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		idle := true
-		for s := 0; s < shards; s++ {
-			reg, err := f.Shard(s).MetricsSnapshot()
-			if err != nil {
-				b.Fatalf("MetricsSnapshot: %v", err)
-			}
-			if reg.Gauge("engine.replace_inflight").Value() != 0 {
-				idle = false
-				break
-			}
-		}
-		if idle {
-			return
-		}
-		if time.Now().After(deadline) {
-			b.Fatalf("async re-placement did not drain within 60s")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -100,9 +100,8 @@ type StageLaunch struct {
 // SchedInstance summarizes one scheduling instance (§3 intro): which
 // jobs were considered, the policy's chosen order, the free slots
 // visible to the decision, and what was launched. WallNanos is the
-// instance's wall-clock duration (the Fig. 7 quantity, subsuming the
-// legacy Config.TrackSchedTime); it is excluded from serialized streams
-// to keep them deterministic.
+// instance's wall-clock duration (the Fig. 7 quantity); it is excluded
+// from serialized streams to keep them deterministic.
 type SchedInstance struct {
 	T          float64 `json:"t"`
 	Seq        int     `json:"seq"`   // 1-based instance number

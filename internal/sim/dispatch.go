@@ -30,7 +30,7 @@ import (
 func (e *engine) dispatch() {
 	e.needDispatch = false
 	var started time.Time
-	if e.cfg.TrackSchedTime || e.obs != nil {
+	if e.obs != nil {
 		started = time.Now()
 	}
 	e.instances++
@@ -240,25 +240,18 @@ func (e *engine) launchCopy(st *stageRun, ti, site int) {
 	}
 }
 
-// endInstance closes one scheduling instance: it records the legacy
-// TrackSchedTime duration and emits the SchedInstance event carrying
-// the instance's decision summary and wall time, resetting the
-// per-instance LP counters.
+// endInstance closes one scheduling instance: it emits the
+// SchedInstance event carrying the instance's decision summary and wall
+// time (the `sched.wall_ns` histogram of an obs.Recorder, Fig. 7), and
+// resets the per-instance LP counters.
 func (e *engine) endInstance(started time.Time, considered, freeSlots int, order []int, launched int) {
-	var wall time.Duration
-	if e.cfg.TrackSchedTime || e.obs != nil {
-		wall = time.Since(started)
-	}
-	if e.cfg.TrackSchedTime {
-		e.schedTimes = append(e.schedTimes, wall)
-	}
 	if e.obs != nil {
 		e.obs.Emit(obs.SchedInstance{
 			T: e.now, Seq: e.instances,
 			Considered: considered, Order: order,
 			FreeSlots: freeSlots, Launched: launched,
 			LPSolves: e.instSolves, CacheHits: e.instCacheHits,
-			WallNanos: int64(wall),
+			WallNanos: int64(time.Since(started)),
 		})
 	}
 	e.instSolves, e.instCacheHits = 0, 0

@@ -161,26 +161,3 @@ func TestObserverDropRestamp(t *testing.T) {
 		t.Error("estimate report shows no restamps despite forced re-solves")
 	}
 }
-
-// TestObserverSubsumesTrackSchedTime checks that the deprecated
-// TrackSchedTime path and the observer's sched.wall_ns histogram measure
-// the same instances and can coexist.
-func TestObserverSubsumesTrackSchedTime(t *testing.T) {
-	c := cluster.EC2EightRegions()
-	jobs := workload.Generate(workload.BigData(8, 5, 12))
-	cfg := baseConfig(c, jobs)
-	cfg.TrackSchedTime = true
-	rec := obs.NewRecorder()
-	cfg.Observer = rec
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.SchedDurations) != res.Instances {
-		t.Errorf("legacy durations %d != instances %d", len(res.SchedDurations), res.Instances)
-	}
-	h := rec.Registry().Histogram("sched.wall_ns", 1000, 2, 32)
-	if h.Count() != res.Instances {
-		t.Errorf("sched.wall_ns count %d != instances %d", h.Count(), res.Instances)
-	}
-}

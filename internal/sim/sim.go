@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"tetrium/internal/check"
 	"tetrium/internal/cluster"
@@ -101,15 +100,6 @@ type Config struct {
 	// emitted as an obs.Fault event.
 	Faults *fault.Injector
 
-	// TrackSchedTime records the wall-clock duration of every scheduling
-	// instance (Fig. 7) in Result.SchedDurations.
-	//
-	// Deprecated: scheduler-latency tracking now lives in the
-	// observability layer — set Observer to an *obs.Recorder and read
-	// the `sched.wall_ns` histogram from its metrics registry. The
-	// field keeps working for existing callers.
-	TrackSchedTime bool
-
 	// Check enables the internal/check verification layer for this run:
 	// every LP-backed placement is validated against the paper's Eq. 5 /
 	// Eq. 10 conservation laws, WAN flows are byte-conservation audited,
@@ -154,13 +144,10 @@ type JobResult struct {
 
 // Result is the outcome of a run.
 type Result struct {
-	Jobs     []JobResult
-	WANBytes float64 // total cross-site bytes
-	Makespan float64 // completion time of the last job
-	// SchedDurations holds per-instance scheduler wall times when
-	// Config.TrackSchedTime is set.
-	SchedDurations []time.Duration
-	Instances      int
+	Jobs      []JobResult
+	WANBytes  float64 // total cross-site bytes
+	Makespan  float64 // completion time of the last job
+	Instances int
 	// SpeculativeCopies / SpeculativeRescues count §8 straggler copies
 	// launched and tasks whose copy finished before the original.
 	SpeculativeCopies  int
@@ -238,7 +225,6 @@ func RunIsolated(cfg Config, job *workload.Job) (float64, error) {
 	cfg.Jobs = []*workload.Job{&iso}
 	cfg.Drops = nil
 	cfg.Faults = nil
-	cfg.TrackSchedTime = false
 	cfg.Observer = nil // isolated probe runs stay out of the caller's trace
 	res, err := Run(cfg)
 	if err != nil {
@@ -397,9 +383,8 @@ type engine struct {
 	dispatchScheduled bool
 	dropped           bool // a resource drop has occurred (§4.2 k-limit)
 
-	wanBytes   float64
-	instances  int
-	schedTimes []time.Duration
+	wanBytes  float64
+	instances int
 
 	specCopies  int // speculative copies launched
 	specRescues int // tasks whose copy finished first
@@ -846,7 +831,6 @@ func (e *engine) result() *Result {
 	r := &Result{
 		WANBytes:           e.wanBytes,
 		Instances:          e.instances,
-		SchedDurations:     e.schedTimes,
 		SpeculativeCopies:  e.specCopies,
 		SpeculativeRescues: e.specRescues,
 		Timeline:           e.timeline,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tetrium/internal/cluster"
+	"tetrium/internal/obs"
 	"tetrium/internal/order"
 	"tetrium/internal/place"
 	"tetrium/internal/sched"
@@ -422,16 +423,20 @@ func TestSchedTimeTracking(t *testing.T) {
 	c := cluster.EC2EightRegions()
 	jobs := workload.Generate(workload.BigData(8, 5, 12))
 	cfg := baseConfig(c, jobs)
-	cfg.TrackSchedTime = true
+	rec := obs.NewRecorder()
+	cfg.Observer = rec
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.SchedDurations) == 0 || res.Instances == 0 {
+	// Fig. 7's per-instance scheduler wall time is the observer's
+	// sched.wall_ns histogram: one sample per scheduling instance.
+	h := rec.Registry().Histogram("sched.wall_ns", 1000, 2, 32)
+	if h.Count() == 0 || res.Instances == 0 {
 		t.Error("scheduling time not tracked")
 	}
-	if len(res.SchedDurations) != res.Instances {
-		t.Errorf("durations %d != instances %d", len(res.SchedDurations), res.Instances)
+	if h.Count() != res.Instances {
+		t.Errorf("sched.wall_ns count %d != instances %d", h.Count(), res.Instances)
 	}
 }
 

@@ -71,10 +71,6 @@ type EngineOptions struct {
 	// PlaceCacheSize bounds the placement memo cache in entries; 0 means
 	// the engine default (4096), negative disables caching.
 	PlaceCacheSize int
-	// BatchAdmit bounds how many queued admissions the event loop drains
-	// into one scheduling instance (batched placement solving); 0 means
-	// the engine default (8), 1 disables batching.
-	BatchAdmit int
 
 	// Check runs every LP solve under the certification layer.
 	Check bool
@@ -96,10 +92,6 @@ type EngineOptions struct {
 	// SolveDeadline bounds each placement LP solve before the greedy
 	// fallback places the stage instead; 0 disables.
 	SolveDeadline time.Duration
-	// ReplaceAsync moves §4.2 re-placement solves off the event loop:
-	// cluster updates dispatch the dirty stages to the solve pool and
-	// return, instead of blocking on every re-solve.
-	ReplaceAsync bool
 
 	// Supervise (federation only) turns on the self-healing supervisor:
 	// per-shard heartbeat probes, automatic jittered-backoff restarts of
@@ -183,13 +175,11 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 		EventCap:       o.EventCap,
 		SolveWorkers:   o.SolveWorkers,
 		PlaceCacheSize: o.PlaceCacheSize,
-		BatchAdmit:     o.BatchAdmit,
 		Faults:         inj,
 		Journal:        jnl,
 		Restore:        restore,
 		Speculate:      o.Speculate,
 		SolveDeadline:  o.SolveDeadline,
-		ReplaceAsync:   o.ReplaceAsync,
 	}
 	if analytics != nil {
 		// Assigned only when non-nil: a typed-nil *fleet.Store in the
@@ -282,10 +272,8 @@ func NewFederation(o EngineOptions, shards int, shardBy string) (*Federation, er
 			EventCap:       o.EventCap,
 			SolveWorkers:   o.SolveWorkers,
 			PlaceCacheSize: o.PlaceCacheSize,
-			BatchAdmit:     o.BatchAdmit,
 			Speculate:      o.Speculate,
 			SolveDeadline:  o.SolveDeadline,
-			ReplaceAsync:   o.ReplaceAsync,
 		}
 		if o.FaultSpec != "" {
 			inj, err := fault.Parse(o.FaultSpec, o.FaultSeed+int64(shard))

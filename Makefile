@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race bench-guard bench bench-smoke benchmark-check fmt fuzz-smoke serve-smoke chaos-smoke analytics-smoke federation-smoke selfheal-smoke
+.PHONY: ci build vet test race bench-guard bench bench-smoke bench-gate benchmark-check fmt fuzz-smoke serve-smoke chaos-smoke analytics-smoke federation-smoke selfheal-smoke
 
 ci: vet build race bench-guard bench-smoke benchmark-check fuzz-smoke serve-smoke chaos-smoke analytics-smoke federation-smoke selfheal-smoke
 
@@ -31,11 +31,41 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # One-iteration pass over the micro-benchmarks of the placement path
-# (LP solve and warm re-solve, map/reduce placement, engine submit):
-# proves the harnesses still compile and run. Measurement is the
+# (LP solve and warm re-solve, map/reduce placement — BenchmarkPlaceMap
+# also matches BenchmarkPlaceMapRecurring, cold vs previous-job basis —
+# engine submit): proves the harnesses still compile and run. Measurement is the
 # service benchmark's job (BENCHMARK.json, benchmark/README.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolve$$|BenchmarkResolve|BenchmarkPlaceMap|BenchmarkPlaceReduce|BenchmarkEngineSubmit|BenchmarkEngineBurstSubmit' -benchtime=1x ./internal/lp ./internal/place ./internal/engine
+
+# The performance gate (README "Contributing a performance change"):
+# paired, alternating runs of the service benchmark on the parent commit
+# and on this tree — the parent exported by `git archive` into a
+# temporary directory that is removed afterwards — over the two cheapest
+# workloads, then `-compare`; fails when any workload × end-to-end
+# metric prints `regressed` (a run voided by a validity guard, exit 3,
+# is left out by -compare, as in any paired set). About 25 s per run,
+# 2·SEEDS·|WORKLOADS| runs: not part of `make ci`. Give the host nothing
+# else to do.
+BENCH_GATE_PARENT ?= HEAD~1
+BENCH_GATE_SEEDS ?= 5
+BENCH_GATE_WORKLOADS ?= place-heavy update-storm
+# Where parent.jsonl and head.jsonl (every run's full report) are left;
+# empty keeps them in the temporary directory.
+BENCH_GATE_OUT ?=
+bench-gate:
+	@set -eu; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	out="$(if $(BENCH_GATE_OUT),$(abspath $(BENCH_GATE_OUT)),$$tmp)"; mkdir -p "$$out" "$$tmp/parent"; \
+	rm -f "$$out/parent.jsonl" "$$out/head.jsonl"; \
+	git archive $(BENCH_GATE_PARENT) | tar -x -C "$$tmp/parent"; \
+	run() { bash "$$1/benchmark/run.sh" --workload "$$2" --seed "$$3" --trace 0 -outdir "$$tmp/out-$$4" -out "$$out/$$4.jsonl" >/dev/null || \
+		[ $$? -eq 3 ] || { echo "bench-gate: $$4 failed on $$2 seed $$3"; exit 1; }; }; \
+	for seed in $$(seq 1 $(BENCH_GATE_SEEDS)); do for w in $(BENCH_GATE_WORKLOADS); do \
+		echo "bench-gate: $$w seed $$seed"; \
+		if [ $$((seed % 2)) -eq 1 ]; then run "$$tmp/parent" $$w $$seed parent; run . $$w $$seed head; \
+		else run . $$w $$seed head; run "$$tmp/parent" $$w $$seed parent; fi; \
+	done; done; \
+	bash benchmark/run.sh -compare "$$out/parent.jsonl" "$$out/head.jsonl"
 
 # The service benchmark is its own module, so the root `go test ./...`
 # does not descend into it; this is what catches a change that breaks

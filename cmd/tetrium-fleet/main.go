@@ -129,8 +129,8 @@ func printReports(st *fleet.Store, top, windows int) {
 			tn.Tenant, tn.SpeculatedStages, tn.RescuedStages, tn.RescueRate,
 			tn.Requeues, tn.WasteSlotSeconds, tn.WasteFraction*100)
 	}
-	fmt.Printf("  lp: %d solves, %d cache hits (%.1f%% hit rate), %d fallbacks, %d deadline fallbacks\n",
-		eff.LPSolves, eff.LPCacheHits, eff.CacheHitRate*100, eff.LPFallbacks, eff.LPDeadlineFallbacks)
+	fmt.Printf("  lp: %d solves (%d warm-started, %.1f%%), %d cache hits (%.1f%% hit rate), %d fallbacks, %d deadline fallbacks\n",
+		eff.LPSolves, eff.LPWarmSolves, eff.WarmStartRate*100, eff.LPCacheHits, eff.CacheHitRate*100, eff.LPFallbacks, eff.LPDeadlineFallbacks)
 
 	acc := st.EstimateAccuracy()
 	fmt.Println("\nestimate accuracy (relative error, estimate vs actual):")

@@ -136,31 +136,6 @@ func TestWarmStartOnReplace(t *testing.T) {
 	}
 }
 
-// TestPlaceCachePutNonPositiveCapacity is the regression test for the
-// eviction hang: put on a cache with capacity <= 0 used to spin forever
-// (size > capacity stays true once the ring is empty, and evictOldest
-// no-ops on an empty ring). The watchdog turns a regression into a test
-// failure instead of a stuck suite.
-func TestPlaceCachePutNonPositiveCapacity(t *testing.T) {
-	for _, capacity := range []int{-1, 0} {
-		done := make(chan struct{})
-		go func() {
-			c := newPlaceCache(capacity)
-			for i := 0; i < 3; i++ {
-				b := newKeyBuilder(2)
-				b.int(i)
-				c.put(b.key(), placeResult{tasks: []int{i}})
-			}
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("placeCache.put hangs with capacity %d", capacity)
-		}
-	}
-}
-
 // waitPoolClosed polls until close() has marked the pool closed (and so
 // captured its dropped-solve count).
 func waitPoolClosed(t *testing.T, p *solvePool) {

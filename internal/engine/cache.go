@@ -1,6 +1,10 @@
 package engine
 
-import "math"
+import (
+	"math"
+
+	"tetrium/internal/place"
+)
 
 // The placement memo cache short-circuits LP solves for repeated
 // (Resources, request) pairs — the loadgen steady state where many
@@ -13,10 +17,17 @@ import "math"
 // the full encoded key word-for-word, so a hash collision can never
 // return the wrong placement.
 //
+// The same entries answer a near repeat — a recurring query over fresh
+// data, or a re-solve after capacities moved. Each entry also carries
+// its solve's recurrence key (recurrenceKey: the exact key with every
+// magnitude erased) and simplex basis, and the near index maps a
+// recurrence key to the entry solved most recently under it, so a
+// request that misses exactly can still enter phase 2 from that basis.
+//
 // The cache is owned by the event loop (no locking) and is LRU-bounded
-// by Config.PlaceCacheSize. Fallback placements (placer errors) are
-// never inserted: they reflect a transient failure, not a reusable
-// decision.
+// by Config.PlaceCacheSize; evicting an entry drops its near index slot
+// with it. Fallback placements (placer errors) are never inserted: they
+// reflect a transient failure, not a reusable decision.
 
 // placeKey is the canonical signature of one placement solve.
 type placeKey struct {
@@ -62,6 +73,14 @@ func (b *keyBuilder) word(w uint64) {
 func (b *keyBuilder) int(v int)       { b.word(uint64(v)) }
 func (b *keyBuilder) float(v float64) { b.word(math.Float64bits(v)) }
 
+func (b *keyBuilder) bit(v bool) {
+	if v {
+		b.word(1)
+	} else {
+		b.word(0)
+	}
+}
+
 func (b *keyBuilder) floats(vs []float64) {
 	for _, v := range vs {
 		b.float(v)
@@ -92,6 +111,8 @@ func sameEnc(a, b []uint64) bool {
 type cacheEntry struct {
 	key        placeKey
 	res        placeResult
+	near       placeKey         // recurrence key of the solve
+	warm       *place.WarmState // its basis; may be shared with the solved stage
 	prev, next *cacheEntry
 }
 
@@ -99,8 +120,13 @@ type cacheEntry struct {
 type placeCache struct {
 	capacity int
 	buckets  map[uint64][]*cacheEntry
-	ring     *cacheEntry // sentinel: ring.next = most recent
-	size     int
+	// nearIdx maps a recurrence key's hash to the entry solved most
+	// recently under it. One slot per hash: a colliding key overwrites,
+	// and nearest compares the full encoding, so a collision costs a
+	// cold solve, never a basis for the wrong recurrence.
+	nearIdx map[uint64]*cacheEntry
+	ring    *cacheEntry // sentinel: ring.next = most recent
+	size    int
 }
 
 func newPlaceCache(capacity int) *placeCache {
@@ -109,6 +135,7 @@ func newPlaceCache(capacity int) *placeCache {
 	return &placeCache{
 		capacity: capacity,
 		buckets:  make(map[uint64][]*cacheEntry),
+		nearIdx:  make(map[uint64]*cacheEntry),
 		ring:     s,
 	}
 }
@@ -145,19 +172,30 @@ func (c *placeCache) get(k placeKey) (placeResult, bool) {
 	return e.res, true
 }
 
-// put inserts (or refreshes) k's result, evicting the least recently
-// used entry beyond capacity.
-func (c *placeCache) put(k placeKey, r placeResult) {
-	if e := c.lookup(k); e != nil {
-		e.res = r
-		c.unlink(e)
-		c.pushFront(e)
-		return
+// nearest returns the basis of the most recent solve under the
+// recurrence key near, nil when none is cached. The caller clones it.
+func (c *placeCache) nearest(near placeKey) *place.WarmState {
+	if e := c.nearIdx[near.hash]; e != nil && sameEnc(e.near.enc, near.enc) {
+		return e.warm
 	}
-	e := &cacheEntry{key: k, res: r}
-	c.buckets[k.hash] = append(c.buckets[k.hash], e)
+	return nil
+}
+
+// put inserts (or refreshes) k's result and makes its entry the near
+// index's answer for the recurrence key near, evicting the least
+// recently used entry beyond capacity.
+func (c *placeCache) put(k, near placeKey, r placeResult, warm *place.WarmState) {
+	e := c.lookup(k)
+	if e != nil {
+		c.unlink(e)
+	} else {
+		e = &cacheEntry{key: k}
+		c.buckets[k.hash] = append(c.buckets[k.hash], e)
+		c.size++
+	}
+	e.res, e.near, e.warm = r, near, warm
+	c.nearIdx[near.hash] = e
 	c.pushFront(e)
-	c.size++
 	for c.size > c.capacity {
 		// evictOldest can run dry before size catches up with a
 		// non-positive capacity (the ring holds at least the entry just
@@ -178,6 +216,9 @@ func (c *placeCache) evictOldest() bool {
 	}
 	c.unlink(old)
 	c.size--
+	if c.nearIdx[old.near.hash] == old {
+		delete(c.nearIdx, old.near.hash)
+	}
 	bucket := c.buckets[old.key.hash]
 	for i, e := range bucket {
 		if e == old {

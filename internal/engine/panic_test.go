@@ -4,12 +4,15 @@ import (
 	"errors"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tetrium/internal/cluster"
 	"tetrium/internal/fault"
 	"tetrium/internal/journal"
+	"tetrium/internal/place"
+	"tetrium/internal/workload"
 )
 
 // TestPanicContained: a panic on the event loop is recovered, counted,
@@ -40,6 +43,52 @@ func TestPanicContained(t *testing.T) {
 	if !strings.Contains(string(b), "engine.panics_recovered") {
 		t.Errorf("engine.panics_recovered missing from metrics:\n%s", b)
 	}
+}
+
+// TestPanicInDrainedRequestKeepsScheduling: a scheduling pass absorbs
+// already-queued requests before it schedules. One of them panicking
+// used to unwind the pass before it cleared schedQueued, so every later
+// scheduleSoon was a no-op and an unsupervised engine never placed
+// another job.
+func TestPanicInDrainedRequestKeepsScheduling(t *testing.T) {
+	e := mustEngine(t, testConfig(cluster.PaperExample()))
+
+	// From inside one loop turn: queue a pass, then a request for it to
+	// drain — an admission — and behind it the panic. The loop runs the
+	// pass right after this closure returns, before it reads reqs itself.
+	admitted := make(chan int, 1)
+	if err := e.do(func() {
+		e.st.scheduleSoon()
+		e.inject(func() {
+			id, _, _ := e.st.submit(oneStageJob(0, 2, 1), "")
+			admitted <- id
+		})
+		e.InjectPanic("boom in a drained request")
+	}); err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for e.PanicsRecovered() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("injected panic never recovered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var queued bool
+	if err := e.do(func() { queued = e.st.schedQueued }); err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	if queued {
+		t.Error("schedQueued still set after the pass panicked")
+	}
+	// The job admitted by the same pass, and one submitted afterwards,
+	// are both placed and finish.
+	waitJobDone(t, e, <-admitted)
+	st, err := e.Submit(oneStageJob(0, 2, 1))
+	if err != nil {
+		t.Fatalf("Submit after the panicked pass: %v", err)
+	}
+	waitJobDone(t, e, st.ID)
 }
 
 // TestPanicInjectFault: the panic@T fault clause panics the loop at T
@@ -83,6 +132,55 @@ func TestSolvePoolPanicContained(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	drainOK(t, e)
+}
+
+// panicOncePlacer panics in its first map placement and is Tetrium
+// afterwards.
+type panicOncePlacer struct {
+	place.Tetrium
+	fired atomic.Bool
+}
+
+func (p *panicOncePlacer) PlaceMap(res place.Resources, req place.MapRequest) (place.MapPlacement, error) {
+	if p.fired.CompareAndSwap(false, true) {
+		panic("solve boom")
+	}
+	return p.Tetrium.PlaceMap(res, req)
+}
+
+// TestPooledSolvePanicSettlesPoolBusy: the pool task whose solve
+// panicked still reports back to the loop, so the engine does not count
+// it as outstanding for ever — which would keep every later recurring
+// query from the cache's basis.
+func TestPooledSolvePanicSettlesPoolBusy(t *testing.T) {
+	cfg := testConfig(cluster.PaperExample())
+	cfg.Placer = &panicOncePlacer{}
+	e := mustEngine(t, cfg)
+	if _, err := e.Submit(oneStageJob(0, 2, 1)); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for e.PanicsRecovered() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("solve-pool panic never surfaced")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	busy := -1
+	if err := e.do(func() { busy = e.st.poolBusy }); err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	if busy != 0 {
+		t.Fatalf("poolBusy = %d after the panicked task, want 0", busy)
+	}
+	fresh := oneStageJob(1, 6, 5)
+	for i := range fresh.Stages[0].Tasks {
+		fresh.Stages[0].Tasks[i].Input *= 1.05
+	}
+	runOneByOne(t, e, []*workload.Job{oneStageJob(1, 6, 5), fresh})
+	if v := counterValue(t, e, "engine.solves_warm_started"); v != 1 {
+		t.Errorf("engine.solves_warm_started = %g after the panic, want 1 (the near repeat)", v)
+	}
 }
 
 // TestSubmitIdemDedup: the same idempotency key admits once; the replay

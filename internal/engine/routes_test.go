@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -56,6 +57,13 @@ func (p *probePlacer) seen() []probeCall {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]probeCall(nil), p.calls...)
+}
+
+// failingMapPlacer errors on every map placement.
+type failingMapPlacer struct{ place.InPlace }
+
+func (failingMapPlacer) PlaceMap(place.Resources, place.MapRequest) (place.MapPlacement, error) {
+	return place.MapPlacement{}, errors.New("injected placer failure")
 }
 
 // routeRig is what one TestPlacementRoutes case drives.
@@ -158,14 +166,15 @@ func (r *routeRig) parkBehindBlocker() int {
 }
 
 // TestPlacementRoutes drives every way a stage gets placed through the
-// one request → cache → {inline | pool} → commit pipeline and checks,
+// one request → cache {exact | near} → {inline | pool} → commit pipeline
+// and checks,
 // per route, what commit emitted (the obs.Placement flags), what it
 // counted, which goroutine solved (inline solves see the loop's live
 // capacity slices, pooled ones a snapshot), and that the warm state a
 // stage ends up with is the one its solve chained through.
 func TestPlacementRoutes(t *testing.T) {
 	// flags are the route markers of a job's last Placement event.
-	type flags struct{ cached, fallback, restamp, deadline bool }
+	type flags struct{ cached, fallback, restamp, deadline, warm bool }
 	type want struct {
 		flags    flags
 		solved   bool // that Placement carries a solve time
@@ -200,6 +209,81 @@ func TestPlacementRoutes(t *testing.T) {
 			},
 		},
 		{
+			name: "near hit: the previous job's basis, cloned for the pool",
+			drive: func(r *routeRig) int {
+				a := r.submit(1, 6)
+				waitJobDone(r.t, r.e, a)
+				// The same query over 5 % more data: an exact miss under
+				// the same recurrence key.
+				fresh := oneStageJob(1, 6, 5)
+				for i := range fresh.Stages[0].Tasks {
+					fresh.Stages[0].Tasks[i].Input *= 1.05
+				}
+				st, err := r.e.Submit(fresh)
+				if err != nil {
+					r.t.Fatalf("Submit: %v", err)
+				}
+				waitJobDone(r.t, r.e, st.ID)
+				calls := r.pp.seen()
+				if len(calls) != 2 || calls[1].warm == nil || calls[1].warm == calls[0].warm {
+					r.t.Fatalf("second solve was not handed its own clone of the cached basis: %+v", calls)
+				}
+				r.stage(a, func(sr *stageRun) {
+					if sr.warm != calls[0].warm {
+						r.t.Errorf("first job's warm state %p, want the one its solve used %p", sr.warm, calls[0].warm)
+					}
+				})
+				r.stage(st.ID, func(sr *stageRun) {
+					near := r.e.st.buildRequest(sr).recurrenceKey()
+					if sr.warm != calls[1].warm || r.e.st.cache.nearest(near) != sr.warm {
+						r.t.Errorf("stage holds %p, cache answers %p, want both the solved clone %p",
+							sr.warm, r.e.st.cache.nearest(near), calls[1].warm)
+					}
+				})
+				return st.ID
+			},
+			want: want{
+				flags:  flags{warm: true},
+				solved: true,
+				counters: map[string]float64{
+					"engine.place_cache_hits": 0, "engine.place_cache_misses": 2,
+					"engine.solves_warm_started": 1, "engine.solves_warm_fallback": 0,
+				},
+				batches: [2]int{2, 2},
+				calls:   []bool{false, false},
+			},
+		},
+		{
+			name:  "near repeat behind a busy pool solves cold",
+			gated: true,
+			drive: func(r *routeRig) int {
+				r.release <- struct{}{}
+				waitJobDone(r.t, r.e, r.submit(1, 6)) // its basis is in the cache
+				blocker := r.submit(0, 3)             // another recurrence, held at the gate
+				r.awaitPooled()
+				fresh := oneStageJob(1, 6, 5)
+				for i := range fresh.Stages[0].Tasks {
+					fresh.Stages[0].Tasks[i].Input *= 1.05
+				}
+				st, err := r.e.Submit(fresh)
+				if err != nil {
+					r.t.Fatalf("Submit: %v", err)
+				}
+				r.open()
+				waitJobDone(r.t, r.e, blocker)
+				waitJobDone(r.t, r.e, st.ID)
+				return st.ID
+			},
+			want: want{
+				solved: true,
+				counters: map[string]float64{
+					"engine.place_cache_misses": 3, "engine.solves_warm_started": 0, "engine.solves_warm_fallback": 0,
+				},
+				batches: [2]int{3, 3},
+				calls:   []bool{false, false, false},
+			},
+		},
+		{
 			name: "pooled solve, two-member warm chain",
 			drive: func(r *routeRig) int {
 				// Two same-shape admissions in one loop turn share one
@@ -230,6 +314,7 @@ func TestPlacementRoutes(t *testing.T) {
 				return b
 			},
 			want: want{
+				flags:    flags{warm: true},
 				solved:   true,
 				counters: map[string]float64{"engine.place_cache_misses": 2, "engine.solves_warm_started": 1},
 				batches:  [2]int{1, 2},
@@ -259,6 +344,7 @@ func TestPlacementRoutes(t *testing.T) {
 				return id
 			},
 			want: want{
+				flags:    flags{warm: true},
 				solved:   true,
 				counters: map[string]float64{"engine.solves_stale_dropped": maxStaleDrops},
 				batches:  [2]int{2, 2},
@@ -297,11 +383,34 @@ func TestPlacementRoutes(t *testing.T) {
 				return id
 			},
 			want: want{
-				flags:    flags{restamp: true},
+				flags:    flags{restamp: true, warm: true},
 				solved:   true,
 				counters: map[string]float64{"engine.stages_replaced": 1},
 				batches:  [2]int{1, 1},
 				calls:    []bool{false, true},
+			},
+		},
+		{
+			name:  "placer error",
+			inner: failingMapPlacer{},
+			drive: func(r *routeRig) int {
+				id := r.submit(1, 6)
+				waitJobDone(r.t, r.e, id)
+				r.stage(id, func(*stageRun) {
+					// A transient failure is nothing to repeat, exactly or
+					// nearly.
+					if c := r.e.st.cache; c.size != 0 || len(c.nearIdx) != 0 {
+						r.t.Errorf("fallback placement reached the cache: %d entries, %d near slots", c.size, len(c.nearIdx))
+					}
+				})
+				return id
+			},
+			want: want{
+				flags:    flags{fallback: true},
+				solved:   true,
+				counters: map[string]float64{"engine.place_cache_misses": 1, "lp.fallbacks": 1},
+				batches:  [2]int{1, 1},
+				calls:    []bool{false},
 			},
 		},
 		{
@@ -315,6 +424,13 @@ func TestPlacementRoutes(t *testing.T) {
 				id := r.submit(1, 6)
 				r.awaitPlacement(id, "deadline", func(p obs.Placement) bool { return p.Deadline })
 				waitJobDone(r.t, r.e, id)
+				r.stage(id, func(*stageRun) {
+					// A stopgap is no answer for its signature or its
+					// recurrence: neither index of the cache learns of it.
+					if c := r.e.st.cache; c.size != 0 || len(c.nearIdx) != 0 {
+						r.t.Errorf("deadline stopgap reached the cache: %d entries, %d near slots", c.size, len(c.nearIdx))
+					}
+				})
 				r.open() // the late solve finds the job done: refused
 				return id
 			},
@@ -416,7 +532,7 @@ func TestPlacementRoutes(t *testing.T) {
 
 			ps := r.placements(id)
 			last := ps[len(ps)-1]
-			if got := (flags{last.Cached, last.Fallback, last.Restamp, last.Deadline}); got != tc.want.flags {
+			if got := (flags{last.Cached, last.Fallback, last.Restamp, last.Deadline, last.Warm}); got != tc.want.flags {
 				t.Errorf("last Placement flags %+v, want %+v", got, tc.want.flags)
 			}
 			if (last.SolveNanos > 0) != tc.want.solved {

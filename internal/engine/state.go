@@ -252,6 +252,7 @@ type state struct {
 	// Failure domain (failure.go).
 	restoring  bool        // journal replay in progress; skip re-journaling
 	solveCount int         // async solves dispatched (drives injected stalls)
+	poolBusy   int         // pool tasks dispatched whose commit has not reached the loop
 	specRatios []float64   // observed actual/estimated stage-duration ratios
 	doneWall   []time.Time // recent completion wall times (drain-rate window)
 	rng        *rand.Rand  // retry-backoff jitter (loop-owned)
@@ -387,17 +388,22 @@ func (s *state) scheduleSoon() {
 	}
 	s.schedQueued = true
 	s.todo = append(s.todo, func() {
-	drain:
+		// Deferred, so the pass also ends when a drained request panics
+		// (runGuarded contains it): a flag left set would turn every later
+		// scheduleSoon into a no-op, and the requests drained before the
+		// panic were admitted counting on this pass.
+		defer func() {
+			s.schedQueued = false
+			s.schedule()
+		}()
 		for i := 0; i < batchAdmit-1; i++ {
 			select {
 			case fn := <-s.e.reqs:
 				fn()
 			default:
-				break drain
+				return
 			}
 		}
-		s.schedQueued = false
-		s.schedule()
 	})
 }
 
@@ -604,46 +610,30 @@ func (pr *placeRequest) setWarm(w *place.WarmState) {
 	}
 }
 
-// shapeKey fingerprints the dimensions of the LP this request builds:
-// stage kind, which sites hold data (the zero pattern decides which
-// rows and columns exist), and whether a WAN-budget row is present.
-// Requests with equal shapeKeys very likely build identically-shaped
-// LPs, so chaining one warm basis through them pays off; a mismatch
-// only costs the warm attempt's fallback to phase 1.
-func (pr placeRequest) shapeKey() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	var data []float64
-	var budget float64
+// recurrenceKey is the request's exact signature (requestKey) with
+// every magnitude erased: stage kind, task count, per-task compute,
+// which sites hold data and whether a WAN-budget row is present.
+// Requests that share it are one recurring query over other data or
+// other capacities — they build the same LP rows and columns around
+// nearby coefficients, so one's optimal basis is (near-)optimal for the
+// next. The task count and compute time are what tell a recurrence from
+// a coincidence of shape: a basis tried across unrelated same-shaped
+// jobs installs, fails the feasibility gate and pays phase 1 anyway
+// (DESIGN.md "The placement pipeline").
+func (pr placeRequest) recurrenceKey() placeKey {
+	data, budget := pr.rreq.InterBySite, pr.rreq.WANBudget
 	if pr.kind == "map" {
-		mix(0)
-		data = pr.mreq.InputBySite
-		budget = pr.mreq.WANBudget
-	} else {
-		mix(1)
-		data = pr.rreq.InterBySite
-		budget = pr.rreq.WANBudget
+		data, budget = pr.mreq.InputBySite, pr.mreq.WANBudget
 	}
+	b := newKeyBuilder(len(data) + 4)
+	b.bit(pr.kind == "map")
+	b.int(pr.numTasks())
+	b.float(stageTaskCompute(pr))
 	for _, v := range data {
-		if v > 0 {
-			mix(1)
-		} else {
-			mix(0)
-		}
+		b.bit(v > 0)
 	}
-	if budget >= 0 {
-		mix(1)
-	} else {
-		mix(0)
-	}
-	return h
+	b.bit(budget >= 0)
+	return b.key()
 }
 
 // buildRequest snapshots a stage's placement inputs. The data vectors
@@ -742,16 +732,17 @@ const maxStaleDrops = 2
 
 // solveItem is one placement decision moving through the pipeline:
 //
-//	request → cache → {inline | pool} solve → commit
+//	request → cache {exact → placement | near → basis} → {inline | pool} solve → commit
 //
 // The request half is filled on the loop. The result half is written by
 // whichever goroutine runs the solve and read by commit on the loop
 // (ordered by the inject channel send when that goroutine is a pool
 // worker).
 type solveItem struct {
-	sr  *stageRun
-	pr  placeRequest
-	key placeKey
+	sr   *stageRun
+	pr   placeRequest
+	key  placeKey // exact signature; zero when the cache is off
+	near placeKey // recurrence key; set on an exact miss
 
 	seq     int           // sr.solveSeq this attempt was issued under
 	gen     int           // s.resGen of the capacities it solves against
@@ -761,6 +752,8 @@ type solveItem struct {
 
 	res      placeResult
 	nanos    int64
+	warmed   int  // LPs of this solve that re-entered phase 2 from a prior basis
+	wentCold int  // LPs that had a basis on hand and ran phase 1 anyway
 	fallback bool // placer error: capacity-proportional stand-in
 	cached   bool // served by the memo cache, no solve ran
 	deadline bool // solve-deadline greedy stopgap (failure.go)
@@ -775,6 +768,7 @@ func (it *solveItem) solve(placer place.Placer, res place.Resources, warm *place
 	it.pr.setWarm(warm)
 	it.res, it.fallback = solveRequest(placer, res, it.pr)
 	it.nanos = time.Since(t0).Nanoseconds()
+	it.warmed, it.wentCold = warm.TakeStats()
 }
 
 // liveResources views the loop's capacity slices without copying; only
@@ -784,7 +778,10 @@ func (s *state) liveResources() place.Resources {
 }
 
 // requestPlacement (re)computes a stage's placement against current
-// capacities. The memo cache answers first. On a miss the solve either
+// capacities. The memo cache answers first: an exact repeat with the
+// placement, otherwise a stage with no basis of its own gets a clone of
+// its recurrence's latest (nearWarm; on the pool route only when the
+// pool is idle, see dispatch). On an exact miss the solve either
 // runs inline — a §4.2 restamp, whose caller reports the re-placed
 // count and re-levels holds right after, and a stage whose pooled
 // solves keep being invalidated by a rapid stream of updates, where
@@ -810,12 +807,13 @@ func (s *state) requestPlacement(sr *stageRun, restamp bool) (solves, hits int) 
 		}
 		s.rec.Registry().Counter("engine.place_cache_misses").Inc()
 	}
+	it.near = it.pr.recurrenceKey()
 	if restamp || sr.staleDrops >= maxStaleDrops {
 		if sr.warm == nil {
-			sr.warm = place.NewWarmState()
+			sr.warm = s.nearWarm(it.near)
 		}
 		it.solve(s.e.cfg.Placer, s.liveResources(), sr.warm)
-		s.noteWarmStats(sr.warm)
+		s.noteWarmStats(&it)
 		s.commit(&it)
 		return 1, 0
 	}
@@ -825,13 +823,28 @@ func (s *state) requestPlacement(sr *stageRun, restamp bool) (solves, hits int) 
 	return 1, 0
 }
 
+// nearWarm returns a private copy of the basis the cache holds for the
+// recurrence key, or an empty warm state: what a stage with no basis of
+// its own solves from. A clone, because the original stays with its
+// cache entry (and the stage that solved it) on the loop while this one
+// may travel to a pool worker.
+func (s *state) nearWarm(near placeKey) *place.WarmState {
+	if s.cache != nil {
+		if w := s.cache.nearest(near); w != nil {
+			return w.Clone()
+		}
+	}
+	return place.NewWarmState()
+}
+
 // dispatch ships a batch of solves to the worker pool: one capacity
 // snapshot and one resource generation for the whole batch, one pool
-// task per LP-shape group solving its members in order through a shared
-// warm state (member j re-enters phase 2 from member j−1's basis), and
-// one commit injection per group. A §4.2 update landing mid-batch
-// therefore invalidates every member, exactly as it would each solve
-// alone. A solve-deadline retry is a batch of one.
+// task per recurrence key solving its members in order through a shared
+// warm state (member j re-enters phase 2 from member j−1's basis, the
+// first from the stage's own or, pool idle, the cache's), and one
+// commit injection per group. A §4.2 update landing mid-batch therefore invalidates
+// every member, exactly as it would each solve alone. A solve-deadline
+// retry is a batch of one.
 func (s *state) dispatch(items []solveItem) {
 	if len(items) == 0 {
 		return
@@ -846,9 +859,9 @@ func (s *state) dispatch(items []solveItem) {
 	placer := s.e.cfg.Placer
 	inj := s.e.cfg.Faults
 	deadline := s.e.cfg.SolveDeadline
-	// Group by LP shape, preserving encounter order within and across
+	// Group by recurrence, preserving encounter order within and across
 	// groups so commits land in a deterministic order per group.
-	byShape := make(map[uint64][]*solveItem, len(items))
+	byNear := make(map[uint64][]*solveItem, len(items))
 	var order []uint64
 	for i := range items {
 		it := &items[i]
@@ -867,19 +880,54 @@ func (s *state) dispatch(items []solveItem) {
 				s.e.inject(func() { s.solveDeadline(armed) })
 			})
 		}
-		k := it.pr.shapeKey()
-		if _, ok := byShape[k]; !ok {
+		k := it.near.hash
+		if _, ok := byNear[k]; !ok {
 			order = append(order, k)
 		}
-		byShape[k] = append(byShape[k], it)
+		byNear[k] = append(byNear[k], it)
 	}
+	// A group head with no basis of its own borrows the cache's only
+	// when no pool task is outstanding: a lone arrival of a recurring
+	// query, the case the near index is for. Behind a backlog it solves
+	// cold, as every head did before the near index existed (DESIGN.md
+	// "The placement pipeline" says why).
+	idle := s.poolBusy == 0
 	for _, k := range order {
-		group := byShape[k]
+		group := byNear[k]
 		warm := group[0].sr.warm.Clone()
+		if warm == nil && idle {
+			warm = s.nearWarm(group[0].near)
+		}
 		if warm == nil {
 			warm = place.NewWarmState()
 		}
+		s.poolBusy++
 		s.e.pool.submit(func() {
+			// Deferred, so a solve that panics (the pool contains it) still
+			// settles poolBusy and lands the members solved before it.
+			solved := 0
+			defer func() {
+				s.e.inject(func() {
+					s.poolBusy--
+					for i, it := range group[:solved] {
+						s.noteWarmStats(it)
+						if it.seq == it.sr.solveSeq {
+							// Hand the chained basis back to each member for
+							// its next re-solve; clones keep the stages' warm
+							// states independent from here on.
+							if i == 0 {
+								it.sr.warm = warm
+							} else {
+								it.sr.warm = warm.Clone()
+							}
+						}
+						s.commit(it)
+					}
+					// Launch what just got placed, or re-request what the
+					// generation guard dropped.
+					s.scheduleSoon()
+				})
+			}()
 			for _, it := range group {
 				if it.stall > 0 {
 					// Injected wedged solver. Stalls only ever run on a
@@ -887,26 +935,8 @@ func (s *state) dispatch(items []solveItem) {
 					time.Sleep(it.stall)
 				}
 				it.solve(placer, res, warm)
+				solved++
 			}
-			s.e.inject(func() {
-				s.noteWarmStats(warm)
-				for i, it := range group {
-					if it.seq == it.sr.solveSeq {
-						// Hand the chained basis back to each member for
-						// its next re-solve; clones keep the stages' warm
-						// states independent from here on.
-						if i == 0 {
-							it.sr.warm = warm
-						} else {
-							it.sr.warm = warm.Clone()
-						}
-					}
-					s.commit(it)
-				}
-				// Launch what just got placed, or re-request what the
-				// generation guard dropped.
-				s.scheduleSoon()
-			})
 		})
 	}
 }
@@ -958,6 +988,7 @@ func (s *state) commit(it *solveItem) {
 		EstNet: sr.estNet, EstCompute: sr.estCompute, Est: sr.est,
 		TasksBySite: append([]int(nil), sr.tasks...),
 		Fallback:    it.fallback, Restamp: it.restamp, Cached: it.cached, Deadline: it.deadline,
+		Warm:       it.warmed > 0 && !it.fallback,
 		SolveNanos: it.nanos,
 	})
 	if k := s.e.cfg.UpdateK; it.restamp && k > 0 {
@@ -967,9 +998,10 @@ func (s *state) commit(it *solveItem) {
 	}
 	s.indexStage(sr)
 	// Fallbacks and deadline stopgaps are never cached: they reflect a
-	// transient failure, not the placer's answer for this signature.
+	// transient failure, not the placer's answer for this signature. The
+	// entry shares the stage's warm state — both stay on the loop.
 	if s.cache != nil && !it.cached && !it.fallback && !it.deadline {
-		s.cache.put(it.key, it.res)
+		s.cache.put(it.key, it.near, it.res, sr.warm)
 	}
 	if js.placed.IsZero() {
 		js.placed = time.Now()
@@ -987,15 +1019,14 @@ func (s *state) commit(it *solveItem) {
 	}
 }
 
-// noteWarmStats drains a warm state's solve-outcome counters into the
-// registry. Loop-only.
-func (s *state) noteWarmStats(w *place.WarmState) {
-	started, fallback := w.TakeStats()
-	if started > 0 {
-		s.rec.Registry().Counter("engine.solves_warm_started").Add(float64(started))
+// noteWarmStats counts a solve's warm-start outcomes, whether or not
+// its result goes on to pass commit's guards. Loop-only.
+func (s *state) noteWarmStats(it *solveItem) {
+	if it.warmed > 0 {
+		s.rec.Registry().Counter("engine.solves_warm_started").Add(float64(it.warmed))
 	}
-	if fallback > 0 {
-		s.rec.Registry().Counter("engine.solves_warm_fallback").Add(float64(fallback))
+	if it.wentCold > 0 {
+		s.rec.Registry().Counter("engine.solves_warm_fallback").Add(float64(it.wentCold))
 	}
 }
 

@@ -31,7 +31,7 @@ func twoTenantTrace() []obs.Event {
 		obs.StageDone{T: 15, Job: 1, Stage: 0, SlotSeconds: 16.25},
 		obs.FlowStart{T: 16, Flow: 1, Src: 0, Dst: 1, Bytes: 77},
 		obs.JobDone{T: 20, Job: 1, Response: 18, WANBytes: 200},
-		obs.Placement{T: 21, Job: 0, Stage: 1, Est: 5},
+		obs.Placement{T: 21, Job: 0, Stage: 1, Est: 5, Warm: true},
 		obs.StageDone{T: 30, Job: 0, Stage: 1, SlotSeconds: 9.5},
 		obs.JobDone{T: 31, Job: 0, Response: 30, WANBytes: 300.125},
 	}
@@ -91,8 +91,8 @@ func TestStoreAggregates(t *testing.T) {
 			}
 		}
 	}
-	if eff.LPSolves != 2 || eff.LPCacheHits != 1 {
-		t.Errorf("lp counters: solves=%d hits=%d", eff.LPSolves, eff.LPCacheHits)
+	if eff.LPSolves != 2 || eff.LPCacheHits != 1 || eff.LPWarmSolves != 1 || eff.WarmStartRate != 0.5 {
+		t.Errorf("lp counters: solves=%d hits=%d warm=%d (rate %v)", eff.LPSolves, eff.LPCacheHits, eff.LPWarmSolves, eff.WarmStartRate)
 	}
 
 	// Estimate accuracy: job 0 stage 0 est 10 actual 14−3.5=10.5 →

@@ -84,7 +84,7 @@ type Store struct {
 	wanTotal     float64
 
 	// LP decision counters (Placement events).
-	lpSolves, lpCacheHits, lpFallbacks, lpDeadline int
+	lpSolves, lpWarm, lpCacheHits, lpFallbacks, lpDeadline int
 
 	// Estimate-accuracy join: pending per-stage estimates and the
 	// rolling relative-error sample ring.
@@ -383,6 +383,9 @@ func (s *Store) placement(e obs.Placement) {
 		s.lpSolves++
 		w.lpSolves++
 	}
+	if e.Warm {
+		s.lpWarm++
+	}
 	if e.Fallback {
 		s.lpFallbacks++
 	}
@@ -622,10 +625,12 @@ type CacheTrendPoint struct {
 type Efficiency struct {
 	Tenants             []TenantEfficiency `json:"tenants"`
 	LPSolves            int                `json:"lp_solves"`
+	LPWarmSolves        int                `json:"lp_warm_solves"` // of LPSolves: re-entered phase 2 from a prior basis
 	LPCacheHits         int                `json:"lp_cache_hits"`
 	LPFallbacks         int                `json:"lp_fallbacks"`
 	LPDeadlineFallbacks int                `json:"lp_deadline_fallbacks"`
 	CacheHitRate        float64            `json:"cache_hit_rate"`
+	WarmStartRate       float64            `json:"warm_start_rate"` // warm solves / solves
 	CacheHitTrend       []CacheTrendPoint  `json:"cache_hit_trend"`
 }
 
@@ -635,11 +640,14 @@ func (s *Store) Efficiency() Efficiency {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := Efficiency{
-		LPSolves: s.lpSolves, LPCacheHits: s.lpCacheHits,
+		LPSolves: s.lpSolves, LPWarmSolves: s.lpWarm, LPCacheHits: s.lpCacheHits,
 		LPFallbacks: s.lpFallbacks, LPDeadlineFallbacks: s.lpDeadline,
 	}
 	if n := s.lpSolves + s.lpCacheHits; n > 0 {
 		out.CacheHitRate = float64(s.lpCacheHits) / float64(n)
+	}
+	if s.lpSolves > 0 {
+		out.WarmStartRate = float64(s.lpWarm) / float64(s.lpSolves)
 	}
 	for _, ta := range s.tenants {
 		te := TenantEfficiency{

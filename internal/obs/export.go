@@ -144,6 +144,7 @@ func WritePerfetto(w io.Writer, events []Event) error {
 				Name: fmt.Sprintf("place J%d.S%d est=%.1fs", e.Job, e.Stage, e.Est),
 				Cat:  "place", Ph: "i", S: "t",
 				Ts: e.T * us, Pid: pidSched, Tid: 2,
+				Args: map[string]string{"route": e.Route()},
 			})
 		case DropEvent:
 			threads[procThread{pidSched, 3}] = "drops"

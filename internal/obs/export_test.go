@@ -12,7 +12,7 @@ func sampleEvents() []Event {
 		JobArrival{T: 0, Job: 0, Name: "q1", Stages: 2, Tasks: 3},
 		SchedInstance{T: 0, Seq: 1, Considered: 1, Order: []int{0}, FreeSlots: 4, Launched: 2, WallNanos: 987654321},
 		Placement{T: 0, Job: 0, Stage: 0, StageKind: "map", Placer: "tetrium",
-			Pending: 2, Est: 5.5, TasksBySite: []int{1, 1}, SolveNanos: 123456789},
+			Pending: 2, Est: 5.5, TasksBySite: []int{1, 1}, Warm: true, SolveNanos: 123456789},
 		TaskLaunch{T: 0, Job: 0, Stage: 0, Task: 0, Site: 1},
 		TaskStart{T: 1.5, Job: 0, Stage: 0, Task: 0, Site: 1},
 		TaskDone{T: 3, Job: 0, Stage: 0, Task: 0, Site: 1},
@@ -45,6 +45,9 @@ func TestWriteJSONL(t *testing.T) {
 			t.Errorf("line %d kind = %q, want %q", i, rec.K, events[i].Kind())
 		}
 	}
+	if !strings.Contains(lines[2], `"warm":true`) {
+		t.Errorf("warm-started placement lost its flag: %s", lines[2])
+	}
 	// Wall-clock fields are excluded so the stream is deterministic.
 	if strings.Contains(b.String(), "987654321") || strings.Contains(b.String(), "123456789") {
 		t.Error("wall-clock nanos leaked into JSONL stream")
@@ -73,6 +76,9 @@ func TestWritePerfetto(t *testing.T) {
 			Dur  float64 `json:"dur"`
 			Pid  int     `json:"pid"`
 			Tid  int     `json:"tid"`
+			Args struct {
+				Route string `json:"route"`
+			} `json:"args"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
 	}
@@ -93,6 +99,10 @@ func TestWritePerfetto(t *testing.T) {
 			fetchDur = te.Dur
 		case "compute":
 			computeDur = te.Dur
+		case "place":
+			if te.Args.Route != "warm" {
+				t.Errorf("placement instant route = %q, want warm", te.Args.Route)
+			}
 		}
 	}
 	if phases["M"] == 0 || phases["X"] == 0 || phases["i"] == 0 {
@@ -124,6 +134,7 @@ func TestRecorderMetricsFromEvents(t *testing.T) {
 		"jobs.arrived":          1,
 		"sched.instances":       1,
 		"lp.solves":             1,
+		"lp.warm_solves":        1,
 		"tasks.launched":        1,
 		"tasks.done":            1,
 		"wan.flows":             1,

@@ -136,7 +136,27 @@ type Placement struct {
 	Restamp     bool    `json:"restamp,omitempty"`  // forced re-solve after a drop
 	Cached      bool    `json:"cached,omitempty"`   // served from the placement memo cache
 	Deadline    bool    `json:"deadline,omitempty"` // LP solve missed its deadline; greedy baseline used
+	Warm        bool    `json:"warm,omitempty"`     // the solve re-entered phase 2 from a prior basis (never with Cached, Fallback or Deadline)
 	SolveNanos  int64   `json:"-"`
+}
+
+// Route names how the decision was reached, cheapest first: "cached"
+// (memo cache, no solve), "deadline" (greedy stopgap for an overdue
+// solve), "fallback" (placer error), "warm" (LP from a prior basis) or
+// "cold" (LP from scratch) — the first thing to ask of a slow placement.
+func (e Placement) Route() string {
+	switch {
+	case e.Cached:
+		return "cached"
+	case e.Deadline:
+		return "deadline"
+	case e.Fallback:
+		return "fallback"
+	case e.Warm:
+		return "warm"
+	default:
+		return "cold"
+	}
 }
 
 // TaskLaunch marks a task (or speculative copy, §8) taking a slot.

@@ -9,7 +9,7 @@ import "fmt"
 // Metrics maintained:
 //
 //	counters   jobs.arrived, jobs.done, sched.instances, lp.solves,
-//	           lp.cache_hits, lp.fallbacks, tasks.launched, tasks.done,
+//	           lp.warm_solves, lp.cache_hits, lp.fallbacks, tasks.launched, tasks.done,
 //	           tasks.speculative, tasks.redundant, tasks.rescued, drops,
 //	           wan.flows, wan.bytes, wan.bytes.up.siteNN, wan.bytes.down.siteNN
 //	gauges     jobs.active
@@ -69,6 +69,7 @@ func NewRecorder() *Recorder {
 		"jobs.active":     "Jobs admitted but not yet done.",
 		"lp.solves":       "Placement LP solves executed.",
 		"lp.cache_hits":   "Placements served from the memo cache.",
+		"lp.warm_solves":  "Placement solves that re-entered phase 2 from a prior basis.",
 		"wan.bytes":       "Cross-site bytes moved by placements.",
 		"tasks.rescued":   "Straggling tasks finished by a speculative copy.",
 		"job.response_s":  "Job response time (arrival to last stage done), seconds.",
@@ -111,6 +112,9 @@ func (r *Recorder) Emit(ev Event) {
 			// runs count toward lp.solves and its latency histogram.
 			r.reg.Counter("lp.solves").Inc()
 			r.reg.Histogram("lp.solve_ns", 1000, 2, 32).Observe(float64(e.SolveNanos))
+		}
+		if e.Warm {
+			r.reg.Counter("lp.warm_solves").Inc()
 		}
 		if e.Fallback {
 			r.reg.Counter("lp.fallbacks").Inc()

@@ -2,9 +2,11 @@ package place
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"tetrium/internal/cluster"
+	"tetrium/internal/workload"
 )
 
 // benchResources returns a deterministic n-site heterogeneous cluster:
@@ -98,6 +100,110 @@ func BenchmarkPlaceReduce(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// recurringRequests builds what one recurring query asks of the placer
+// over several days: the first map stage of the service benchmark's
+// place-heavy base query (benchmark/gen.go: sim-50 of generator seed 12,
+// the median-sized of 32 BigData templates) with every input resized by
+// up to ±10 % per day, and the reduce stage that follows it, fed with
+// the map placement's output.
+func recurringRequests(b *testing.B, days int) (Resources, []MapRequest, []ReduceRequest) {
+	cl := cluster.Sim50(12)
+	res := Resources{Slots: cl.Slots(), UpBW: cl.UpBW(), DownBW: cl.DownBW()}
+	templates := workload.Generate(workload.BigData(cl.N(), 32, 7921))
+	sort.SliceStable(templates, func(i, j int) bool {
+		return templates[i].Stages[0].NumTasks() < templates[j].Stages[0].NumTasks()
+	})
+	base := templates[len(templates)/2]
+	mapSt := base.Stages[0]
+	var redSt *workload.Stage
+	for _, st := range base.Stages {
+		if st.Kind == workload.ReduceStage {
+			redSt = st
+			break
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	maps := make([]MapRequest, days)
+	reduces := make([]ReduceRequest, days)
+	for d := range maps {
+		input := make([]float64, cl.N())
+		for _, t := range mapSt.Tasks {
+			input[t.Src] += t.Input * (0.9 + 0.2*rng.Float64())
+		}
+		maps[d] = MapRequest{
+			InputBySite: input,
+			NumTasks:    mapSt.NumTasks(),
+			TaskCompute: mapSt.EstCompute,
+			WANBudget:   WANBudget(1, MapBudget, input),
+			OutputBytes: mapSt.TotalOutput(),
+		}
+		mp, err := Tetrium{MaxDest: 10}.PlaceMap(res, maps[d])
+		if err != nil {
+			b.Fatalf("PlaceMap: %v", err)
+		}
+		inter := make([]float64, cl.N())
+		for x := range mp.Tasks {
+			for y, c := range mp.Tasks[x] {
+				inter[y] += maps[d].OutputBytes * float64(c) / float64(maps[d].NumTasks)
+			}
+		}
+		reduces[d] = ReduceRequest{
+			InterBySite: inter,
+			NumTasks:    redSt.NumTasks(),
+			TaskCompute: redSt.EstCompute,
+			WANBudget:   WANBudget(1, ReduceBudget, inter),
+		}
+	}
+	return res, maps, reduces
+}
+
+// BenchmarkPlaceMapRecurring is the layer number behind cross-job warm
+// starts (engine placement cache, near hits): the 50-site MaxDest: 10
+// map LP and the 50-site reduce LP of one recurring query over fresh
+// data, solved cold and re-entered from the previous day's basis. Every
+// LP is certified (Check), so a warm solve that stopped short of an
+// optimum fails the benchmark. warm/op and fallback/op count the LPs
+// that started in phase 2 and those that had a basis and ran phase 1
+// anyway.
+func BenchmarkPlaceMapRecurring(b *testing.B) {
+	res, maps, reduces := recurringRequests(b, 33)
+	pl := Tetrium{MaxDest: 10, Check: true}
+	solve := func(b *testing.B, stage string, day int, w *WarmState) {
+		var err error
+		if stage == "map" {
+			req := maps[day]
+			req.Warm = w
+			_, err = pl.PlaceMap(res, req)
+		} else {
+			req := reduces[day]
+			req.Warm = w
+			_, err = pl.PlaceReduce(res, req)
+		}
+		if err != nil {
+			b.Fatalf("%s day %d: %v", stage, day, err)
+		}
+	}
+	for _, stage := range []string{"map", "reduce"} {
+		for _, mode := range []string{"cold", "prev-basis"} {
+			b.Run(stage+"/"+mode, func(b *testing.B) {
+				var w *WarmState
+				if mode != "cold" {
+					w = NewWarmState()
+					solve(b, stage, 0, w) // the previous job
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					solve(b, stage, 1+i%(len(maps)-1), w)
+				}
+				started, fallback := w.TakeStats()
+				b.ReportMetric(float64(started)/float64(b.N), "warm/op")
+				b.ReportMetric(float64(fallback)/float64(b.N), "fallback/op")
+			})
+		}
 	}
 }
 

@@ -68,9 +68,9 @@ type MapRequest struct {
 	// what makes deep stage chains avoid parking all data behind one
 	// thin uplink.
 	OutputBytes float64
-	// Warm, when non-nil, lets the placer reuse the simplex basis of
-	// this stage's previous placement and records the new one back for
-	// the next call. Nil means a plain cold solve. A WarmState must not
+	// Warm, when non-nil, lets the placer reuse the simplex basis of a
+	// previous placement of this or a like stage (see WarmState) and
+	// records the new one back for the next call. Nil means a plain cold solve. A WarmState must not
 	// be shared across concurrent placements; it never changes which
 	// placement is returned, only how fast the LP converges. Placers
 	// other than Tetrium ignore it.

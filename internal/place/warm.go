@@ -6,19 +6,24 @@ import (
 	"tetrium/internal/lp"
 )
 
-// WarmState carries simplex bases between successive placements of the
-// same stage shape, so a re-solve (a §4.2 re-placement after capacity
-// drift, or a repeated admission of an identically-shaped stage) enters
-// phase 2 directly from the previous optimum instead of re-running
-// phase 1. One WarmState belongs to one stage: the LP dimensions it
-// snapshots are a function of the request's shape, and lp.SolveWarm
-// falls back to a cold solve whenever they no longer match.
+// WarmState carries simplex bases from one placement to the next solve
+// of a nearby LP — a §4.2 re-placement after capacity drift, a deadline
+// retry, or the same recurring query arriving over fresh data — so that
+// solve enters phase 2 directly from the previous optimum instead of
+// re-running phase 1. The basis is only ever a hint: it records the LP
+// dimensions it was taken at, and lp.SolveWarm falls back to a cold
+// solve whenever they no longer match or the basis is infeasible for
+// the new coefficients.
 //
-// A WarmState must not be shared between concurrent placements — clone
-// one per in-flight solve with Clone. Within a single placement,
-// PlaceMap may solve its two candidate destination subsets in parallel;
-// they use disjoint basis slots, and the stats counters are atomic, so
-// that internal parallelism is safe.
+// Who may hold one, and who must Clone: any number of holders on one
+// goroutine may share a pointer, as long as their solves run one after
+// another — the engine's event loop keeps a stage's warm state and the
+// placement cache entry of that stage's last solve on the same pointer.
+// A solve that runs anywhere else, or that may overlap another one,
+// gets its own Clone; the engine's pool workers only ever see clones.
+// Within a single placement, PlaceMap may solve its two candidate
+// destination subsets in parallel; they use disjoint basis slots, and
+// the stats counters are atomic, so that internal parallelism is safe.
 type WarmState struct {
 	mapBases [2]lp.WarmStart // one per candidate destination subset
 	reduce   lp.WarmStart

@@ -82,10 +82,13 @@ fuzz-smoke:
 	$(GO) test ./internal/check -fuzz=FuzzSolve -fuzztime=10s
 	$(GO) test ./internal/place -fuzz=FuzzPlaceMap -fuzztime=10s
 
-# End-to-end check of the serving path: tetrium-serve starts its HTTP
-# server on an ephemeral port, submits 5 jobs over the wire, fires a
-# §4.2 cluster update, polls everything to completion, scrapes /metrics
-# and /debug/events, drains, and exits non-zero on any deviation.
+# End-to-end check of the serving path: tetrium-serve -smoke runs the
+# server's one lifecycle on an ephemeral port and, in place of waiting
+# for a signal, submits 5 jobs per shard over the wire, fires a §4.2
+# cluster update, polls everything to completion, scrapes /metrics and
+# /debug/events (cursor round trip included), drains, and exits
+# non-zero on any deviation. federation-smoke and selfheal-smoke invoke
+# the same -smoke on a fleet, where its fleet-only steps run too.
 # (`make race` covers the engine's concurrency tests: go test -race ./...
 # includes ./internal/engine/...)
 serve-smoke:
@@ -99,21 +102,19 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosEngine' ./internal/engine
 	$(GO) test -race -count=1 -run 'TestCrashRestart|TestSigtermDrain' ./cmd/tetrium-serve
 
-# Fleet-analytics gate: a live multi-tenant run must serve all four
-# /v1/analytics endpoint families as well-formed per-tenant JSON, the
-# staged 1→N-client loadgen must print its latency + attribution
-# tables, and offline tetrium-fleet ingestion of the run's journal +
-# event trace must reproduce the live totals bit-for-bit. The engine
-# alloc-guard (zero allocations on the event path with analytics off)
-# rides along.
+# Fleet-analytics gate: a live three-tenant run (TestAnalyticsSmoke
+# submits its own load) must serve all four /v1/analytics endpoint
+# families as well-formed per-tenant JSON, and offline tetrium-fleet
+# ingestion of the run's journal + event trace must reproduce the live
+# totals bit-for-bit. The engine alloc-guard (zero allocations on the
+# event path with analytics off) rides along.
 analytics-smoke:
 	$(GO) test -count=1 -run 'TestAnalyticsSmoke|TestFleetCLIUsage' ./cmd/tetrium-fleet
-	$(GO) test -count=1 -run 'TestStagedLoadgen' ./cmd/tetrium-serve
 	$(GO) test -count=1 -run 'TestAnalyticsDisabledHotPath|TestAnalyticsLiveOfflineParity' ./internal/engine
 
-# Federation gate: the 2-shard router round-trip (submit across shards,
-# kill + journal-restore shard 0, §4.2 drop, poll to done, merged
-# metrics/events/status, drain), then the router hammer and
+# Federation gate: the server's -smoke on 2 journaled shards (submit
+# across shards, kill + journal-restore shard 0, §4.2 drop, poll to
+# done, merged metrics/events/status, drain), then the router hammer and
 # shard-loss-mid-flight chaos tests plus the serve-level crash-restart
 # and -shards 1 bit-compat subprocess tests, all under the race
 # detector.
@@ -128,8 +129,9 @@ federation-smoke:
 # record — all healed automatically, zero lost jobs, readiness degraded
 # not failed), the flap-breaker and fault-timeline tests, exactly-once
 # idempotent submit across a crash, and the subprocess restart over a
-# damaged journal. The serve-level federation smoke then re-runs with
-# -supervise so the heals happen under live supervision end to end.
+# damaged journal. The server's -smoke then re-runs on the 2-shard
+# fleet with -supervise so the heals happen under live supervision end
+# to end.
 selfheal-smoke:
 	$(GO) test -race -count=1 -run 'TestSelfHealChaos|TestBreakerParksFlappingShard|TestChaosTimelineFires|TestFederationIdemExactlyOnce|TestUnhealthyRetryAfterDeadline' ./internal/federation
 	$(GO) test -race -count=1 -run 'TestCrashRestartCorruptJournal' ./cmd/tetrium-serve

@@ -136,7 +136,7 @@ func TestAnalyticsSmoke(t *testing.T) {
 	}
 	trace, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.Header.Get("Tetrium-Events-Dropped") != "0" {
+	if resp.Header.Get("Tetrium-Events-Missed") != "0" {
 		t.Fatalf("event ring dropped events; parity check needs the full trace")
 	}
 	if err := os.WriteFile(epath, trace, 0o644); err != nil {

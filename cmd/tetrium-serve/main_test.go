@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -410,5 +412,40 @@ func TestFaultFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "fault") {
 		t.Errorf("error output does not mention the fault spec:\n%s", out)
+	}
+}
+
+// TestFlagSurface pins the server's flag surface: a new knob, a renamed
+// one or one that goes undocumented is a reviewed diff of this list and
+// of README "Running as a service".
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr", "analytics", "analytics-snap", "check", "cluster", "drain-timeout",
+		"eps", "events-cap", "fault-seed", "fault-spec", "journal", "max-pending",
+		"place-cache", "rho", "scheduler", "seed", "shard-by", "shards", "smoke",
+		"snapshot-every", "solve-deadline", "solve-workers", "speculate", "supervise",
+		"time-scale", "update-k",
+	}
+	fs := flag.NewFlagSet("tetrium-serve", flag.ContinueOnError)
+	registerFlags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // in lexical order
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flag surface changed:\n got %q\nwant %q", got, want)
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatalf("README: %v", err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n## Running as a service\n")
+	if !ok {
+		t.Fatal(`README has no "Running as a service" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, name := range got {
+		if !strings.Contains(section, "`-"+name+"`") && !strings.Contains(section, "`-"+name+" ") {
+			t.Errorf("README \"Running as a service\" does not document -%s", name)
+		}
 	}
 }

@@ -70,15 +70,15 @@ func TestEventsSincePagination(t *testing.T) {
 	}
 	pollJobState(t, srv, lastID, "done")
 
-	// since=0 after overflow: missed must equal the legacy Dropped
-	// count, and the page returns the whole retained ring.
+	// No cursor means since=0: after overflow, missed counts what the
+	// ring discarded, and the page returns the whole retained ring.
 	full, err := http.Get(srv.URL + "/debug/events")
 	if err != nil {
 		t.Fatalf("GET /debug/events: %v", err)
 	}
 	io.Copy(io.Discard, full.Body)
 	full.Body.Close()
-	dropped, _ := strconv.ParseInt(full.Header.Get("Tetrium-Events-Dropped"), 10, 64)
+	dropped, _ := strconv.ParseInt(full.Header.Get("Tetrium-Events-Missed"), 10, 64)
 	if dropped == 0 {
 		t.Fatal("ring never wrapped; shrink EventCap or submit more jobs")
 	}

@@ -1,26 +1,119 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
 	"tetrium/internal/engine"
 	"tetrium/internal/fleet"
 	"tetrium/internal/obs"
+	"tetrium/internal/workload"
 )
 
-// Handler serves an Engine over HTTP. The handler is stateless: all
-// synchronization lives behind the engine's event loop, so it is safe
-// under any number of concurrent requests.
-func Handler(e *engine.Engine) http.Handler {
+// Service is the scheduling service behind the HTTP surface: one
+// engine (EngineService wraps it) or a federation of engine shards
+// (*federation.Federation satisfies it as is). Handler is written once
+// against it; cmd/tetrium-serve runs, smokes and drains whichever
+// backend it was handed through the same interface.
+type Service interface {
+	// SubmitIdem admits a job; replay reports that idemKey had already
+	// admitted one, whose status is returned instead of a twin's.
+	SubmitIdem(job *workload.Job, idemKey string) (st engine.JobStatus, replay bool, err error)
+	Job(id int) (engine.JobStatus, error)
+	Jobs() ([]engine.JobStatus, error)
+	Cluster() (engine.ClusterStatus, error)
+	// UpdateCluster applies §4.2 capacity changes and returns how many
+	// live stage placements were re-solved.
+	UpdateCluster(ups []engine.SiteUpdate) (int, error)
+	// MetricsRegistry returns a point-in-time copy of the metrics
+	// registry, which the caller owns and renders off the event loop.
+	MetricsRegistry() (*obs.Registry, error)
+	// EventsAfter returns the retained debug events newer than cursor
+	// ("" means from the beginning) as a JSON Lines writer, the cursor
+	// for the next poll, and how many requested events the bounded ring
+	// had already discarded. The cursor and the line format are the
+	// backend's; a cursor it cannot parse is a plain (400) error.
+	EventsAfter(cursor string) (write func(io.Writer) error, next string, missed int64, err error)
+	// Ready reports whether the service can usefully accept traffic;
+	// reason is the /readyz body either way.
+	Ready() (ok bool, reason string)
+	// Healthy reports whether any event loop still answers.
+	Healthy() bool
+	// RetryAfter is the back-off hint, in seconds, for a 429.
+	RetryAfter() int
+	// UnhealthyRetryAfter is the back-off hint for a 503; ok is false
+	// when no recovery is scheduled.
+	UnhealthyRetryAfter() (secs int, ok bool)
+	// Mount adds the routes only this backend serves.
+	Mount(mux *http.ServeMux)
+	Drain(ctx context.Context) error
+	Close()
+}
+
+// EngineService adapts a single engine to Service. Everything but the
+// methods below is the engine's own; the adapter exists because the
+// benchmark pins the engine's typed signatures (EventsSince(int64),
+// MetricsSnapshot), which the interface cannot share with the
+// federation's.
+func EngineService(e *engine.Engine) Service { return engineService{e} }
+
+type engineService struct{ *engine.Engine }
+
+func (e engineService) MetricsRegistry() (*obs.Registry, error) { return e.MetricsSnapshot() }
+
+// EventsAfter pages the bounded ring by sequence number: the i-th event
+// ever emitted has sequence i+1, so cursor "0" (or none) asks for
+// everything retained.
+func (e engineService) EventsAfter(cursor string) (func(io.Writer) error, string, int64, error) {
+	var since int64
+	if cursor != "" {
+		var err error
+		if since, err = strconv.ParseInt(cursor, 10, 64); err != nil || since < 0 {
+			return nil, "", 0, fmt.Errorf("bad since cursor %q", cursor)
+		}
+	}
+	evs, next, missed, err := e.EventsSince(since)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	write := func(w io.Writer) error { return obs.WriteJSONL(w, evs) }
+	return write, strconv.FormatInt(next, 10), missed, nil
+}
+
+func (e engineService) Healthy() bool {
+	_, err := e.Cluster()
+	return err == nil
+}
+
+// UnhealthyRetryAfter: nothing restarts a lone engine.
+func (e engineService) UnhealthyRetryAfter() (int, bool) { return 0, false }
+
+// Mount serves the fleet-analytics reports when the engine has a store.
+func (e engineService) Mount(mux *http.ServeMux) {
+	if st, ok := e.Analytics().(*fleet.Store); ok && st != nil {
+		mux.Handle("/v1/analytics/", http.StripPrefix("/v1/analytics", fleet.Routes(st)))
+	}
+}
+
+// MaxBodyBytes bounds a POST body; a larger one answers 413. The
+// largest job the trace generators produce on the 50-site preset
+// marshals to ~150 KB, under a quarter of it
+// (TestMaxBodyBytesHeadroom).
+const MaxBodyBytes = 1 << 20
+
+// Handler serves a Service over HTTP. The handler is stateless: all
+// synchronization lives behind the service, so it is safe under any
+// number of concurrent requests.
+func Handler(svc Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &spec) {
 			return
 		}
 		job, err := spec.ToWorkload()
@@ -32,29 +125,29 @@ func Handler(e *engine.Engine) http.Handler {
 		// already-admitted key returns the original job (200 with
 		// Tetrium-Idempotent-Replay: true) instead of admitting a twin,
 		// including after a restart from the journal.
-		st, dup, err := e.SubmitIdem(job, r.Header.Get("Idempotency-Key"))
+		st, replay, err := svc.SubmitIdem(job, r.Header.Get("Idempotency-Key"))
 		if err != nil {
-			writeEngineErr(e, w, err)
+			writeServiceErr(svc, w, err)
 			return
 		}
-		if dup {
+		if replay {
 			w.Header().Set("Tetrium-Idempotent-Replay", "true")
-			writeJSON(w, http.StatusOK, jobStatus(st))
+			WriteJSON(w, http.StatusOK, jobStatus(st))
 			return
 		}
-		writeJSON(w, http.StatusAccepted, jobStatus(st))
+		WriteJSON(w, http.StatusAccepted, jobStatus(st))
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		sts, err := e.Jobs()
+		sts, err := svc.Jobs()
 		if err != nil {
-			writeEngineErr(e, w, err)
+			writeServiceErr(svc, w, err)
 			return
 		}
 		out := make([]JobStatus, 0, len(sts))
 		for _, st := range sts {
 			out = append(out, jobStatus(st))
 		}
-		writeJSON(w, http.StatusOK, out)
+		WriteJSON(w, http.StatusOK, out)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.Atoi(r.PathValue("id"))
@@ -62,98 +155,72 @@ func Handler(e *engine.Engine) http.Handler {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		st, err := e.Job(id)
+		st, err := svc.Job(id)
 		if err != nil {
-			writeEngineErr(e, w, err)
+			writeServiceErr(svc, w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, jobStatus(st))
+		WriteJSON(w, http.StatusOK, jobStatus(st))
 	})
 	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, r *http.Request) {
-		cs, err := e.Cluster()
+		cs, err := svc.Cluster()
 		if err != nil {
-			writeEngineErr(e, w, err)
+			writeServiceErr(svc, w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, clusterStatus(cs))
+		WriteJSON(w, http.StatusOK, clusterStatus(cs))
 	})
 	mux.HandleFunc("POST /v1/cluster/update", func(w http.ResponseWriter, r *http.Request) {
 		var req UpdateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		ups := make([]engine.SiteUpdate, 0, len(req.Sites))
 		for _, u := range req.Sites {
 			ups = append(ups, u.toEngine())
 		}
-		replaced, err := e.UpdateCluster(ups)
+		replaced, err := svc.UpdateCluster(ups)
 		if err != nil {
-			writeEngineErr(e, w, err)
+			writeServiceErr(svc, w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, UpdateResponse{StagesReplaced: replaced})
+		WriteJSON(w, http.StatusOK, UpdateResponse{StagesReplaced: replaced})
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		body, err := e.MetricsPrometheus()
-		if err != nil {
-			writeEngineErr(e, w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write(body)
-	})
-	mux.HandleFunc("GET /metrics.txt", func(w http.ResponseWriter, r *http.Request) {
-		body, err := e.MetricsText()
-		if err != nil {
-			writeEngineErr(e, w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(body)
-	})
-	mux.HandleFunc("GET /debug/events", func(w http.ResponseWriter, r *http.Request) {
-		// Cursor pagination over the bounded ring: ?since=<seq> returns
-		// only events newer than seq (the i-th event ever emitted has
-		// sequence i+1). Pollers pass the Tetrium-Events-Next value of
-		// the previous response; Tetrium-Events-Missed reports requested
-		// events already discarded from the ring (the poller fell
-		// behind). Without ?since the full buffer is returned, with the
-		// legacy Tetrium-Events-Dropped count.
-		if sinceStr := r.URL.Query().Get("since"); sinceStr != "" {
-			since, err := strconv.ParseInt(sinceStr, 10, 64)
-			if err != nil || since < 0 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad since cursor %q", sinceStr))
-				return
-			}
-			evs, next, missed, err := e.EventsSince(since)
+	metrics := func(contentType string, render func(*obs.Registry, io.Writer)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			reg, err := svc.MetricsRegistry()
 			if err != nil {
-				writeEngineErr(e, w, err)
+				writeServiceErr(svc, w, err)
 				return
 			}
-			w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-			w.Header().Set("Tetrium-Events-Next", strconv.FormatInt(next, 10))
-			w.Header().Set("Tetrium-Events-Missed", strconv.FormatInt(missed, 10))
-			obs.WriteJSONL(w, evs)
-			return
+			w.Header().Set("Content-Type", contentType)
+			render(reg, w)
 		}
-		evs, dropped, err := e.Events()
+	}
+	mux.HandleFunc("GET /metrics", metrics("text/plain; version=0.0.4; charset=utf-8",
+		func(reg *obs.Registry, w io.Writer) { reg.WritePrometheus(w, "tetrium") }))
+	mux.HandleFunc("GET /metrics.txt", metrics("text/plain; charset=utf-8",
+		func(reg *obs.Registry, w io.Writer) { reg.WriteText(w) }))
+	mux.HandleFunc("GET /debug/events", func(w http.ResponseWriter, r *http.Request) {
+		// Cursor pagination over the bounded ring: pollers pass the
+		// Tetrium-Events-Next value of the previous response as ?since;
+		// Tetrium-Events-Missed counts requested events already discarded
+		// (the poller fell behind).
+		write, next, missed, err := svc.EventsAfter(r.URL.Query().Get("since"))
 		if err != nil {
-			writeEngineErr(e, w, err)
+			writeServiceErr(svc, w, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-		w.Header().Set("Tetrium-Events-Dropped", strconv.FormatInt(dropped, 10))
-		obs.WriteJSONL(w, evs)
+		w.Header().Set("Tetrium-Events-Next", next)
+		w.Header().Set("Tetrium-Events-Missed", strconv.FormatInt(missed, 10))
+		write(w)
 	})
-	if st, ok := e.Analytics().(*fleet.Store); ok && st != nil {
-		mux.Handle("/v1/analytics/", http.StripPrefix("/v1/analytics", fleet.Routes(st)))
-	}
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		// Liveness: the event loop answers at all. Readiness (accepting
+		// Liveness: an event loop answers at all. Readiness (accepting
 		// useful traffic) is /readyz's job.
-		if _, err := e.Cluster(); err != nil {
-			writeErr(w, http.StatusServiceUnavailable, err)
+		if !svc.Healthy() {
+			writeServiceErr(svc, w, engine.ErrStopped)
 			return
 		}
 		w.Write([]byte("ok\n"))
@@ -162,37 +229,62 @@ func Handler(e *engine.Engine) http.Handler {
 		// Readiness: not ready while replaying the journal after a
 		// restart, while draining toward shutdown, or once stopped.
 		// Orchestrators route traffic elsewhere without killing the pod.
-		if ok, reason := e.Ready(); !ok {
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: reason})
+		ok, reason := svc.Ready()
+		if !ok {
+			WriteJSON(w, http.StatusServiceUnavailable, errorBody{Error: reason})
 			return
 		}
-		w.Write([]byte("ready\n"))
+		w.Write([]byte(reason + "\n"))
 	})
+	svc.Mount(mux)
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// decodeBody reads one JSON request body of at most MaxBodyBytes into
+// v, answering 413 or 400 itself when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, err)
+	return false
+}
+
+// WriteJSON is the one JSON response writer; exported for the routes a
+// backend mounts itself.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorBody{Error: err.Error()})
+	WriteJSON(w, code, errorBody{Error: err.Error()})
 }
 
-// writeEngineErr maps engine sentinels to HTTP semantics: backpressure
-// is 429 with a Retry-After hint computed from queue overflow and the
-// recent drain rate, drain/stop and a request aborted by a contained
-// loop panic are 503 (the caller did nothing wrong; retry), unknown IDs
-// 404, anything else a validation 400.
-func writeEngineErr(e *engine.Engine, w http.ResponseWriter, err error) {
+// writeServiceErr maps the service's sentinels to HTTP semantics on
+// every route: backpressure is 429 with a Retry-After hint computed
+// from queue overflow and the recent drain rate; drain/stop, a request
+// aborted by a contained loop panic and a fleet with no live shard
+// (which unwraps to ErrStopped) are 503 — the caller did nothing wrong
+// — with, under supervision, a Retry-After from the shortest scheduled
+// restart; unknown IDs 404; anything else a validation 400.
+func writeServiceErr(svc Service, w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, engine.ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter()))
+		w.Header().Set("Retry-After", strconv.Itoa(svc.RetryAfter()))
 		writeErr(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, engine.ErrDraining), errors.Is(err, engine.ErrStopped),
 		errors.Is(err, engine.ErrPanicked):
+		if secs, ok := svc.UnhealthyRetryAfter(); ok {
+			w.Header().Set("Retry-After", strconv.Itoa(secs))
+		}
 		writeErr(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, engine.ErrNotFound):
 		writeErr(w, http.StatusNotFound, err)

@@ -37,7 +37,7 @@ func testServer(t *testing.T, mut func(*engine.Config)) (*httptest.Server, *engi
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)
 	}
-	srv := httptest.NewServer(Handler(e))
+	srv := httptest.NewServer(Handler(EngineService(e)))
 	t.Cleanup(func() { srv.Close(); e.Close() })
 	return srv, e
 }
@@ -147,24 +147,6 @@ func TestSubmitErrors(t *testing.T) {
 	}
 }
 
-func TestBackpressure429(t *testing.T) {
-	srv, _ := testServer(t, func(cfg *engine.Config) {
-		cfg.MaxPending = 1
-		cfg.TimeScale = 0.05 // keep the first job running
-	})
-	body := submitBody(t)
-	if resp, _ := postJob(t, srv, body); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit: %d", resp.StatusCode)
-	}
-	resp, _ := postJob(t, srv, body)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-limit submit: status %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Errorf("429 missing Retry-After header")
-	}
-}
-
 func TestClusterViewAndUpdate(t *testing.T) {
 	srv, _ := testServer(t, nil)
 
@@ -252,8 +234,8 @@ func TestMetricsAndEvents(t *testing.T) {
 	buf.Reset()
 	buf.ReadFrom(ev.Body)
 	ev.Body.Close()
-	if ev.Header.Get("Tetrium-Events-Dropped") != "0" {
-		t.Errorf("dropped header = %q, want 0", ev.Header.Get("Tetrium-Events-Dropped"))
+	if ev.Header.Get("Tetrium-Events-Missed") != "0" {
+		t.Errorf("missed header = %q, want 0", ev.Header.Get("Tetrium-Events-Missed"))
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) < 3 {
@@ -270,27 +252,6 @@ func TestMetricsAndEvents(t *testing.T) {
 		if rec.K == "" {
 			t.Errorf("event line missing kind: %q", ln)
 		}
-	}
-}
-
-func TestHealthz(t *testing.T) {
-	srv, e := testServer(t, nil)
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatalf("GET healthz: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz %d, want 200", resp.StatusCode)
-	}
-	e.Close()
-	resp2, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatalf("GET healthz after close: %v", err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("healthz after close %d, want 503", resp2.StatusCode)
 	}
 }
 
@@ -410,15 +371,16 @@ func TestRetryAfterComputed(t *testing.T) {
 	}
 }
 
-// panicPlacer panics inside PlaceMap while armed — a stand-in for any
-// bug that blows up a request's closure on the event loop.
-type panicPlacer struct {
+// PanicPlacer panics inside PlaceMap while armed — a stand-in for any
+// bug that blows up a request's closure on the event loop. Exported to
+// the package's external tests.
+type PanicPlacer struct {
 	place.Placer
-	armed atomic.Bool
+	Armed atomic.Bool
 }
 
-func (p *panicPlacer) PlaceMap(res place.Resources, req place.MapRequest) (place.MapPlacement, error) {
-	if p.armed.Load() {
+func (p *PanicPlacer) PlaceMap(res place.Resources, req place.MapRequest) (place.MapPlacement, error) {
+	if p.Armed.Load() {
 		panic("placer bug")
 	}
 	return p.Placer.PlaceMap(res, req)
@@ -429,7 +391,7 @@ func (p *panicPlacer) PlaceMap(res place.Resources, req place.MapRequest) (place
 // 503 like the federation router does, not the validation 400 — and the
 // engine keeps serving afterwards, an InjectPanic later included.
 func TestPanickedRequestIs503(t *testing.T) {
-	pp := &panicPlacer{Placer: place.Tetrium{}}
+	pp := &PanicPlacer{Placer: place.Tetrium{}}
 	srv, e := testServer(t, func(cfg *engine.Config) {
 		cfg.Placer = pp
 		cfg.TimeScale = 1e6 // the stage stays live for the update to re-place
@@ -442,7 +404,7 @@ func TestPanickedRequestIs503(t *testing.T) {
 	pollJobState(t, srv, st.ID, "running")
 
 	// The §4.2 restamp solves inline, inside the update's own closure.
-	pp.armed.Store(true)
+	pp.Armed.Store(true)
 	up, err := http.Post(srv.URL+"/v1/cluster/update", "application/json",
 		strings.NewReader(`{"sites":[{"site":0,"frac":0.5}]}`))
 	if err != nil {
@@ -452,7 +414,7 @@ func TestPanickedRequestIs503(t *testing.T) {
 	if up.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("update aborted by a contained panic: status %d, want 503", up.StatusCode)
 	}
-	pp.armed.Store(false)
+	pp.Armed.Store(false)
 
 	e.InjectPanic("chaos")
 	deadline := time.Now().Add(10 * time.Second)

@@ -1,6 +1,8 @@
-// Package api exposes an Engine over HTTP/JSON: job submission and
-// status, live cluster state, §4.2 dynamics updates, Prometheus
-// metrics, and the JSONL debug event stream.
+// Package api exposes the scheduling service — one engine or a
+// federation of engine shards, behind the Service interface — over
+// HTTP/JSON: job submission and status, live cluster state, §4.2
+// dynamics updates, Prometheus metrics, and the JSONL debug event
+// stream.
 //
 // Routes (see Handler):
 //
@@ -11,8 +13,13 @@
 //	POST /v1/cluster/update  apply slot/bandwidth changes (§4.2)
 //	GET  /metrics            Prometheus text exposition format
 //	GET  /metrics.txt        the repo's native registry dump
-//	GET  /debug/events       retained event buffer as JSONL
+//	GET  /debug/events       retained events as JSONL (?since=<cursor>)
 //	GET  /healthz            liveness probe
+//	GET  /readyz             readiness probe
+//
+// plus whatever the backend mounts itself (Service.Mount): an engine
+// with a fleet-analytics store serves /v1/analytics/, a federation
+// GET /v1/federation.
 package api
 
 import (
@@ -90,8 +97,8 @@ func (j *JobSpec) ToWorkload() (*workload.Job, error) {
 	return job, nil
 }
 
-// FromWorkload converts a model job to the wire form — the loadgen path
-// for replaying generated traces over HTTP.
+// FromWorkload converts a model job to the wire form — how the smoke,
+// the tests and the service benchmark replay generated traces over HTTP.
 func FromWorkload(j *workload.Job) *JobSpec {
 	spec := &JobSpec{Name: j.Name, Tenant: j.Tenant}
 	for _, st := range j.Stages {
@@ -137,8 +144,7 @@ type JobStatus struct {
 }
 
 // WireJob converts an engine job snapshot to its wire form. Exported
-// for the federation router, which aggregates several engines behind
-// the same API surface and must render identical bodies.
+// for the service benchmark, which times the encode on its own.
 func WireJob(st engine.JobStatus) JobStatus { return jobStatus(st) }
 
 func jobStatus(st engine.JobStatus) JobStatus {
@@ -192,10 +198,6 @@ type ClusterStatus struct {
 	Draining   bool         `json:"draining"`
 }
 
-// WireCluster converts an engine cluster snapshot to its wire form —
-// the federation router's aggregated /v1/cluster uses the same shape.
-func WireCluster(cs engine.ClusterStatus) ClusterStatus { return clusterStatus(cs) }
-
 func clusterStatus(cs engine.ClusterStatus) ClusterStatus {
 	out := ClusterStatus{
 		ActiveJobs: cs.ActiveJobs,
@@ -232,10 +234,6 @@ type UpdateRequest struct {
 type UpdateResponse struct {
 	StagesReplaced int `json:"stages_replaced"`
 }
-
-// ToEngine converts the wire update to the engine's form. Exported for
-// the federation router's update fan-out.
-func (u SiteUpdate) ToEngine() engine.SiteUpdate { return u.toEngine() }
 
 func (u SiteUpdate) toEngine() engine.SiteUpdate {
 	out := engine.SiteUpdate{Site: u.Site, Slots: -1, Frac: u.Frac}

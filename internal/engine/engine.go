@@ -723,16 +723,10 @@ func (e *Engine) RetryAfter() int {
 }
 
 // Events returns a copy of the retained debug event buffer plus the
-// count of older events discarded to honor Config.EventCap.
+// count of older events discarded to honor Config.EventCap:
+// EventsSince(0) without the cursor.
 func (e *Engine) Events() ([]obs.Event, int64, error) {
-	var (
-		evs     []obs.Event
-		dropped int64
-	)
-	err := e.do(func() {
-		evs = append([]obs.Event(nil), e.st.events...)
-		dropped = e.st.eventsDropped
-	})
+	evs, _, dropped, err := e.EventsSince(0)
 	return evs, dropped, err
 }
 

@@ -3,19 +3,17 @@ package federation
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
 
-	"tetrium/internal/engine"
 	"tetrium/internal/engine/api"
 )
 
-// Handler serves a Federation over HTTP with the same surface as the
-// single-engine api.Handler, plus GET /v1/federation for per-shard
-// routing state. Differences from the single-engine surface:
+// The HTTP surface is api.Handler over the api.Service a *Federation
+// satisfies. What differs from a single engine behind the same routes:
 //
 //   - job IDs are federation IDs (shard-local ID · shards + shard);
 //   - /metrics and /metrics.txt are the merged fleet registry;
@@ -24,147 +22,34 @@ import (
 //     Tetrium-Events-Next header) is a colon-separated per-shard
 //     cursor vector like "120:98";
 //   - /readyz degrades rather than flips: it reports ready while at
-//     least one shard is, with the not-ready shards named in the body.
-func Handler(f *Federation) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec api.JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		job, err := spec.ToWorkload()
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		// An Idempotency-Key makes retrying this POST safe: replays of an
-		// already-admitted key return the original job (200 with
-		// Tetrium-Idempotent-Replay: true) instead of admitting a twin,
-		// across router restarts and shard crash-recovery.
-		st, dup, err := f.SubmitIdem(job, r.Header.Get("Idempotency-Key"))
-		if err != nil {
-			writeFedErr(f, w, err)
-			return
-		}
-		if dup {
-			w.Header().Set("Tetrium-Idempotent-Replay", "true")
-			writeJSON(w, http.StatusOK, api.WireJob(st))
-			return
-		}
-		writeJSON(w, http.StatusAccepted, api.WireJob(st))
-	})
-	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		sts, err := f.Jobs()
-		if err != nil {
-			writeFedErr(f, w, err)
-			return
-		}
-		out := make([]api.JobStatus, 0, len(sts))
-		for _, st := range sts {
-			out = append(out, api.WireJob(st))
-		}
-		writeJSON(w, http.StatusOK, out)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.Atoi(r.PathValue("id"))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		st, err := f.Job(id)
-		if err != nil {
-			writeFedErr(f, w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, api.WireJob(st))
-	})
-	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, r *http.Request) {
-		cs, err := f.Cluster()
-		if err != nil {
-			writeFedErr(f, w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, api.WireCluster(cs))
-	})
-	mux.HandleFunc("POST /v1/cluster/update", func(w http.ResponseWriter, r *http.Request) {
-		var req api.UpdateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		ups := make([]engine.SiteUpdate, 0, len(req.Sites))
-		for _, u := range req.Sites {
-			ups = append(ups, u.ToEngine())
-		}
-		replaced, err := f.UpdateCluster(ups)
-		if err != nil {
-			if errors.Is(err, ErrNoShards) || errors.Is(err, engine.ErrStopped) {
-				writeFedErr(f, w, err)
-			} else {
-				writeErr(w, http.StatusBadRequest, err)
-			}
-			return
-		}
-		writeJSON(w, http.StatusOK, api.UpdateResponse{StagesReplaced: replaced})
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		reg, err := f.MetricsRegistry()
-		if err != nil {
-			writeFedErr(f, w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w, "tetrium")
-	})
-	mux.HandleFunc("GET /metrics.txt", func(w http.ResponseWriter, r *http.Request) {
-		reg, err := f.MetricsRegistry()
-		if err != nil {
-			writeFedErr(f, w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		reg.WriteText(w)
-	})
-	mux.HandleFunc("GET /debug/events", func(w http.ResponseWriter, r *http.Request) {
-		var cursors []int64
-		if sinceStr := r.URL.Query().Get("since"); sinceStr != "" {
-			var err error
-			cursors, err = ParseCursor(sinceStr, f.NumShards())
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, err)
-				return
-			}
-		}
-		evs, next, missed, err := f.EventsSince(cursors)
-		if err != nil {
-			writeFedErr(f, w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-		w.Header().Set("Tetrium-Events-Next", FormatCursor(next))
-		w.Header().Set("Tetrium-Events-Missed", strconv.FormatInt(missed, 10))
-		writeShardJSONL(w, evs)
-	})
+//     least one shard is, with the not-ready shards named in the body;
+//   - GET /v1/federation (Mount) reports per-shard routing state.
+var _ api.Service = (*Federation)(nil)
+
+// Mount adds GET /v1/federation, the one route only a fleet serves.
+func (f *Federation) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/federation", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, federationStatus(f))
+		api.WriteJSON(w, http.StatusOK, federationStatus(f))
 	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		if !f.Healthy() {
-			writeErr(w, http.StatusServiceUnavailable, ErrNoShards)
-			return
+}
+
+// EventsAfter is EventsSince behind the wire cursor: it parses the
+// "c0:c1:…" vector (none means from the beginning) and returns the
+// merged stream as shard-tagged JSON Lines.
+func (f *Federation) EventsAfter(cursor string) (func(io.Writer) error, string, int64, error) {
+	var cursors []int64
+	if cursor != "" {
+		var err error
+		if cursors, err = ParseCursor(cursor, f.n); err != nil {
+			return nil, "", 0, err
 		}
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		ok, reason := f.Ready()
-		if !ok {
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: reason})
-			return
-		}
-		w.Write([]byte(reason + "\n"))
-	})
-	return mux
+	}
+	evs, next, missed, err := f.EventsSince(cursors)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	write := func(w io.Writer) error { return writeShardJSONL(w, evs) }
+	return write, FormatCursor(next), missed, nil
 }
 
 // FormatCursor renders a per-shard cursor vector as "c0:c1:…".
@@ -202,7 +87,7 @@ func ParseCursor(s string, shards int) ([]int64, error) {
 // writeShardJSONL writes the merged stream as JSON Lines; each line is
 // the single-engine format with a leading shard tag:
 // {"shard":0,"k":"<kind>","e":{…}}.
-func writeShardJSONL(w http.ResponseWriter, evs []ShardEvent) {
+func writeShardJSONL(w io.Writer, evs []ShardEvent) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, se := range evs {
@@ -212,10 +97,10 @@ func writeShardJSONL(w http.ResponseWriter, evs []ShardEvent) {
 			E     interface{} `json:"e"`
 		}{se.Shard, se.Event.Kind(), se.Event}
 		if err := enc.Encode(rec); err != nil {
-			return
+			return err
 		}
 	}
-	bw.Flush()
+	return bw.Flush()
 }
 
 // ShardStatus is one shard's row in the GET /v1/federation response.
@@ -286,43 +171,4 @@ func federationStatus(f *Federation) FederationStatus {
 		out.Members = append(out.Members, ss)
 	}
 	return out
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorBody{Error: err.Error()})
-}
-
-// writeFedErr maps federation/engine sentinels to HTTP semantics:
-// all-shards-full is 429 with the max-of-shards Retry-After hint;
-// unavailable fleets 503 with — under supervision — an honest
-// Retry-After derived from the shortest scheduled restart-backoff
-// deadline (no header when nothing is scheduled, e.g. every unhealthy
-// shard is breaker-parked); unknown IDs 404; anything else 400.
-func writeFedErr(f *Federation, w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, engine.ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(f.RetryAfter()))
-		writeErr(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, engine.ErrDraining), errors.Is(err, engine.ErrStopped),
-		errors.Is(err, engine.ErrPanicked), errors.Is(err, ErrNoShards):
-		if secs, ok := f.UnhealthyRetryAfter(); ok {
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-		}
-		writeErr(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, engine.ErrNotFound):
-		writeErr(w, http.StatusNotFound, err)
-	default:
-		writeErr(w, http.StatusBadRequest, err)
-	}
-}
-
-// errorBody is every non-2xx response.
-type errorBody struct {
-	Error string `json:"error"`
 }

@@ -49,8 +49,15 @@ import (
 )
 
 // ErrNoShards is returned by aggregating calls when every shard has
-// stopped.
-var ErrNoShards = errors.New("federation: no live shards")
+// stopped. It unwraps to engine.ErrStopped, so the fleet being gone
+// maps to the same 503 as one engine being gone.
+var ErrNoShards error = noShardsError{}
+
+type noShardsError struct{}
+
+func (noShardsError) Error() string { return "federation: no live shards" }
+
+func (noShardsError) Unwrap() error { return engine.ErrStopped }
 
 // fullError is the all-shards-full rejection. It unwraps to
 // engine.ErrQueueFull so existing 429 mappings apply unchanged.

@@ -14,6 +14,7 @@ import (
 
 	"tetrium/internal/cluster"
 	"tetrium/internal/engine"
+	"tetrium/internal/engine/api"
 	"tetrium/internal/fault"
 	"tetrium/internal/journal"
 	"tetrium/internal/place"
@@ -409,7 +410,7 @@ func TestUnhealthyRetryAfterDeadline(t *testing.T) {
 		t.Fatalf("UnhealthyRetryAfter = (%d, %v), want 1..8s from the backoff deadline", secs, ok)
 	}
 
-	srv := httptest.NewServer(Handler(f))
+	srv := httptest.NewServer(api.Handler(f))
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"name":"j","stages":[{"kind":"map","tasks":[{"src":0,"input":1,"compute":1}]}]}`))

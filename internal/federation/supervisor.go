@@ -60,8 +60,6 @@ var healthStates = []HealthState{Healthy, Suspect, Down, Restarting, Parked}
 // every field picks a production-shaped default; tests dial the
 // intervals down.
 type SupervisorConfig struct {
-	// Enabled turns supervision on.
-	Enabled bool
 	// ProbeInterval is the heartbeat period (default 250ms).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one event-loop round-trip (default 2s).

@@ -95,101 +95,92 @@ type EngineOptions struct {
 
 	// Supervise (federation only) turns on the self-healing supervisor:
 	// per-shard heartbeat probes, automatic jittered-backoff restarts of
-	// wedged/panicked/stopped shards through journal replay, and a
-	// circuit breaker that parks flapping shards.
+	// wedged/panicked/stopped shards through journal replay (first delay
+	// 200ms, doubling per consecutive failure up to 30s), and a circuit
+	// breaker that parks flapping shards.
 	Supervise bool
-	// RestartBackoff is the supervisor's first restart delay (doubles
-	// per consecutive failure up to 30s); 0 means the default 200ms.
-	RestartBackoff time.Duration
 
 	// Analytics enables the fleet-analytics store: every emitted event
 	// feeds an in-memory per-tenant columnar store served under
 	// /v1/analytics. Disabled, the event path does no extra work.
 	Analytics bool
 	// AnalyticsSnapshotPath, when non-empty (with Analytics), persists
-	// a JSON snapshot of the store every AnalyticsSnapshotEvery
-	// (default 30s); a final snapshot is written when the engine closes.
-	AnalyticsSnapshotPath  string
-	AnalyticsSnapshotEvery time.Duration
+	// a JSON snapshot of the store every 30s; a final snapshot is
+	// written when the engine closes.
+	AnalyticsSnapshotPath string
 }
 
-// NewEngine starts an online scheduling engine. Callers must Close it
-// (or Drain then Close for a graceful stop).
-func NewEngine(o EngineOptions) (*Engine, error) {
-	rho := 1.0
-	if o.RhoSet {
-		rho = o.Rho
+// engineConfig resolves what every engine built from these options
+// shares — ρ/ε, the time scale, the planner, the knobs passed through
+// and a fault injector seeded with faultSeed — into an engine.Config.
+// Cluster, Journal/Restore and Analytics are left to the caller:
+// NewEngine owns them itself, the federation sets them per shard.
+func (o EngineOptions) engineConfig(faultSeed int64) (engine.Config, error) {
+	cfg := engine.Config{
+		Rho:            1,
+		Eps:            1,
+		UpdateK:        o.UpdateK,
+		MaxPending:     o.MaxPending,
+		TimeScale:      o.TimeScale,
+		EventCap:       o.EventCap,
+		SolveWorkers:   o.SolveWorkers,
+		PlaceCacheSize: o.PlaceCacheSize,
+		Speculate:      o.Speculate,
+		SolveDeadline:  o.SolveDeadline,
 	}
-	eps := 1.0
+	if o.RhoSet {
+		cfg.Rho = o.Rho
+	}
 	if o.EpsSet {
-		eps = o.Eps
+		cfg.Eps = o.Eps
+	}
+	switch {
+	case o.TimeScale == 0:
+		cfg.TimeScale = 1e-3
+	case o.TimeScale < 0:
+		cfg.TimeScale = 0
 	}
 	n := 0
 	if o.Cluster != nil {
 		n = o.Cluster.N()
 	}
-	placer, policy, err := plannerFor(o.Scheduler, n, o.Check)
+	var err error
+	if cfg.Placer, cfg.Policy, err = plannerFor(o.Scheduler, n, o.Check); err != nil {
+		return engine.Config{}, err
+	}
+	if o.FaultSpec != "" {
+		if cfg.Faults, err = fault.Parse(o.FaultSpec, faultSeed); err != nil {
+			return engine.Config{}, err
+		}
+	}
+	return cfg, nil
+}
+
+// NewEngine starts an online scheduling engine. Callers must Close it
+// (or Drain then Close for a graceful stop).
+func NewEngine(o EngineOptions) (*Engine, error) {
+	cfg, err := o.engineConfig(o.FaultSeed)
 	if err != nil {
 		return nil, err
 	}
-	scale := o.TimeScale
-	switch {
-	case scale == 0:
-		scale = 1e-3
-	case scale < 0:
-		scale = 0
-	}
-	var inj *fault.Injector
-	if o.FaultSpec != "" {
-		inj, err = fault.Parse(o.FaultSpec, o.FaultSeed)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var (
-		jnl     *journal.Journal
-		restore *journal.State
-	)
+	cfg.Cluster = o.Cluster
 	if o.JournalPath != "" {
-		jnl, restore, err = journal.Open(o.JournalPath, o.SnapshotEvery)
+		cfg.Journal, cfg.Restore, err = journal.Open(o.JournalPath, o.SnapshotEvery)
 		if err != nil {
 			return nil, err
 		}
 	}
 	var analytics *fleet.Store
 	if o.Analytics {
-		analytics = fleet.New(fleet.Config{
-			SnapshotPath:  o.AnalyticsSnapshotPath,
-			SnapshotEvery: o.AnalyticsSnapshotEvery,
-		})
-	}
-	cfg := engine.Config{
-		Cluster:        o.Cluster,
-		Placer:         placer,
-		Policy:         policy,
-		Rho:            rho,
-		Eps:            eps,
-		UpdateK:        o.UpdateK,
-		MaxPending:     o.MaxPending,
-		TimeScale:      scale,
-		EventCap:       o.EventCap,
-		SolveWorkers:   o.SolveWorkers,
-		PlaceCacheSize: o.PlaceCacheSize,
-		Faults:         inj,
-		Journal:        jnl,
-		Restore:        restore,
-		Speculate:      o.Speculate,
-		SolveDeadline:  o.SolveDeadline,
-	}
-	if analytics != nil {
+		analytics = fleet.New(fleet.Config{SnapshotPath: o.AnalyticsSnapshotPath})
 		// Assigned only when non-nil: a typed-nil *fleet.Store in the
 		// interface field would defeat the hot path's nil check.
 		cfg.Analytics = analytics
 	}
 	eng, err := engine.New(cfg)
 	if err != nil {
-		if jnl != nil {
-			jnl.Close()
+		if cfg.Journal != nil {
+			cfg.Journal.Close()
 		}
 		if analytics != nil {
 			analytics.Close()
@@ -203,7 +194,7 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 // GET /v1/jobs[/{id}], GET /v1/cluster, POST /v1/cluster/update,
 // GET /metrics (Prometheus), GET /metrics.txt, GET /debug/events
 // (JSONL), GET /healthz (liveness), GET /readyz (readiness).
-func EngineHandler(e *Engine) http.Handler { return api.Handler(e) }
+func EngineHandler(e *Engine) http.Handler { return api.Handler(api.EngineService(e)) }
 
 // Federation is the sharded multi-engine service: N shared-nothing
 // engine shards (each owning a 1/N capacity slice of the cluster and,
@@ -240,62 +231,16 @@ func NewFederation(o EngineOptions, shards int, shardBy string) (*Federation, er
 	if err != nil {
 		return nil, err
 	}
-	rho := 1.0
-	if o.RhoSet {
-		rho = o.Rho
-	}
-	eps := 1.0
-	if o.EpsSet {
-		eps = o.Eps
-	}
-	scale := o.TimeScale
-	switch {
-	case scale == 0:
-		scale = 1e-3
-	case scale < 0:
-		scale = 0
-	}
-	n := o.Cluster.N()
-	member := func(shard int) (engine.Config, error) {
-		placer, policy, err := plannerFor(o.Scheduler, n, o.Check)
-		if err != nil {
-			return engine.Config{}, err
-		}
-		cfg := engine.Config{
-			Placer:         placer,
-			Policy:         policy,
-			Rho:            rho,
-			Eps:            eps,
-			UpdateK:        o.UpdateK,
-			MaxPending:     o.MaxPending,
-			TimeScale:      scale,
-			EventCap:       o.EventCap,
-			SolveWorkers:   o.SolveWorkers,
-			PlaceCacheSize: o.PlaceCacheSize,
-			Speculate:      o.Speculate,
-			SolveDeadline:  o.SolveDeadline,
-		}
-		if o.FaultSpec != "" {
-			inj, err := fault.Parse(o.FaultSpec, o.FaultSeed+int64(shard))
-			if err != nil {
-				return engine.Config{}, err
-			}
-			cfg.Faults = inj
-		}
-		return cfg, nil
-	}
 	fcfg := federation.Config{
-		Shards:        shards,
-		Cluster:       o.Cluster,
-		ShardMap:      smap,
-		Member:        member,
+		Shards:   shards,
+		Cluster:  o.Cluster,
+		ShardMap: smap,
+		Member: func(shard int) (engine.Config, error) {
+			return o.engineConfig(o.FaultSeed + int64(shard))
+		},
 		JournalPath:   o.JournalPath,
 		SnapshotEvery: o.SnapshotEvery,
 		Supervise:     o.Supervise,
-		Supervisor: federation.SupervisorConfig{
-			Enabled:     o.Supervise,
-			BackoffBase: o.RestartBackoff,
-		},
 	}
 	if o.FaultSpec != "" {
 		// The same spec is armed once at the federation level for its
@@ -315,4 +260,4 @@ func NewFederation(o EngineOptions, shards int, shardBy string) (*Federation, er
 // surface as EngineHandler plus GET /v1/federation (per-shard state);
 // /debug/events merges the shard streams with a per-shard cursor
 // vector.
-func FederationHandler(f *Federation) http.Handler { return federation.Handler(f) }
+func FederationHandler(f *Federation) http.Handler { return api.Handler(f) }

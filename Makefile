@@ -33,10 +33,12 @@ bench:
 # One-iteration pass over the micro-benchmarks of the placement path
 # (LP solve and warm re-solve, map/reduce placement — BenchmarkPlaceMap
 # also matches BenchmarkPlaceMapRecurring, cold vs previous-job basis —
-# engine submit): proves the harnesses still compile and run. Measurement is the
-# service benchmark's job (BENCHMARK.json, benchmark/README.md).
+# engine submit) and of the submit decode (BenchmarkDecodeJob,
+# encoding/json vs the hand-written decoder): proves the harnesses still
+# compile and run. Measurement is the service benchmark's job
+# (BENCHMARK.json, benchmark/README.md).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSolve$$|BenchmarkResolve|BenchmarkPlaceMap|BenchmarkPlaceReduce|BenchmarkEngineSubmit|BenchmarkEngineBurstSubmit' -benchtime=1x ./internal/lp ./internal/place ./internal/engine
+	$(GO) test -run '^$$' -bench 'BenchmarkSolve$$|BenchmarkResolve|BenchmarkPlaceMap|BenchmarkPlaceReduce|BenchmarkEngineSubmit|BenchmarkEngineBurstSubmit|BenchmarkDecodeJob' -benchtime=1x ./internal/lp ./internal/place ./internal/engine ./internal/engine/api
 
 # The performance gate (README "Contributing a performance change"):
 # paired, alternating runs of the service benchmark on the parent commit
@@ -75,12 +77,16 @@ benchmark-check:
 	$(GO) test -C benchmark ./...
 
 # Short fuzzing passes over the LP solver (every solution certified
-# against the brute-force reference / duality bound) and the placement
+# against the brute-force reference / duality bound), the placement
 # layer (every placement checked against the paper's conservation
-# equations). Go allows one -fuzz pattern per invocation, hence two runs.
+# equations) and the submit decoder (whatever it accepts, encoding/json
+# decodes to the same value; the route answers as an encoding/json-only
+# route would). Go allows one -fuzz pattern per invocation, hence three
+# runs.
 fuzz-smoke:
 	$(GO) test ./internal/check -fuzz=FuzzSolve -fuzztime=10s
 	$(GO) test ./internal/place -fuzz=FuzzPlaceMap -fuzztime=10s
+	$(GO) test ./internal/engine/api -fuzz=FuzzDecodeJob -fuzztime=10s
 
 # End-to-end check of the serving path: tetrium-serve -smoke runs the
 # server's one lifecycle on an ephemeral port and, in place of waiting

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"tetrium/internal/engine"
 	"tetrium/internal/fleet"
@@ -112,13 +114,9 @@ const MaxBodyBytes = 1 << 20
 func Handler(svc Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec JobSpec
-		if !decodeBody(w, r, &spec) {
-			return
-		}
-		job, err := spec.ToWorkload()
+		job, err := readJob(w, r)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeBodyErr(w, err)
 			return
 		}
 		// An Idempotency-Key makes retrying this POST safe: a replay of an
@@ -240,28 +238,86 @@ func Handler(svc Service) http.Handler {
 	return mux
 }
 
+// bufPool holds the buffers a submit's body is read into and a JSON
+// response is rendered into. A buffer goes back only once nothing
+// refers to its bytes, and grows no larger than the body bound or the
+// largest response.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readJob reads a POST /v1/jobs body of at most MaxBodyBytes into a
+// pooled buffer and decodes it once, with decodeJobSpec. Whatever that
+// declines, and a body that could not be read to its end, goes to
+// encoding/json exactly as decodeBody would have read it — the same
+// bytes, then the same read error — so every answer, unknown-field
+// tolerance and ignored trailing data included, stays encoding/json's.
+// The job refers to nothing in the buffer.
+func readJob(w http.ResponseWriter, r *http.Request) (*workload.Job, error) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer bufPool.Put(buf)
+	buf.Reset()
+	if n := r.ContentLength; n > 0 {
+		// The cap makes a lying header buy nothing; the headroom is what
+		// ReadFrom wants free to see EOF without growing.
+		buf.Grow(int(min(n, MaxBodyBytes)) + bytes.MinRead)
+	}
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	var spec JobSpec
+	if readErr != nil || !decodeJobSpec(buf.Bytes(), &spec) {
+		spec = JobSpec{}
+		var src io.Reader = buf
+		if readErr != nil {
+			src = io.MultiReader(buf, errReader{readErr})
+		}
+		if err := json.NewDecoder(src).Decode(&spec); err != nil {
+			return nil, err
+		}
+	}
+	return spec.ToWorkload()
+}
+
+// errReader fails every Read with its error.
+type errReader struct{ error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.error }
+
 // decodeBody reads one JSON request body of at most MaxBodyBytes into
 // v, answering 413 or 400 itself when it cannot.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
-	if err == nil {
-		return true
+	if err != nil {
+		writeBodyErr(w, err)
 	}
+	return err == nil
+}
+
+// writeBodyErr answers a body that could not be read or decoded: 413
+// when it ran past MaxBodyBytes, else 400.
+func writeBodyErr(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		code = http.StatusRequestEntityTooLarge
 	}
 	writeErr(w, code, err)
-	return false
 }
 
 // WriteJSON is the one JSON response writer; exported for the routes a
-// backend mounts itself.
+// backend mounts itself. The value is encoded before the status line is
+// sent, so one that does not encode (a non-finite float) answers 500
+// with the usual error body, not the intended status and no body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer bufPool.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		json.NewEncoder(buf).Encode(errorBody{Error: err.Error()}) // a string always encodes
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {

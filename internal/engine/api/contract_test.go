@@ -327,6 +327,41 @@ func TestBackpressureContract(t *testing.T) {
 	}
 }
 
+// TestUnusableScalarsContract: stage scalars the placement LPs and the
+// byte accounting cannot use are the caller's mistake on both backends.
+// Both bodies used to be admitted: the first finished with a negative
+// wan_bytes, the second with +Inf, which no JSON encoder renders — so
+// GET /v1/jobs then answered 200 with an empty body for the life of the
+// process.
+func TestUnusableScalarsContract(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			base := serveBackend(t, b.start(t, nil)).URL
+			for what, scalars := range map[string]string{
+				"negative output ratio":    `"output_ratio":-3,"est_compute":1`,
+				"overflowing output ratio": `"output_ratio":1e300,"est_compute":1e300`,
+			} {
+				body := `{"name":"x","stages":[{"kind":"map",` + scalars +
+					`,"tasks":[{"src":0,"input":1e9,"compute":1},{"src":1,"input":1e9,"compute":1}]},` +
+					`{"kind":"reduce","deps":[0],"output_ratio":1,"est_compute":1,"tasks":[{"compute":1}]}]}`
+				t.Run(what, func(t *testing.T) {
+					resp, _ := do(t, "POST", base+"/v1/jobs", "", []byte(body))
+					wantStatus(t, what, resp, http.StatusBadRequest)
+					resp, ack := do(t, "POST", base+"/v1/jobs", "", jobBody(t, "after "+what))
+					wantStatus(t, "submit after the refusal", resp, http.StatusAccepted)
+					pollState(t, base, decodeJob(t, ack).ID, "done")
+					resp, list := do(t, "GET", base+"/v1/jobs", "", nil)
+					wantStatus(t, "list", resp, http.StatusOK)
+					var all []api.JobStatus
+					if err := json.Unmarshal(list, &all); err != nil || len(all) == 0 {
+						t.Errorf("job list after %s = %q (%v), want the finished jobs", what, list, err)
+					}
+				})
+			}
+		})
+	}
+}
+
 // failing answers every data method with one error, so the table below
 // exercises the error map on each route; the back-off hints still come
 // from the real backend embedded in it.

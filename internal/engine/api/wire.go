@@ -58,10 +58,14 @@ type TaskSpec struct {
 	Compute float64 `json:"compute"`
 }
 
-// ToWorkload converts the wire job to the engine's model.
+// ToWorkload converts the wire job to the engine's model. The engine
+// keeps the job for as long as it lists it, so the stages and each
+// stage's tasks are allocated once, at their exact size.
 func (j *JobSpec) ToWorkload() (*workload.Job, error) {
-	job := &workload.Job{Name: j.Name, Tenant: j.Tenant}
-	for si, st := range j.Stages {
+	job := &workload.Job{Name: j.Name, Tenant: j.Tenant, Stages: make([]*workload.Stage, 0, len(j.Stages))}
+	stages := make([]workload.Stage, len(j.Stages))
+	for si := range j.Stages {
+		st := &j.Stages[si]
 		var kind workload.StageKind
 		switch st.Kind {
 		case "map":
@@ -71,19 +75,21 @@ func (j *JobSpec) ToWorkload() (*workload.Job, error) {
 		default:
 			return nil, fmt.Errorf("stage %d: unknown kind %q (want \"map\" or \"reduce\")", si, st.Kind)
 		}
-		ws := &workload.Stage{
+		ws := &stages[si]
+		*ws = workload.Stage{
 			Kind:        kind,
 			Deps:        st.Deps,
 			OutputRatio: st.OutputRatio,
 			EstCompute:  st.EstCompute,
+			Tasks:       make([]workload.TaskSpec, len(st.Tasks)),
 		}
 		var computeSum float64
-		for _, t := range st.Tasks {
+		for ti, t := range st.Tasks {
 			src := t.Src
 			if kind == workload.ReduceStage {
 				src = -1
 			}
-			ws.Tasks = append(ws.Tasks, workload.TaskSpec{Src: src, Input: t.Input, Compute: t.Compute})
+			ws.Tasks[ti] = workload.TaskSpec{Src: src, Input: t.Input, Compute: t.Compute}
 			computeSum += t.Compute
 		}
 		// est_compute is the §5 scheduler-visible estimate (mean task

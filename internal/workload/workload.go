@@ -215,11 +215,14 @@ func (j *Job) EstimationError() float64 {
 
 // Validate checks structural invariants: dep indices in range and
 // acyclic (deps point only to earlier stages), map roots, positive task
-// counts.
+// counts; and that what the placement LPs and the accounting multiply
+// and sum is usable: no negative scalar, no total that is not a finite
+// number.
 func (j *Job) Validate() error {
 	if len(j.Stages) == 0 {
 		return fmt.Errorf("job %d: no stages", j.ID)
 	}
+	var input, output, compute float64 // job-wide totals
 	for i, s := range j.Stages {
 		if len(s.Tasks) == 0 {
 			return fmt.Errorf("job %d stage %d: no tasks", j.ID, i)
@@ -235,13 +238,20 @@ func (j *Job) Validate() error {
 		if s.Kind == ReduceStage && len(s.Deps) == 0 {
 			return fmt.Errorf("job %d stage %d: reduce stage without deps", j.ID, i)
 		}
+		// Written so that a NaN fails too.
+		if !(s.OutputRatio >= 0) || !(s.EstCompute >= 0) {
+			return fmt.Errorf("job %d stage %d: negative output ratio or compute estimate", j.ID, i)
+		}
+		var stageInput float64
 		for ti, task := range s.Tasks {
 			if s.Kind == MapStage && task.Src < 0 {
 				return fmt.Errorf("job %d stage %d task %d: map task without source site", j.ID, i, ti)
 			}
-			if task.Input < 0 || task.Compute < 0 {
+			if !(task.Input >= 0) || !(task.Compute >= 0) {
 				return fmt.Errorf("job %d stage %d task %d: negative input or compute", j.ID, i, ti)
 			}
+			stageInput += task.Input
+			compute += task.Compute
 			for _, r := range task.Replicas {
 				if r < 0 {
 					return fmt.Errorf("job %d stage %d task %d: negative replica site", j.ID, i, ti)
@@ -250,6 +260,15 @@ func (j *Job) Validate() error {
 					return fmt.Errorf("job %d stage %d task %d: replica duplicates primary site", j.ID, i, ti)
 				}
 			}
+		}
+		input += stageInput
+		output += stageInput * s.OutputRatio
+	}
+	// Every term was non-negative, so a finite job total bounds each
+	// stage's; the comparison fails for +Inf (overflow) and NaN (0 × Inf).
+	for _, total := range []float64{input, output, compute} {
+		if !(total <= math.MaxFloat64) {
+			return fmt.Errorf("job %d: input, output or compute total is not finite", j.ID)
 		}
 	}
 	return nil

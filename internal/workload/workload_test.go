@@ -114,6 +114,28 @@ func TestValidateCatchesBadJobs(t *testing.T) {
 		{"negative input", &Job{Stages: []*Stage{
 			{Kind: MapStage, Tasks: []TaskSpec{{Src: 0, Input: -1, Compute: 1}}},
 		}}},
+		{"negative output ratio", &Job{Stages: []*Stage{
+			{Kind: MapStage, OutputRatio: -3, Tasks: mapTask},
+		}}},
+		{"negative compute estimate", &Job{Stages: []*Stage{
+			{Kind: MapStage, EstCompute: -1, Tasks: mapTask},
+		}}},
+		{"NaN compute", &Job{Stages: []*Stage{
+			{Kind: MapStage, Tasks: []TaskSpec{{Src: 0, Input: 1, Compute: math.NaN()}}},
+		}}},
+		{"input total overflows across stages", &Job{Stages: []*Stage{
+			{Kind: MapStage, Tasks: []TaskSpec{{Src: 0, Input: 1e308, Compute: 1}}},
+			{Kind: MapStage, Tasks: []TaskSpec{{Src: 0, Input: 1e308, Compute: 1}}},
+		}}},
+		{"output total overflows", &Job{Stages: []*Stage{
+			{Kind: MapStage, OutputRatio: 1e300, Tasks: []TaskSpec{{Src: 0, Input: 1e9, Compute: 1}}},
+		}}},
+		{"compute total overflows", &Job{Stages: []*Stage{
+			{Kind: MapStage, Tasks: []TaskSpec{{Src: 0, Input: 1, Compute: 1e308}, {Src: 0, Input: 1, Compute: 1e308}}},
+		}}},
+		{"zero input times infinite ratio", &Job{Stages: []*Stage{
+			{Kind: MapStage, OutputRatio: math.Inf(1), Tasks: []TaskSpec{{Src: 0, Compute: 1}}},
+		}}},
 	}
 	for _, c := range cases {
 		if err := c.job.Validate(); err == nil {

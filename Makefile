@@ -1,31 +1,42 @@
-# Developer entry points. `make ci` is the full gate: vet, build,
-# race-enabled tests, and the nil-observer allocation guard (which must
-# run without -race — the race detector changes allocation counts, so
-# that test skips itself under `make race`).
+# Developer entry points. `make ci` is the full gate. Every test runs
+# once: under the race detector in `make race`, except the allocation
+# guards, which skip themselves there (the detector changes allocation
+# counts) and run in `make alloc-guard`.
 
 GO ?= go
 
-.PHONY: ci build vet test race bench-guard bench bench-smoke bench-gate benchmark-check fmt fuzz-smoke serve-smoke chaos-smoke analytics-smoke federation-smoke selfheal-smoke
+.PHONY: ci build vet test race alloc-guard bench bench-smoke bench-gate benchmark-check fmt fuzz-smoke serve-smoke
 
-ci: vet build race bench-guard bench-smoke benchmark-check fuzz-smoke serve-smoke chaos-smoke analytics-smoke federation-smoke selfheal-smoke
+ci: vet build race alloc-guard bench-smoke benchmark-check fuzz-smoke serve-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
 
+# Every test of the root module, the failure-domain, federation,
+# self-healing and analytics gates included (TestChaosEngine,
+# TestCrashRestart*, TestSigtermDrain, TestRouterHammer,
+# TestShardLossMidFlight, TestSelfHealChaos, TestFederationCrashRestart,
+# TestShardsOneMatchesSingleEngine, TestAnalyticsSmoke, ...).
 race:
 	$(GO) test -race ./...
 
-# Guard the zero-overhead contract: a nil-observer run must stay within
-# 2% of the pre-observability allocation baseline (see
-# obs_overhead_test.go).
-bench-guard:
-	$(GO) test -run TestNilObserverAllocBudget -count=1 -v .
+# The allocation contracts, without -race: a nil-observer simulation
+# stays within 2% of the pre-observability allocation baseline
+# (obs_overhead_test.go); a steady-state scheduling pass, a pooled LP
+# solve and the submit decoder stay within their budgets; forwarding an
+# event with analytics off allocates nothing.
+alloc-guard:
+	$(GO) test -count=1 -run 'TestNilObserverAllocBudget' .
+	$(GO) test -count=1 -run 'TestScheduleSteadyStateAllocs|TestAnalyticsDisabledHotPath' ./internal/engine
+	$(GO) test -count=1 -run 'TestSolveAllocsSteadyState' ./internal/lp
+	$(GO) test -count=1 -run 'TestDecodeJobAllocs' ./internal/engine/api
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -93,54 +104,13 @@ fuzz-smoke:
 # for a signal, submits 5 jobs per shard over the wire, fires a §4.2
 # cluster update, polls everything to completion, scrapes /metrics and
 # /debug/events (cursor round trip included), drains, and exits
-# non-zero on any deviation. federation-smoke and selfheal-smoke invoke
-# the same -smoke on a fleet, where its fleet-only steps run too.
-# (`make race` covers the engine's concurrency tests: go test -race ./...
-# includes ./internal/engine/...)
+# non-zero on any deviation. On a fleet its fleet-only steps run too
+# (spread check, kill + journal-restore of shard 0, merged
+# metrics/events/status); with -supervise the heals happen under live
+# supervision.
 serve-smoke:
 	$(GO) run ./cmd/tetrium-serve -smoke -cluster paper -time-scale 0.002
-
-# Failure-domain gate: the engine chaos test (site crashes, partition,
-# stragglers, solver stalls under concurrent submitters — zero lost
-# jobs) plus the crash-restart and SIGTERM-drain subprocess tests, all
-# under the race detector.
-chaos-smoke:
-	$(GO) test -race -count=1 -run 'TestChaosEngine' ./internal/engine
-	$(GO) test -race -count=1 -run 'TestCrashRestart|TestSigtermDrain' ./cmd/tetrium-serve
-
-# Fleet-analytics gate: a live three-tenant run (TestAnalyticsSmoke
-# submits its own load) must serve all four /v1/analytics endpoint
-# families as well-formed per-tenant JSON, and offline tetrium-fleet
-# ingestion of the run's journal + event trace must reproduce the live
-# totals bit-for-bit. The engine alloc-guard (zero allocations on the
-# event path with analytics off) rides along.
-analytics-smoke:
-	$(GO) test -count=1 -run 'TestAnalyticsSmoke|TestFleetCLIUsage' ./cmd/tetrium-fleet
-	$(GO) test -count=1 -run 'TestAnalyticsDisabledHotPath|TestAnalyticsLiveOfflineParity' ./internal/engine
-
-# Federation gate: the server's -smoke on 2 journaled shards (submit
-# across shards, kill + journal-restore shard 0, §4.2 drop, poll to
-# done, merged metrics/events/status, drain), then the router hammer and
-# shard-loss-mid-flight chaos tests plus the serve-level crash-restart
-# and -shards 1 bit-compat subprocess tests, all under the race
-# detector.
-federation-smoke:
 	$(GO) run ./cmd/tetrium-serve -smoke -shards 2 -journal $$(mktemp -d)/journal -time-scale 0.002
-	$(GO) test -race -count=1 -run 'TestRouterHammer|TestShardLossMidFlight' ./internal/federation
-	$(GO) test -race -count=1 -run 'TestFederationCrashRestart|TestShardsOneMatchesSingleEngine' ./cmd/tetrium-serve
-
-# Self-healing gate (PR 10), all under the race detector: the chaos
-# tentpole (a supervised 2-shard journaled fleet survives an injected
-# event-loop panic, a SIGKILL-style shard loss, and a corrupted journal
-# record — all healed automatically, zero lost jobs, readiness degraded
-# not failed), the flap-breaker and fault-timeline tests, exactly-once
-# idempotent submit across a crash, and the subprocess restart over a
-# damaged journal. The server's -smoke then re-runs on the 2-shard
-# fleet with -supervise so the heals happen under live supervision end
-# to end.
-selfheal-smoke:
-	$(GO) test -race -count=1 -run 'TestSelfHealChaos|TestBreakerParksFlappingShard|TestChaosTimelineFires|TestFederationIdemExactlyOnce|TestUnhealthyRetryAfterDeadline' ./internal/federation
-	$(GO) test -race -count=1 -run 'TestCrashRestartCorruptJournal' ./cmd/tetrium-serve
 	$(GO) run ./cmd/tetrium-serve -smoke -shards 2 -supervise -journal $$(mktemp -d)/journal -time-scale 0.002
 
 fmt:

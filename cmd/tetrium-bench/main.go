@@ -5,7 +5,6 @@
 // Usage:
 //
 //	tetrium-bench [-quick] [-seed N] [-only fig5,fig8,...] [-o results.txt]
-//	tetrium-bench -json bench.json [-json-schedulers tetrium,iridium]
 //
 // -quick shrinks every experiment for a fast smoke run; the default
 // sizes are the repository's full reproduction scale (recorded in
@@ -87,20 +86,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "trace and cluster generation seed")
 	only := flag.String("only", "", "comma-separated experiment names (default: all)")
 	out := flag.String("o", "", "also write results to this file")
-	jsonOut := flag.String("json", "", "write a machine-readable per-scheduler comparison to this file (skips the figure experiments unless -only is given)")
-	jsonScheds := flag.String("json-schedulers", "", "comma-separated schedulers for -json (default: all)")
 	flag.Parse()
-
-	if *jsonOut != "" {
-		if err := runJSONBench(*jsonOut, *quick, *seed, *jsonScheds); err != nil {
-			fmt.Fprintln(os.Stderr, "tetrium-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("tetrium-bench: wrote %s\n", *jsonOut)
-		if *only == "" {
-			return
-		}
-	}
 
 	var writers []io.Writer = []io.Writer{os.Stdout}
 	if *out != "" {

@@ -102,16 +102,12 @@ func registerFlags(fs *flag.FlagSet) *flags {
 	fs.IntVar(&o.UpdateK, "update-k", 0, "sites updatable per placement on a cluster change (0 = all)")
 	fs.IntVar(&o.MaxPending, "max-pending", 1024, "admission bound; beyond it submissions get 429")
 	fs.Float64Var(&o.TimeScale, "time-scale", 1e-3, "estimated stage seconds → wall seconds (<= 0: instant)")
-	fs.IntVar(&o.EventCap, "events-cap", 65536, "retained /debug/events entries")
-	fs.IntVar(&o.SolveWorkers, "solve-workers", 0, "off-loop placement solver pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&o.PlaceCacheSize, "place-cache", 0, "placement memo cache entries (0 = default 4096, negative disables)")
 	fs.DurationVar(&f.drainWait, "drain-timeout", 30*time.Second, "graceful-drain bound on shutdown")
 	fs.BoolVar(&o.Check, "check", false, "certify every LP solve")
 
 	fs.StringVar(&o.FaultSpec, "fault-spec", "", "fault injection spec, e.g. \"crash@10s:site=1,dur=30s;straggle:p=0.05,x=4\"")
 	fs.Int64Var(&o.FaultSeed, "fault-seed", 1, "fault injector seed (straggler lottery)")
 	fs.StringVar(&o.JournalPath, "journal", "", "durable-restart journal path (empty: no journal)")
-	fs.IntVar(&o.SnapshotEvery, "snapshot-every", 0, "journal records between snapshot+truncate (0 = 1024)")
 	fs.BoolVar(&o.Speculate, "speculate", false, "launch duplicates of straggling stages; first finish wins")
 	fs.DurationVar(&o.SolveDeadline, "solve-deadline", 0, "per-stage LP solve bound before greedy fallback (0: none)")
 

@@ -421,10 +421,9 @@ func TestFaultFlagValidation(t *testing.T) {
 func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"addr", "analytics", "analytics-snap", "check", "cluster", "drain-timeout",
-		"eps", "events-cap", "fault-seed", "fault-spec", "journal", "max-pending",
-		"place-cache", "rho", "scheduler", "seed", "shard-by", "shards", "smoke",
-		"snapshot-every", "solve-deadline", "solve-workers", "speculate", "supervise",
-		"time-scale", "update-k",
+		"eps", "fault-seed", "fault-spec", "journal", "max-pending", "rho",
+		"scheduler", "seed", "shard-by", "shards", "smoke", "solve-deadline",
+		"speculate", "supervise", "time-scale", "update-k",
 	}
 	fs := flag.NewFlagSet("tetrium-serve", flag.ContinueOnError)
 	registerFlags(fs)

@@ -73,7 +73,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "generation seed")
 		updateK     = flag.Int("update-k", 0, "sites updatable after a drop (0 = all)")
 		verbose     = flag.Bool("v", false, "per-job output")
-		timeline    = flag.String("timeline", "", "write a per-task timeline (TSV) to this file")
 		faultSpec   = flag.String("fault-spec", "", "fault injection spec, e.g. \"crash@10s:site=1,dur=30s;straggle:p=0.05,x=4\"")
 		faultSeed   = flag.Int64("fault-seed", 1, "fault injector seed (straggler lottery)")
 		checkRun    = flag.Bool("check", false, "verify LP certificates and simulator invariants throughout the run")
@@ -99,13 +98,12 @@ func main() {
 		Scheduler: sched,
 		Rho:       *rho, RhoSet: true,
 		Eps: *eps, EpsSet: true,
-		Seed:           *seed,
-		Drops:          drops,
-		UpdateK:        *updateK,
-		FaultSpec:      *faultSpec,
-		FaultSeed:      *faultSeed,
-		RecordTimeline: *timeline != "",
-		Check:          *checkRun,
+		Seed:      *seed,
+		Drops:     drops,
+		UpdateK:   *updateK,
+		FaultSpec: *faultSpec,
+		FaultSeed: *faultSeed,
+		Check:     *checkRun,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tetrium-sim:", err)
@@ -131,24 +129,6 @@ func main() {
 	fmt.Printf("p90 response     %.1f s\n", metrics.Percentile(resp, 90))
 	fmt.Printf("makespan         %.1f s\n", res.Makespan)
 	fmt.Printf("WAN usage        %.2f GB\n", res.WANBytes/units.GB)
-
-	if *timeline != "" {
-		f, err := os.Create(*timeline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tetrium-sim:", err)
-			os.Exit(1)
-		}
-		if _, err := res.Timeline.WriteTo(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "tetrium-sim:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "tetrium-sim:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("timeline         %s (%d events)\n", *timeline, len(res.Timeline))
-	}
 }
 
 func loadWorkload(clusterName, traceName, traceFile string, jobs int, seed int64) (*tetrium.Cluster, []*tetrium.Job, error) {

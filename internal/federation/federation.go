@@ -88,9 +88,6 @@ type Config struct {
 	// JournalPath, when non-empty, gives shard i a durable journal at
 	// <path>.shard<i>, replayed independently on restart.
 	JournalPath string
-	// SnapshotEvery bounds per-shard journal growth (<= 0: journal
-	// default).
-	SnapshotEvery int
 	// Supervise enables the self-healing supervisor: heartbeat probes
 	// over every shard, automatic backed-off restarts of wedged/panicked
 	// shards through the journal-replay path, and a circuit breaker that
@@ -205,7 +202,7 @@ func (f *Federation) startShard(i int) (*engine.Engine, error) {
 	cfg.Cluster = SliceCluster(f.cfg.Cluster, f.n, i)
 	cfg.Journal, cfg.Restore = nil, nil
 	if f.cfg.JournalPath != "" {
-		jnl, restore, err := journal.Open(f.ShardJournalPath(i), f.cfg.SnapshotEvery)
+		jnl, restore, err := journal.Open(f.ShardJournalPath(i), 0)
 		if err != nil {
 			return nil, fmt.Errorf("federation: shard %d: %w", i, err)
 		}

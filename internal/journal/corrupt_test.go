@@ -146,39 +146,49 @@ func TestGenerationMonotonic(t *testing.T) {
 	}
 }
 
-// TestLegacyUnframedJournalReplays: a journal written before CRC
-// framing (bare JSON lines, no gen record) must replay unchanged and
-// upgrade in place — new appends are framed.
-func TestLegacyUnframedJournalReplays(t *testing.T) {
+// TestUnframedLinesQuarantined: a line without a CRC frame — bare JSON,
+// however well-formed — is never applied. It is quarantined like any
+// other unrecognized line and replay continues with the framed records
+// around it.
+func TestUnframedLinesQuarantined(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "eng.journal")
-	legacy := `{"k":"admit","id":0,"t":100,"tenant":"acme","spec":{"name":"a","stages":[{"kind":0,"tasks":[{"Src":0,"Input":1000000,"Compute":1}]}]}}
-{"k":"place","id":0,"t":110}
-{"k":"admit","id":1,"t":120,"spec":{"name":"b","stages":[{"kind":0,"tasks":[{"Src":0,"Input":1000000,"Compute":1}]}]}}
-{"k":"done","id":0,"t":130,"tenant":"acme","name":"a","stages":1,"wan_bytes":42}
-`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, st, err := Open(path, 1<<20)
+	j, _, err := Open(path, 1<<20)
 	if err != nil {
-		t.Fatalf("Open legacy: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
-	defer j.Close()
-	if st.Quarantined != 0 {
-		t.Errorf("Quarantined = %d, want 0", st.Quarantined)
-	}
-	if len(st.Done) != 1 || st.Done[0].ID != 0 || len(st.Live) != 1 || st.Live[0].ID != 1 {
-		t.Errorf("legacy replay: %+v", st)
-	}
-	if st.Generation != 1 {
-		t.Errorf("Generation = %d, want 1 (first framed epoch)", st.Generation)
-	}
-	if err := j.Admit(2, 140, "", sampleJob("c")); err != nil {
+	if err := j.Admit(0, 100, "acme", sampleJob("a")); err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
-	b, _ := os.ReadFile(path)
-	if !strings.Contains(string(b), "\n~") && !strings.HasPrefix(string(b), "~") {
-		t.Error("new appends to a legacy journal are not CRC-framed")
+	bare := `{"k":"admit","id":7,"t":105,"spec":{"name":"x","stages":[{"kind":0,"tasks":[{"Src":0,"Input":1000000,"Compute":1}]}]}}
+{"k":"done","id":0,"t":106,"tenant":"acme","name":"a","stages":1,"wan_bytes":42}
+`
+	if _, err := j.f.WriteString(bare); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Admit(1, 110, "", sampleJob("b")); err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	if err := j.Abandon(); err != nil { // no final snapshot: the tail is replayed
+		t.Fatalf("Abandon: %v", err)
+	}
+
+	j, st, err := Open(path, 1<<20)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer j.Close()
+	if st.Quarantined != 2 {
+		t.Errorf("Quarantined = %d, want 2", st.Quarantined)
+	}
+	if len(st.Done) != 0 || len(st.Live) != 2 || st.Live[0].ID != 0 || st.Live[1].ID != 1 {
+		t.Errorf("replay applied an unframed line: %+v", st)
+	}
+	side, err := os.ReadFile(path + ".corrupt")
+	if err != nil {
+		t.Fatalf("sidecar: %v", err)
+	}
+	if strings.Count(string(side), "# unrecognized frame\n") != 2 || !strings.Contains(string(side), `"id":7`) {
+		t.Errorf("sidecar does not hold both lines with their reason:\n%s", side)
 	}
 }
 

@@ -5,9 +5,11 @@
 //
 // Frame format: each record is one line, `~CCCCCCCC <json>` where
 // CCCCCCCC is the lowercase hex CRC32 (IEEE) of the JSON payload
-// bytes. Journals written before CRC framing existed hold bare JSON
-// lines (first byte '{'); the reader accepts both, so an upgraded
-// binary replays old journals unchanged.
+// bytes. Replay applies no line that has not passed its checksum. That
+// includes the unframed bare-JSON lines builds before CRC framing wrote:
+// a journal still holding such a tail (never snapshotted or cleanly
+// closed by a framing build) is not replayable — each unframed line is
+// quarantined like any damaged one and its job is lost.
 //
 // Durability model: records are written straight to the file descriptor
 // (no user-space buffering), so once Admit returns, the record survives
@@ -486,14 +488,8 @@ func (j *Journal) replayTail() error {
 }
 
 // verifyFrame validates one journal line and returns its JSON payload,
-// or (nil, reason) if the line is damaged. Bare-JSON lines (pre-CRC
-// journals) pass through without a checksum.
+// or (nil, reason) if the line is damaged.
 func verifyFrame(line []byte) (payload []byte, reason string) {
-	if line[0] == '{' {
-		// Legacy unframed record: no CRC to check; the JSON parse is the
-		// only integrity gate (matching the pre-CRC reader).
-		return line, ""
-	}
 	if line[0] != '~' {
 		return nil, "unrecognized frame"
 	}

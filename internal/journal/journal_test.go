@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -62,9 +63,10 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPreTenantFixtureReplay replays a journal written before the
-// Tenant field existed (checked-in fixture): every record must recover
-// with tenant "default" and otherwise identical state.
+// TestPreTenantFixtureReplay replays records written before the Tenant
+// field existed (checked-in fixture, CRC-framed since replay applies
+// nothing else): every record must recover with tenant "default" and
+// otherwise identical state.
 func TestPreTenantFixtureReplay(t *testing.T) {
 	st, err := ReadFile(filepath.Join("testdata", "pre_tenant.journal"))
 	if err != nil {
@@ -162,13 +164,19 @@ func TestTornFinalLineDropped(t *testing.T) {
 	if err := j.Admit(0, 1, "", sampleJob("a")); err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
-	// Simulate a write torn mid-record by the kill.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatalf("open append: %v", err)
+	if err := j.Admit(1, 2, "", sampleJob("b")); err != nil {
+		t.Fatalf("Admit: %v", err)
 	}
-	f.WriteString(`{"k":"admit","id":1,"t":2,"sp`)
-	f.Close()
+	// Simulate a write torn mid-record by the kill: cut the second
+	// admit's framed line in half.
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	last := bytes.LastIndexByte(b[:len(b)-1], '\n') + 1
+	if err := os.WriteFile(path, b[:last+(len(b)-last)/2], 0o644); err != nil {
+		t.Fatalf("truncate: %v", err)
+	}
 
 	_, st, err := Open(path, 1024)
 	if err != nil {
@@ -176,6 +184,9 @@ func TestTornFinalLineDropped(t *testing.T) {
 	}
 	if len(st.Live) != 1 || st.Live[0].ID != 0 {
 		t.Errorf("torn tail not dropped: live = %+v", st.Live)
+	}
+	if st.Quarantined != 1 {
+		t.Errorf("Quarantined = %d, want 1 (the torn frame)", st.Quarantined)
 	}
 }
 
@@ -193,24 +204,35 @@ func TestIdempotentReplayAfterSnapshotCrash(t *testing.T) {
 	if err := j.Done(0, 2, "", "a", 1, 7); err != nil {
 		t.Fatalf("Done: %v", err)
 	}
-	// Force the snapshot but keep the journal contents (undo truncate by
-	// rewriting the records).
+	// Force the snapshot but keep the journal contents (undo the truncate
+	// by writing the pre-snapshot bytes back): the real crash image.
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
 	if err := j.snapshot(); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	f.WriteString(`{"k":"admit","id":0,"t":1,"spec":{"name":"a","stages":[{"kind":0,"tasks":[{"Src":0,"Input":1000000,"Compute":1}]}]}}` + "\n")
-	f.WriteString(`{"k":"done","id":0,"t":2,"name":"a","stages":1,"wan_bytes":7}` + "\n")
-	f.Close()
+	if err := os.WriteFile(path, before, 0o644); err != nil {
+		t.Fatalf("restore journal: %v", err)
+	}
 
 	_, st, err := Open(path, 1024)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
+	}
+	// The duplicates must be applied (and absorbed), not quarantined.
+	if st.Quarantined != 0 {
+		t.Errorf("Quarantined = %d, want 0", st.Quarantined)
 	}
 	if len(st.Done) != 1 || len(st.Live) != 0 {
 		t.Errorf("replay not idempotent: %d done / %d live", len(st.Done), len(st.Live))
 	}
 	if st.NextID != 1 {
 		t.Errorf("NextID = %d, want 1", st.NextID)
+	}
+	// The replayed gen record is the one the snapshot already holds.
+	if st.Generation != 2 {
+		t.Errorf("Generation = %d, want 2", st.Generation)
 	}
 }

@@ -10,23 +10,15 @@ type Plan struct {
 
 // PlanBoth runs §3.4's two planning directions for a map+reduce stage
 // pair — forward (map LP first, then the reduce LP over its output) and
-// reverse (reduce-first heuristic) — as independent pipelines on the
-// bounded worker group, returning both plans so callers can pick
-// min(forward, reverse) as the paper does. outputRatio scales map input
-// bytes to intermediate bytes.
+// reverse (reduce-first heuristic) — returning both plans so callers
+// can pick min(forward, reverse) as the paper does. outputRatio scales
+// map input bytes to intermediate bytes.
 func (t Tetrium) PlanBoth(res Resources, mapReq MapRequest, redTasks int, redTaskCompute, outputRatio float64) (fwd, rev Plan, err error) {
-	var errs [2]error
-	runParallel(2, func(i int) {
-		if i == 0 {
-			fwd, errs[0] = t.planForward(res, mapReq, redTasks, redTaskCompute, outputRatio)
-		} else {
-			rev, errs[1] = t.planReverse(res, mapReq, redTasks, redTaskCompute, outputRatio)
-		}
-	})
-	for _, e := range errs {
-		if e != nil {
-			return Plan{}, Plan{}, e
-		}
+	if fwd, err = t.planForward(res, mapReq, redTasks, redTaskCompute, outputRatio); err != nil {
+		return Plan{}, Plan{}, err
+	}
+	if rev, err = t.planReverse(res, mapReq, redTasks, redTaskCompute, outputRatio); err != nil {
+		return Plan{}, Plan{}, err
 	}
 	return fwd, rev, nil
 }

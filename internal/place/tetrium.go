@@ -1,7 +1,6 @@
 package place
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -127,13 +126,14 @@ func normalizeReduceFracs(frac []float64) {
 type Tetrium struct {
 	// MaxDest, when positive, restricts each partition's candidate
 	// destinations to its own site plus the MaxDest sites with the most
-	// slots and the MaxDest/2 sites with the fattest downlinks. The full
-	// map LP has n² variables; at the paper's 50-site simulation scale
-	// that is a ~200 ms solve per decision (comparable to the ~100 ms
-	// the paper reports for Gurobi, Fig. 7) — the restriction brings it
-	// to a few ms. Work never benefits from moving to a slot- and
-	// bandwidth-poor site, so the dropped columns are (near-)always zero
-	// in the unrestricted optimum. Zero means no restriction.
+	// slots and the MaxDest/2 sites with the fattest downlinks (sites
+	// with slots first); PlaceMap still solves one LP. The full map LP
+	// has n² variables; at the paper's 50-site simulation scale that is
+	// a ~200 ms solve per decision (comparable to the ~100 ms the paper
+	// reports for Gurobi, Fig. 7) — the restriction brings it to a few
+	// ms. Work never benefits from moving to a slot- and bandwidth-poor
+	// site, so the dropped columns are (near-)always zero in the
+	// unrestricted optimum. Zero means no restriction.
 	MaxDest int
 
 	// Check certifies every LP solve through internal/check (primal
@@ -184,46 +184,9 @@ func (t Tetrium) PlaceMap(res Resources, req MapRequest) (MapPlacement, error) {
 		return finishMap(res, req, m, 0, computeTime(req.TaskCompute, req.NumTasks, frac, res.Slots)), nil
 	}
 
-	destSets := t.candidateDestSets(res)
-	if len(destSets) == 1 {
-		ws := lp.AcquireWorkspace()
-		defer lp.ReleaseWorkspace(ws)
-		return t.solveMap(res, req, destSets[0], ws, req.Warm.mapBasis(0))
-	}
-	// Independent candidate destination subsets: solve one LP per subset
-	// concurrently and keep the placement with the best integral-wave
-	// estimate. Selection is by estimate then lowest subset index, so the
-	// result is identical whether the solves ran in parallel or not.
-	// Each subset warm-starts from its own basis slot, so the parallel
-	// solves never share a WarmStart.
-	results := make([]MapPlacement, len(destSets))
-	errs := make([]error, len(destSets))
-	runParallel(len(destSets), func(i int) {
-		ws := lp.AcquireWorkspace()
-		defer lp.ReleaseWorkspace(ws)
-		results[i], errs[i] = t.solveMap(res, req, destSets[i], ws, req.Warm.mapBasis(i))
-	})
-	bestIdx := -1
-	bestEst := math.Inf(1)
-	for i, mp := range results {
-		if errs[i] != nil {
-			// A restricted candidate subset can be legitimately
-			// infeasible (e.g. a data-holding zero-slot site with no
-			// slotted destination in the subset); only certification
-			// failures are real errors under Check.
-			if t.Check && !errors.Is(errs[i], lp.ErrInfeasible) {
-				return MapPlacement{}, errs[i]
-			}
-			continue
-		}
-		if est := mp.TAggr + mp.TMap + mapDrainCost(res, req, mp.Tasks); est < bestEst {
-			bestEst, bestIdx = est, i
-		}
-	}
-	if bestIdx < 0 {
-		return fallbackMap(res, req), nil
-	}
-	return results[bestIdx], nil
+	ws := lp.AcquireWorkspace()
+	defer lp.ReleaseWorkspace(ws)
+	return t.solveMap(res, req, t.candidateDests(res), ws, req.Warm.mapBasis())
 }
 
 // solveMap builds and solves the §3.1 map LP restricted to the given
@@ -519,23 +482,21 @@ func ceilMapTimes(res Resources, req MapRequest, tasks [][]int) (tAggr, tMap flo
 	return tAggr, tMap
 }
 
-// candidateDestSets returns the destination subsets PlaceMap solves
-// over: everything when MaxDest is unset, otherwise two complementary
-// biased subsets — one favouring slot-rich sites, one favouring
-// fat-downlink sites — solved as independent LPs (concurrently when
-// workers are available) with the better integral-wave estimate kept.
-// Work never benefits from moving to a slot- and bandwidth-poor site,
-// so the dropped columns are (near-)always zero in the unrestricted
-// optimum; trying both biases recovers most of what a single truncated
-// subset can miss.
-func (t Tetrium) candidateDestSets(res Resources) [][]bool {
+// candidateDests returns the destination set PlaceMap's LP ranges over:
+// every site when MaxDest is unset, otherwise the MaxDest slot-richest
+// sites plus the MaxDest/2 sites with the fattest downlinks (each
+// partition's own site is always allowed by solveMap). Work never
+// benefits from moving to a slot- and bandwidth-poor site, so the
+// dropped columns are (near-)always zero in the unrestricted optimum
+// (TestPropertyMaxDestNearOptimal, TestMaxDestNearOptimalSim50).
+func (t Tetrium) candidateDests(res Resources) []bool {
 	n := res.N()
+	ok := make([]bool, n)
 	if t.MaxDest <= 0 || t.MaxDest >= n {
-		ok := make([]bool, n)
 		for i := range ok {
 			ok[i] = true
 		}
-		return [][]bool{ok}
+		return ok
 	}
 	bySlots := make([]int, n)
 	byDown := make([]int, n)
@@ -550,8 +511,7 @@ func (t Tetrium) candidateDestSets(res Resources) [][]bool {
 	})
 	sortBy(byDown, func(a, b int) bool {
 		// Zero-slot sites can never host tasks, so they rank last no
-		// matter their downlink — otherwise a candidate set could be
-		// all slotless and trivially infeasible.
+		// matter their downlink.
 		if za, zb := res.Slots[a] == 0, res.Slots[b] == 0; za != zb {
 			return zb
 		}
@@ -560,29 +520,13 @@ func (t Tetrium) candidateDestSets(res Resources) [][]bool {
 		}
 		return a < b
 	})
-	pick := func(primary, secondary []int, np, ns int) []bool {
-		ok := make([]bool, n)
-		for i := 0; i < np && i < n; i++ {
-			ok[primary[i]] = true
-		}
-		for i := 0; i < ns && i < n; i++ {
-			ok[secondary[i]] = true
-		}
-		return ok
+	for _, i := range bySlots[:t.MaxDest] {
+		ok[i] = true
 	}
-	slotBiased := pick(bySlots, byDown, t.MaxDest, t.MaxDest/2)
-	downBiased := pick(byDown, bySlots, t.MaxDest, t.MaxDest/2)
-	same := true
-	for i := range slotBiased {
-		if slotBiased[i] != downBiased[i] {
-			same = false
-			break
-		}
+	for _, i := range byDown[:t.MaxDest/2] {
+		ok[i] = true
 	}
-	if same {
-		return [][]bool{slotBiased}
-	}
-	return [][]bool{slotBiased, downBiased}
+	return ok
 }
 
 // sortBy is an insertion sort over idx with a custom less, avoiding a

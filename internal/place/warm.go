@@ -1,10 +1,6 @@
 package place
 
-import (
-	"sync/atomic"
-
-	"tetrium/internal/lp"
-)
+import "tetrium/internal/lp"
 
 // WarmState carries simplex bases from one placement to the next solve
 // of a nearby LP — a §4.2 re-placement after capacity drift, a deadline
@@ -21,15 +17,14 @@ import (
 // placement cache entry of that stage's last solve on the same pointer.
 // A solve that runs anywhere else, or that may overlap another one,
 // gets its own Clone; the engine's pool workers only ever see clones.
-// Within a single placement, PlaceMap may solve its two candidate
-// destination subsets in parallel; they use disjoint basis slots, and
-// the stats counters are atomic, so that internal parallelism is safe.
+// A placement solves its LPs one after another on the calling goroutine,
+// so nothing in here is synchronized.
 type WarmState struct {
-	mapBases [2]lp.WarmStart // one per candidate destination subset
-	reduce   lp.WarmStart
+	mapLP  lp.WarmStart
+	reduce lp.WarmStart
 
-	started  atomic.Int64 // solves that re-entered phase 2 warm
-	fallback atomic.Int64 // solves with a basis on hand that went cold anyway
+	started  int // solves that re-entered phase 2 warm
+	fallback int // solves with a basis on hand that went cold anyway
 }
 
 // NewWarmState returns an empty (all-cold) warm state.
@@ -42,9 +37,7 @@ func (w *WarmState) Clone() *WarmState {
 		return nil
 	}
 	c := &WarmState{}
-	for i := range w.mapBases {
-		c.mapBases[i].CopyFrom(&w.mapBases[i])
-	}
+	c.mapLP.CopyFrom(&w.mapLP)
 	c.reduce.CopyFrom(&w.reduce)
 	return c
 }
@@ -55,17 +48,17 @@ func (w *WarmState) TakeStats() (started, fallback int) {
 	if w == nil {
 		return 0, 0
 	}
-	return int(w.started.Swap(0)), int(w.fallback.Swap(0))
+	started, fallback = w.started, w.fallback
+	w.started, w.fallback = 0, 0
+	return started, fallback
 }
 
-// mapBasis returns the basis slot for the i-th candidate destination
-// subset, nil (cold) when w is nil or the subset is beyond the
-// snapshotted pair.
-func (w *WarmState) mapBasis(i int) *lp.WarmStart {
-	if w == nil || i >= len(w.mapBases) {
+// mapBasis returns the map-LP basis slot, nil (cold) when w is nil.
+func (w *WarmState) mapBasis() *lp.WarmStart {
+	if w == nil {
 		return nil
 	}
-	return &w.mapBases[i]
+	return &w.mapLP
 }
 
 // reduceBasis returns the reduce-LP basis slot, nil when w is nil.
@@ -86,8 +79,8 @@ func (w *WarmState) observe(hadBasis, warmUsed bool) {
 	}
 	switch {
 	case warmUsed:
-		w.started.Add(1)
+		w.started++
 	case hadBasis:
-		w.fallback.Add(1)
+		w.fallback++
 	}
 }

@@ -161,3 +161,102 @@ func TestObserverDropRestamp(t *testing.T) {
 		t.Error("estimate report shows no restamps despite forced re-solves")
 	}
 }
+
+// attempt is one task execution reassembled from a Recorder's
+// TaskLaunch/TaskStart/TaskDone events; -1 marks an event not seen.
+type attempt struct {
+	site                        int
+	launched, started, finished float64
+}
+
+type attemptID struct {
+	job, stage, task int
+	copy             bool
+}
+
+// attempts joins the per-task events of a run, failing the test on a
+// second launch, start or done for the same attempt, or on one of the
+// three arriving at a different site than its launch.
+func attempts(t *testing.T, events []obs.Event) map[attemptID]*attempt {
+	t.Helper()
+	out := map[attemptID]*attempt{}
+	for _, ev := range events {
+		switch e := ev.(type) {
+		case obs.TaskLaunch:
+			id := attemptID{e.Job, e.Stage, e.Task, e.Copy}
+			if out[id] != nil {
+				t.Fatalf("attempt %+v launched twice", id)
+			}
+			out[id] = &attempt{site: e.Site, launched: e.T, started: -1, finished: -1}
+		case obs.TaskStart:
+			id := attemptID{e.Job, e.Stage, e.Task, e.Copy}
+			a := out[id]
+			if a == nil || a.started >= 0 || a.site != e.Site {
+				t.Fatalf("attempt %+v: start without a matching launch: %+v", id, e)
+			}
+			a.started = e.T
+		case obs.TaskDone:
+			id := attemptID{e.Job, e.Stage, e.Task, e.Copy}
+			a := out[id]
+			if a == nil || a.finished >= 0 || a.site != e.Site {
+				t.Fatalf("attempt %+v: done without a matching launch: %+v", id, e)
+			}
+			a.finished = e.T
+		}
+	}
+	return out
+}
+
+// TestTimelineRecordsEveryTask: the observer sees exactly one
+// launch/start/done triple per task, in causal order, at a real site.
+func TestTimelineRecordsEveryTask(t *testing.T) {
+	c := uniformCluster(2, 3, units.GBps)
+	job := mapReduceJob(0, []int{3, 3}, 50*units.MB, 1, 0.5, 4, 1)
+	cfg := baseConfig(c, []*workload.Job{job})
+	rec := obs.NewRecorder()
+	cfg.Observer = rec
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	got := attempts(t, rec.Events())
+	if len(got) != job.TotalTasks() {
+		t.Fatalf("observer saw %d task attempts, want %d", len(got), job.TotalTasks())
+	}
+	for id, a := range got {
+		if a.launched < 0 || a.started < a.launched || a.finished <= a.started {
+			t.Fatalf("non-causal attempt %+v: %+v", id, *a)
+		}
+		if a.site < 0 || a.site >= 2 {
+			t.Fatalf("bad site for %+v: %+v", id, *a)
+		}
+	}
+}
+
+// TestTimelineIncludesCopies: under speculation every duplicate is its
+// own flagged triple, and their count is the Result's.
+func TestTimelineIncludesCopies(t *testing.T) {
+	c := uniformCluster(2, 4, units.GBps)
+	cfg := baseConfig(c, []*workload.Job{stragglerJob(0, 4, 20)})
+	cfg.Speculation = true
+	rec := obs.NewRecorder()
+	cfg.Observer = rec
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies := 0
+	for id, a := range attempts(t, rec.Events()) {
+		if a.started < a.launched || a.finished < a.started {
+			t.Fatalf("attempt %+v did not run to completion: %+v", id, *a)
+		}
+		if id.copy {
+			copies++
+		}
+	}
+	if copies != res.SpeculativeCopies {
+		t.Errorf("observed copies = %d, result counts %d", copies, res.SpeculativeCopies)
+	}
+	if copies == 0 {
+		t.Error("no copies recorded")
+	}
+}

@@ -117,11 +117,6 @@ type Config struct {
 	// check and builds no event values.
 	Observer obs.Observer
 
-	// RecordTimeline captures a per-task event log (launch / compute
-	// start / finish, per site) in Result.Timeline for schedule
-	// debugging and Gantt rendering.
-	RecordTimeline bool
-
 	// Speculation launches a redundant copy of a straggling task once
 	// its computation has run SpecThreshold× the stage's estimated task
 	// duration (§8: straggler mitigation is orthogonal to placement;
@@ -152,8 +147,6 @@ type Result struct {
 	// launched and tasks whose copy finished before the original.
 	SpeculativeCopies  int
 	SpeculativeRescues int
-	// Timeline is the per-task event log (Config.RecordTimeline).
-	Timeline Timeline
 }
 
 // MeanResponse returns the average job response time.
@@ -389,9 +382,6 @@ type engine struct {
 	specCopies  int // speculative copies launched
 	specRescues int // tasks whose copy finished first
 
-	timeline   Timeline
-	openEvents map[timelineKey]int
-
 	// Observability (internal/obs). obs is nil when disabled; every
 	// emission site checks it before building an event value, so the
 	// disabled path allocates nothing.
@@ -410,17 +400,16 @@ func newEngine(cfg Config) *engine {
 	cl := cfg.Cluster
 	n := cl.N()
 	e := &engine{
-		cfg:        cfg,
-		n:          n,
-		net:        netsim.New(cl.UpBW(), cl.DownBW()),
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		capSlots:   cl.Slots(),
-		free:       cl.Slots(),
-		upBW:       cl.UpBW(),
-		downBW:     cl.DownBW(),
-		flowOwner:  make(map[netsim.FlowID]*fetchGroup),
-		openEvents: make(map[timelineKey]int),
-		obs:        cfg.Observer,
+		cfg:       cfg,
+		n:         n,
+		net:       netsim.New(cl.UpBW(), cl.DownBW()),
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		capSlots:  cl.Slots(),
+		free:      cl.Slots(),
+		upBW:      cl.UpBW(),
+		downBW:    cl.DownBW(),
+		flowOwner: make(map[netsim.FlowID]*fetchGroup),
+		obs:       cfg.Observer,
 	}
 	if cfg.Check {
 		e.check = check.NewSimInvariants()
@@ -833,7 +822,6 @@ func (e *engine) result() *Result {
 		Instances:          e.instances,
 		SpeculativeCopies:  e.specCopies,
 		SpeculativeRescues: e.specRescues,
-		Timeline:           e.timeline,
 	}
 	for _, j := range e.jobs {
 		jr := JobResult{
@@ -850,4 +838,43 @@ func (e *engine) result() *Result {
 		}
 	}
 	return r
+}
+
+// recordLaunch notes a task (or copy) taking its slot. In the obs event
+// trace a task is queued from its stage's readyAt until its launch (the
+// Wait field), fetching until recordStart, and computing until
+// recordFinish.
+func (e *engine) recordLaunch(st *stageRun, ti, site int, isCopy bool) {
+	if e.obs != nil {
+		e.obs.Emit(obs.TaskLaunch{
+			T: e.now, Job: st.job.spec.ID, Stage: st.idx, Task: ti,
+			Site: site, Copy: isCopy, Wait: e.now - st.readyAt,
+		})
+	}
+}
+
+// recordStart notes fetch completion / computation start.
+func (e *engine) recordStart(st *stageRun, ti, site int, isCopy bool) {
+	if e.obs != nil {
+		e.obs.Emit(obs.TaskStart{
+			T: e.now, Job: st.job.spec.ID, Stage: st.idx, Task: ti,
+			Site: site, Copy: isCopy,
+		})
+	}
+}
+
+// recordFinish notes one task attempt completing. Called before the
+// engine's doneTask bookkeeping, so st.doneTask[ti] still describes the
+// *other* attempt: when it is already set, this attempt lost the §8
+// speculation race (Redundant); when a copy finishes first it rescued
+// the task.
+func (e *engine) recordFinish(st *stageRun, ti, site int, isCopy bool) {
+	if e.obs != nil {
+		e.obs.Emit(obs.TaskDone{
+			T: e.now, Job: st.job.spec.ID, Stage: st.idx, Task: ti,
+			Site: site, Copy: isCopy,
+			Redundant: st.doneTask[ti],
+			Rescued:   isCopy && !st.doneTask[ti],
+		})
+	}
 }

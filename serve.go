@@ -62,15 +62,6 @@ type EngineOptions struct {
 	// 0 means the serving default of 1e-3 (1000× faster than estimated);
 	// negative completes stages instantly.
 	TimeScale float64
-	// EventCap bounds the /debug/events buffer; 0 means the engine
-	// default (65536).
-	EventCap int
-	// SolveWorkers sizes the off-loop placement solver pool; 0 means
-	// GOMAXPROCS.
-	SolveWorkers int
-	// PlaceCacheSize bounds the placement memo cache in entries; 0 means
-	// the engine default (4096), negative disables caching.
-	PlaceCacheSize int
 
 	// Check runs every LP solve under the certification layer.
 	Check bool
@@ -82,10 +73,9 @@ type EngineOptions struct {
 	FaultSeed int64
 	// JournalPath, when non-empty, makes accepted jobs durable: the
 	// journal at this path is replayed on startup (a restart loses no
-	// admitted job) and appended to while serving. SnapshotEvery bounds
-	// journal growth (0: default 1024 records per snapshot+truncate).
-	JournalPath   string
-	SnapshotEvery int
+	// admitted job) and appended to while serving; every 1024 records
+	// it is snapshotted and truncated.
+	JournalPath string
 	// Speculate launches duplicates of straggling stages on the fastest
 	// eligible site; first finish wins.
 	Speculate bool
@@ -117,16 +107,13 @@ type EngineOptions struct {
 // NewEngine owns them itself, the federation sets them per shard.
 func (o EngineOptions) engineConfig(faultSeed int64) (engine.Config, error) {
 	cfg := engine.Config{
-		Rho:            1,
-		Eps:            1,
-		UpdateK:        o.UpdateK,
-		MaxPending:     o.MaxPending,
-		TimeScale:      o.TimeScale,
-		EventCap:       o.EventCap,
-		SolveWorkers:   o.SolveWorkers,
-		PlaceCacheSize: o.PlaceCacheSize,
-		Speculate:      o.Speculate,
-		SolveDeadline:  o.SolveDeadline,
+		Rho:           1,
+		Eps:           1,
+		UpdateK:       o.UpdateK,
+		MaxPending:    o.MaxPending,
+		TimeScale:     o.TimeScale,
+		Speculate:     o.Speculate,
+		SolveDeadline: o.SolveDeadline,
 	}
 	if o.RhoSet {
 		cfg.Rho = o.Rho
@@ -165,7 +152,7 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 	}
 	cfg.Cluster = o.Cluster
 	if o.JournalPath != "" {
-		cfg.Journal, cfg.Restore, err = journal.Open(o.JournalPath, o.SnapshotEvery)
+		cfg.Journal, cfg.Restore, err = journal.Open(o.JournalPath, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -238,9 +225,8 @@ func NewFederation(o EngineOptions, shards int, shardBy string) (*Federation, er
 		Member: func(shard int) (engine.Config, error) {
 			return o.engineConfig(o.FaultSeed + int64(shard))
 		},
-		JournalPath:   o.JournalPath,
-		SnapshotEvery: o.SnapshotEvery,
-		Supervise:     o.Supervise,
+		JournalPath: o.JournalPath,
+		Supervise:   o.Supervise,
 	}
 	if o.FaultSpec != "" {
 		// The same spec is armed once at the federation level for its

@@ -72,13 +72,6 @@ type JobResult = sim.JobResult
 // Drop injects a runtime capacity reduction at a site (§4.2).
 type Drop = sim.Drop
 
-// Timeline is the per-task event log captured when
-// Options.RecordTimeline is set; TaskEvent is one entry.
-type (
-	Timeline  = sim.Timeline
-	TaskEvent = sim.TaskEvent
-)
-
 // Observability (internal/obs): set Options.Observer to receive the
 // run's structured event trace. Recorder is the standard observer —
 // it retains events for the JSONL/Perfetto exporters, aggregates a
@@ -303,11 +296,6 @@ type Options struct {
 	Speculation   bool
 	SpecThreshold float64
 
-	// RecordTimeline captures a per-task event log in Result.Timeline
-	// (launch / compute start / finish, per site) for schedule
-	// debugging.
-	RecordTimeline bool
-
 	// Observer, when non-nil, receives the run's structured event
 	// trace: scheduling instances, placement decisions with LP
 	// estimates, task lifecycle, WAN flows, and drops. Use
@@ -360,21 +348,20 @@ func buildConfig(o Options) (sim.Config, error) {
 		eps = o.Eps
 	}
 	cfg := sim.Config{
-		Cluster:        o.Cluster,
-		Jobs:           o.Jobs,
-		MapOrder:       order.RemoteFirstSpread,
-		ReduceOrder:    order.LongestFirst,
-		Rho:            rho,
-		Eps:            eps,
-		Seed:           o.Seed,
-		Drops:          o.Drops,
-		UpdateK:        o.UpdateK,
-		BatchWindow:    o.BatchWindow,
-		Speculation:    o.Speculation,
-		SpecThreshold:  o.SpecThreshold,
-		RecordTimeline: o.RecordTimeline,
-		Observer:       o.Observer,
-		Check:          o.Check,
+		Cluster:       o.Cluster,
+		Jobs:          o.Jobs,
+		MapOrder:      order.RemoteFirstSpread,
+		ReduceOrder:   order.LongestFirst,
+		Rho:           rho,
+		Eps:           eps,
+		Seed:          o.Seed,
+		Drops:         o.Drops,
+		UpdateK:       o.UpdateK,
+		BatchWindow:   o.BatchWindow,
+		Speculation:   o.Speculation,
+		SpecThreshold: o.SpecThreshold,
+		Observer:      o.Observer,
+		Check:         o.Check,
 	}
 	if o.FaultSpec != "" {
 		inj, err := fault.Parse(o.FaultSpec, o.FaultSeed)

@@ -43,7 +43,8 @@ bench:
 
 # One-iteration pass over the micro-benchmarks of the placement path
 # (LP solve and warm re-solve, map/reduce placement — BenchmarkPlaceMap
-# also matches BenchmarkPlaceMapRecurring, cold vs previous-job basis —
+# also matches BenchmarkPlaceMapRecurring, cold vs previous-job basis,
+# and BenchmarkPlaceMapSteady, phase 1 vs declared start —
 # engine submit) and of the submit decode (BenchmarkDecodeJob,
 # encoding/json vs the hand-written decoder): proves the harnesses still
 # compile and run. Measurement is the service benchmark's job

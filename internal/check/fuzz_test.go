@@ -14,7 +14,9 @@ import (
 // certifies every returned solution: primal feasibility, non-negativity,
 // and optimality against the brute-force reference (small instances) or
 // the weak-duality bound. Infeasible/unbounded verdicts are legitimate;
-// a certificate failure or a panic is a solver bug.
+// a certificate failure or a panic is a solver bug. Each solved instance
+// is then re-entered from its own final basis and from an arbitrary
+// declared start, and must certify to the same optimum both times.
 func FuzzSolve(f *testing.F) {
 	for _, s := range []int64{1, 2, 3, 42, 9999, -7, 123456789} {
 		f.Add(s)
@@ -99,6 +101,25 @@ func FuzzSolve(f *testing.F) {
 		}
 		if d := math.Abs(warm.Objective - sol.Objective); d > 1e-6*(1+math.Abs(sol.Objective)) {
 			t.Fatalf("warm objective %v differs from cold %v (seed %d)", warm.Objective, sol.Objective, seed)
+		}
+
+		// Declared-start differential: name an arbitrary variable basic in
+		// an arbitrary subset of rows. Whether that is a vertex, a
+		// singular set or an infeasible point, it may cost time only.
+		for i := 0; i < p.NumConstraints(); i++ {
+			if rng.Float64() < 0.6 {
+				p.DeclareBasic(i, lp.Var(rng.Intn(nv)))
+			}
+		}
+		decl, err := p.SolveInto(ws)
+		if err != nil {
+			t.Fatalf("solve from a declared start failed where phase 1 succeeded (seed %d): %v", seed, err)
+		}
+		if _, cerr := CertifyLP(p, decl); cerr != nil {
+			t.Fatalf("declared-start certificate failed, rung %v (seed %d): %v", decl.Rung, seed, cerr)
+		}
+		if d := math.Abs(decl.Objective - sol.Objective); d > 1e-6*(1+math.Abs(sol.Objective)) {
+			t.Fatalf("objective %v from rung %v differs from phase 1's %v (seed %d)", decl.Objective, decl.Rung, sol.Objective, seed)
 		}
 	})
 }

@@ -136,6 +136,53 @@ func TestWarmStartOnReplace(t *testing.T) {
 	}
 }
 
+// TestStartCensus: the counters that say where LPs entered phase 2. A
+// first solve has no basis, so it is neither warm nor a fallback, and an
+// unrestricted map LP among them enters at its declared in-place vertex;
+// a §4.2 shrink then re-solves every live stage from its own basis, and
+// each one declined is counted once in the total and once under its
+// reason — a shrink makes the old vertex over-use the shrunk site, which
+// is primal infeasibility.
+func TestStartCensus(t *testing.T) {
+	cl := cluster.EC2EightRegions()
+	cfg := testConfig(cl)
+	cfg.Placer = place.Tetrium{Check: true}
+	cfg.TimeScale = 3600 // keep every stage live across the updates
+	cfg.PlaceCacheSize = -1
+	e := mustEngine(t, cfg)
+
+	st, err := e.Submit(workload.Generate(workload.BigData(cl.N(), 1, 11))[0])
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitFirstPlacement(t, e, st.ID)
+	if v := counterValue(t, e, "engine.solves_declared_start"); v == 0 {
+		t.Error("engine.solves_declared_start = 0 after a job's first map solve")
+	}
+	for _, name := range []string{"engine.solves_warm_started", "engine.solves_warm_fallback"} {
+		if v := counterValue(t, e, name); v != 0 {
+			t.Errorf("%s = %g before any re-solve, want 0: a declared start is not a warm start", name, v)
+		}
+	}
+
+	for site := 0; site < cl.N(); site++ {
+		if _, err := e.UpdateCluster([]SiteUpdate{{Site: site, Slots: -1, Frac: 0.8}}); err != nil {
+			t.Fatalf("UpdateCluster: %v", err)
+		}
+	}
+	total, byReason := counterValue(t, e, "engine.solves_warm_fallback"), 0.0
+	for _, name := range warmFallbackCounter[1:] {
+		byReason += counterValue(t, e, name)
+	}
+	if total != byReason {
+		t.Errorf("engine.solves_warm_fallback = %g, its reasons add up to %g", total, byReason)
+	}
+	if v := counterValue(t, e, "engine.solves_warm_fallback_infeasible"); v == 0 {
+		t.Errorf("dropping 80%% of every site in turn declined no basis as infeasible (fallbacks %g, warm %g)",
+			total, counterValue(t, e, "engine.solves_warm_started"))
+	}
+}
+
 // waitPoolClosed polls until close() has marked the pool closed (and so
 // captured its dropped-solve count).
 func waitPoolClosed(t *testing.T, p *solvePool) {

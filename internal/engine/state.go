@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tetrium/internal/dynamics"
+	"tetrium/internal/lp"
 	"tetrium/internal/obs"
 	"tetrium/internal/place"
 	"tetrium/internal/sched"
@@ -752,11 +753,10 @@ type solveItem struct {
 
 	res      placeResult
 	nanos    int64
-	warmed   int  // LPs of this solve that re-entered phase 2 from a prior basis
-	wentCold int  // LPs that had a basis on hand and ran phase 1 anyway
-	fallback bool // placer error: capacity-proportional stand-in
-	cached   bool // served by the memo cache, no solve ran
-	deadline bool // solve-deadline greedy stopgap (failure.go)
+	starts   place.WarmStats // where this solve's LPs entered phase 2
+	fallback bool            // placer error: capacity-proportional stand-in
+	cached   bool            // served by the memo cache, no solve ran
+	deadline bool            // solve-deadline greedy stopgap (failure.go)
 }
 
 // solve runs the item's placement against res, warm-starting from (and
@@ -768,7 +768,7 @@ func (it *solveItem) solve(placer place.Placer, res place.Resources, warm *place
 	it.pr.setWarm(warm)
 	it.res, it.fallback = solveRequest(placer, res, it.pr)
 	it.nanos = time.Since(t0).Nanoseconds()
-	it.warmed, it.wentCold = warm.TakeStats()
+	it.starts = warm.TakeStats()
 }
 
 // liveResources views the loop's capacity slices without copying; only
@@ -988,7 +988,7 @@ func (s *state) commit(it *solveItem) {
 		EstNet: sr.estNet, EstCompute: sr.estCompute, Est: sr.est,
 		TasksBySite: append([]int(nil), sr.tasks...),
 		Fallback:    it.fallback, Restamp: it.restamp, Cached: it.cached, Deadline: it.deadline,
-		Warm:       it.warmed > 0 && !it.fallback,
+		Warm:       it.starts.Started > 0 && !it.fallback,
 		SolveNanos: it.nanos,
 	})
 	if k := s.e.cfg.UpdateK; it.restamp && k > 0 {
@@ -1019,14 +1019,31 @@ func (s *state) commit(it *solveItem) {
 	}
 }
 
-// noteWarmStats counts a solve's warm-start outcomes, whether or not
-// its result goes on to pass commit's guards. Loop-only.
+// warmFallbackCounter names the counter of each reason a prior basis was
+// declined; they add up to engine.solves_warm_fallback.
+var warmFallbackCounter = [...]string{
+	lp.DeclineMismatch:   "engine.solves_warm_fallback_mismatch",
+	lp.DeclineSingular:   "engine.solves_warm_fallback_singular",
+	lp.DeclineInfeasible: "engine.solves_warm_fallback_infeasible",
+	lp.DeclinePhase2:     "engine.solves_warm_fallback_phase2",
+}
+
+// noteWarmStats counts where a solve's LPs entered phase 2, whether or
+// not its result goes on to pass commit's guards: from a prior basis,
+// from the LP's declared start, and for the LPs that had a basis and
+// did not use it, why not. Loop-only.
 func (s *state) noteWarmStats(it *solveItem) {
-	if it.warmed > 0 {
-		s.rec.Registry().Counter("engine.solves_warm_started").Add(float64(it.warmed))
+	reg := s.rec.Registry()
+	add := func(name string, n int) {
+		if n > 0 {
+			reg.Counter(name).Add(float64(n))
+		}
 	}
-	if it.wentCold > 0 {
-		s.rec.Registry().Counter("engine.solves_warm_fallback").Add(float64(it.wentCold))
+	add("engine.solves_warm_started", it.starts.Started)
+	add("engine.solves_declared_start", it.starts.Declared)
+	add("engine.solves_warm_fallback", it.starts.Fallbacks())
+	for d, n := range it.starts.Fallback {
+		add(warmFallbackCounter[d], n)
 	}
 }
 

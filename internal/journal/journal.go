@@ -389,8 +389,9 @@ func (j *Journal) snapshot() error {
 	if err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
+	st := j.state()
 	enc := json.NewEncoder(f)
-	if err := enc.Encode(snapState{NextID: j.nextID, Gen: j.gen, Live: j.state().Live, Done: j.state().Done}); err != nil {
+	if err := enc.Encode(snapState{NextID: st.NextID, Gen: st.Generation, Live: st.Live, Done: st.Done}); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("journal: snapshot: %w", err)

@@ -15,6 +15,15 @@
 // when it detects stalling, which guarantees termination on degenerate
 // problems.
 //
+// Phase 2 needs a feasible vertex to start from, and a solve takes the
+// first it can get from a three-rung ladder (warm.go): a prior solve's
+// basis (SolveWarm), else the vertex the caller declared while building
+// the problem (DeclareBasic), else whatever phase 1 finds. The first two
+// only ever save time: a basis that does not install, is not primal
+// feasible, or leads phase 2 to an error is dropped and the next rung
+// starts from a rebuilt tableau, so every entry reaches the verdict a
+// phase-1 solve reaches.
+//
 // Constraint rows are stored as flat parallel index/coefficient slices
 // in ascending variable order, so every pass over a row — equilibration,
 // tableau assembly, residual checks — visits entries in the same order
@@ -135,6 +144,11 @@ type Problem struct {
 	sense    []Sense
 	rhs      []float64
 
+	// start[i] is the variable declared basic in constraint i at the
+	// caller's starting vertex, -1 for a row that keeps its slack; rows
+	// past len(start) have no declaration (see DeclareBasic).
+	start []int32
+
 	// AddConstraint scratch (map entries staged here before AddRow).
 	scratchV []Var
 	scratchC []float64
@@ -154,6 +168,7 @@ func (p *Problem) Reset() {
 	p.rcoef = p.rcoef[:0]
 	p.sense = p.sense[:0]
 	p.rhs = p.rhs[:0]
+	p.start = p.start[:0]
 }
 
 // AddVar adds a variable with the given objective coefficient and returns
@@ -244,6 +259,29 @@ func (p *Problem) AddConstraint(coefs map[Var]float64, sense Sense, rhs float64)
 	p.AddRow(vs, cs, sense, rhs)
 }
 
+// DeclareBasic states that at the caller's starting vertex variable v is
+// basic in constraint row (rows number from 0 in AddRow order); a row
+// with no declaration keeps its slack. A problem with at least one
+// declaration enters phase 2 at that vertex instead of searching for
+// one with phase 1, which is worth having whenever the model names a
+// feasible point the optimum is usually near. The declaration is a
+// hint about speed, never about the answer: if the declared columns are
+// singular, the vertex is not primal feasible, a row without a slack
+// (an equality) is left undeclared, or phase 2 fails from there, the
+// solve runs phase 1 as if nothing had been declared.
+func (p *Problem) DeclareBasic(row int, v Var) {
+	if row < 0 || row >= p.NumConstraints() {
+		panic(fmt.Sprintf("lp: DeclareBasic on unknown constraint %d", row))
+	}
+	if int(v) < 0 || int(v) >= len(p.obj) {
+		panic(fmt.Sprintf("lp: DeclareBasic of unknown variable %d", v))
+	}
+	for len(p.start) <= row {
+		p.start = append(p.start, -1)
+	}
+	p.start[row] = int32(v)
+}
+
 // row returns the flat index/coefficient storage of constraint i.
 func (p *Problem) row(i int) (idx []int32, coef []float64) {
 	lo, hi := p.rowStart[i], p.rowStart[i+1]
@@ -273,9 +311,16 @@ type Solution struct {
 	MaxResidual float64
 
 	// Warm reports that the solve re-entered phase 2 from a prior basis
-	// (SolveWarm with a compatible WarmStart). Cold solves — including
-	// SolveWarm calls that fell back to phase 1 — leave it false.
+	// (SolveWarm with a compatible WarmStart): Rung == RungPrior. Every
+	// other solve — one that entered at the problem's declared start
+	// included — leaves it false.
 	Warm bool
+
+	// Rung is the rung of the ladder phase 2 started from, and
+	// PriorDeclined why a valid prior basis handed to SolveWarm was not
+	// that rung (DeclineNone when it was, or when there was none).
+	Rung          Rung
+	PriorDeclined Decline
 }
 
 // Value returns the solved value of v.
@@ -309,22 +354,14 @@ func (p *Problem) Solve() (*Solution, error) {
 // tableau swamps the small coefficients and the simplex can terminate
 // at an infeasible point.
 func (p *Problem) SolveInto(ws *Workspace) (*Solution, error) {
-	if err := p.equilibrate(ws); err != nil {
-		return nil, err
-	}
-	t := &ws.tab
-	t.init(ws, len(p.obj))
-	if err := t.phase1(); err != nil {
-		return nil, err
-	}
-	return p.finishSolve(ws, false)
+	return p.solve(ws, nil)
 }
 
 // finishSolve runs phase 2 on the prepared (feasible-basis) tableau and
 // extracts the solution: unscaling, negative clamping, the residual
-// self-check against the original rows, and dual recovery. warm marks
-// the returned solution as having re-entered phase 2 from a prior basis.
-func (p *Problem) finishSolve(ws *Workspace, warm bool) (*Solution, error) {
+// self-check against the original rows, and dual recovery. rung records
+// where that basis came from.
+func (p *Problem) finishSolve(ws *Workspace, rung Rung) (*Solution, error) {
 	t := &ws.tab
 	if err := t.phase2(ws.eqObj); err != nil {
 		return nil, err
@@ -381,7 +418,7 @@ func (p *Problem) finishSolve(ws *Workspace, warm bool) (*Solution, error) {
 	if t.degenerate {
 		status = OptimalDegenerate
 	}
-	return &Solution{Status: status, Objective: obj, X: x, Dual: dual, MaxResidual: worst, Warm: warm}, nil
+	return &Solution{Status: status, Objective: obj, X: x, Dual: dual, MaxResidual: worst, Warm: rung == RungPrior, Rung: rung}, nil
 }
 
 // rowResidual returns the relative violation of constraint i at point x:
@@ -479,13 +516,24 @@ func (p *Problem) DualObjective(y []float64) float64 {
 	return obj
 }
 
+// nearOne reports |ln g| < 10⁻³ without taking the logarithm: the bounds
+// are math.Exp(∓1e-3), the closed lower end being where math.Log's
+// rounding puts it. Equilibration asks this of every row and column of
+// every round, and the logarithm was 8 % of an 8-site solve.
+func nearOne(g float64) bool {
+	return g >= 0.99900049983337502 && g < 1.0010005001667084
+}
+
 // equilibrate writes a scaled copy of the problem into ws (substitution
 // x'_j = colScale_j · x_j, so x_j = x'_j/colScale_j recovers the
 // original solution). It applies a few rounds of geometric-mean
 // row/column scaling, which shrinks the coefficient *spread* — a
 // max-based scaling would leave columns mixing 10¹⁰-scale byte
 // coefficients with unit task-fraction coefficients at a 10⁻¹⁰ relative
-// magnitude, below the solver's zero thresholds. Rows whose
+// magnitude, below the solver's zero thresholds. A row or column whose
+// geometric mean is within e^±10⁻³ of 1 is left alone, and the rounds
+// stop after the first that rescales nothing, since every later round
+// would read the same matrix and do the same. Rows whose
 // coefficients are all zero are checked for trivial consistency and
 // dropped; ws.rowMap records the surviving-row index of each original
 // row (−1 when dropped) and SolveInto uses it plus ws.rowScale /
@@ -536,6 +584,7 @@ func (p *Problem) equilibrate(ws *Workspace) error {
 	for iter := 0; iter < rounds; iter++ {
 		// Row pass: divide each row by the geometric mean of its extreme
 		// coefficient magnitudes.
+		rescaled := false
 		for i := 0; i < sm; i++ {
 			lo, hi := ws.eqRowStart[i], ws.eqRowStart[i+1]
 			minA, maxA := math.Inf(1), 0.0
@@ -553,7 +602,7 @@ func (p *Problem) equilibrate(ws *Workspace) error {
 				continue
 			}
 			g := math.Sqrt(minA * maxA)
-			if g <= 0 || math.Abs(math.Log(g)) < 1e-3 {
+			if g <= 0 || nearOne(g) {
 				continue
 			}
 			for k := lo; k < hi; k++ {
@@ -561,6 +610,7 @@ func (p *Problem) equilibrate(ws *Workspace) error {
 			}
 			ws.eqRhs[i] /= g
 			ws.rowScale[i] *= g
+			rescaled = true
 		}
 		// Column pass.
 		minC, maxC := ws.minC, ws.maxC
@@ -584,7 +634,7 @@ func (p *Problem) equilibrate(ws *Workspace) error {
 		for j := 0; j < n; j++ {
 			g := 1.0
 			if maxC[j] != 0 {
-				if gg := math.Sqrt(minC[j] * maxC[j]); gg > 0 && math.Abs(math.Log(gg)) >= 1e-3 {
+				if gg := math.Sqrt(minC[j] * maxC[j]); gg > 0 && !nearOne(gg) {
 					g = gg
 					ws.colScale[j] *= g
 					any = true
@@ -598,6 +648,8 @@ func (p *Problem) equilibrate(ws *Workspace) error {
 					ws.eqCoef[k] /= g
 				}
 			}
+		} else if !rescaled {
+			break
 		}
 	}
 

@@ -25,12 +25,16 @@ type tableau struct {
 	// idCol[i] is the column that started as row i's identity column
 	// (+1 slack for LE rows, +1 artificial for GE/EQ rows): after
 	// pivoting it holds B⁻¹e_i, from which the simplex multipliers are
-	// read. flip[i] marks rows negated during rhs normalization (their
+	// read. slack[i] is row i's slack or surplus column, -1 for an EQ
+	// row. flip[i] marks rows negated during rhs normalization (their
 	// multiplier changes sign). degenerate is set when phase 1 leaves a
 	// redundant row's artificial basic.
 	idCol      []int
+	slack      []int
 	flip       []bool
 	degenerate bool
+
+	pivots int // pivots performed since the workspace was made
 
 	cost []float64 // active phase's cost vector (phase 2's stays for duals)
 	rc   []float64 // reduced costs, recomputed each iteration
@@ -41,13 +45,6 @@ type tableau struct {
 	warmTaken []bool
 	warmNeed  []int
 }
-
-// installBasis outcomes.
-const (
-	warmSkipped   = iota // basis incompatible, tableau untouched — solve cold
-	warmInstalled        // basis installed and primal feasible — enter phase 2
-	warmFailed           // install dirtied the tableau then failed — rebuild, solve cold
-)
 
 // init rebuilds the tableau from the workspace's equilibrated rows. It
 // normalizes rhs >= 0 in place (flipping row signs and LE<->GE senses),
@@ -87,6 +84,7 @@ func (t *tableau) init(ws *Workspace, nvars int) {
 	t.b = grow(t.b, sm)
 	t.basis = grow(t.basis, sm)
 	t.idCol = grow(t.idCol, sm)
+	t.slack = grow(t.slack, sm)
 	t.isArt = growZero(t.isArt, t.ncols)
 	t.art = t.art[:0]
 
@@ -99,13 +97,15 @@ func (t *tableau) init(ws *Workspace, nvars int) {
 			row[ws.eqIdx[k]] = ws.eqCoef[k]
 		}
 		t.b[i] = ws.eqRhs[i]
+		t.slack[i] = -1
 		switch ws.eqSense[i] {
 		case LE:
 			row[slackAt] = 1
-			t.basis[i], t.idCol[i] = slackAt, slackAt
+			t.basis[i], t.idCol[i], t.slack[i] = slackAt, slackAt, slackAt
 			slackAt++
 		case GE:
 			row[slackAt] = -1
+			t.slack[i] = slackAt
 			slackAt++
 			fallthrough
 		case EQ:
@@ -118,21 +118,23 @@ func (t *tableau) init(ws *Workspace, nvars int) {
 	}
 }
 
-// installBasis tries to reinstall a previously snapshotted basis on a
-// freshly init'd tableau. The basis is treated as a set of columns: rows
-// whose init identity column is already in the set are kept as-is, and
-// every remaining column is pivoted in on the free row with the largest
-// |pivot|. Compatibility checks (dimensions, column range, artificials)
-// run before the first pivot, so a warmSkipped return leaves the tableau
-// exactly as init built it; warmFailed means pivots already dirtied it
-// and the caller must rebuild before solving cold.
-func (t *tableau) installBasis(w *WarmStart) int {
+// installBasis tries to install a basis — a prior solve's snapshot or
+// the problem's declared start — on a freshly init'd tableau. The basis
+// is treated as a set of columns: rows whose init identity column is
+// already in the set are kept as-is, and every remaining column is
+// pivoted in on the free row with the largest |pivot|. It returns
+// DeclineNone with the tableau at that vertex, ready for phase 2, or
+// the reason the basis cannot be used; dirty then says whether pivots
+// already changed the tableau, in which case the caller must rebuild it
+// before doing anything else. The compatibility checks (dimensions,
+// column range, artificials) run before the first pivot.
+func (t *tableau) installBasis(w *WarmStart) (why Decline, dirty bool) {
 	if w.m != t.m || w.n != t.n || w.ncols != t.ncols || len(w.cols) < t.m {
-		return warmSkipped
+		return DeclineMismatch, false
 	}
 	for _, c := range w.cols[:t.m] {
 		if c < 0 || c >= t.ncols || t.isArt[c] {
-			return warmSkipped
+			return DeclineMismatch, false
 		}
 	}
 	nc := t.ncols
@@ -157,7 +159,6 @@ func (t *tableau) installBasis(w *WarmStart) int {
 		}
 		t.warmNeed = append(t.warmNeed, c)
 	}
-	dirty := false
 	for _, c := range t.warmNeed {
 		r, best := -1, 1e-7
 		for i := 0; i < t.m; i++ {
@@ -169,18 +170,15 @@ func (t *tableau) installBasis(w *WarmStart) int {
 			}
 		}
 		if r < 0 {
-			// No usable pivot: the snapshotted basis is singular for the
-			// new coefficients (or a duplicate column slipped in).
-			if dirty {
-				return warmFailed
-			}
-			return warmSkipped
+			// No usable pivot: the basis is singular for these
+			// coefficients (or a duplicate column slipped in).
+			return DeclineSingular, dirty
 		}
 		t.pivot(r, c)
 		taken[r] = true
 		dirty = true
 	}
-	// The reinstalled basis must be primal feasible for the new rhs —
+	// The installed basis must be primal feasible for this rhs —
 	// B⁻¹b ≥ 0 up to roundoff — or phase 2 would optimize from an
 	// infeasible vertex and return garbage.
 	for i := 0; i < t.m; i++ {
@@ -188,14 +186,11 @@ func (t *tableau) installBasis(w *WarmStart) int {
 			continue
 		}
 		if t.b[i] < -1e-9 {
-			if dirty {
-				return warmFailed
-			}
-			return warmSkipped
+			return DeclineInfeasible, dirty
 		}
 		t.b[i] = 0
 	}
-	return warmInstalled
+	return DeclineNone, dirty
 }
 
 // pivot performs a pivot on (row, col) using Gauss-Jordan elimination.
@@ -224,6 +219,7 @@ func (t *tableau) pivot(row, col int) {
 		t.b[i] -= f * t.b[row]
 	}
 	t.basis[row] = col
+	t.pivots++
 }
 
 // simplexLoop runs the simplex method minimizing the reduced-cost vector

@@ -1,21 +1,91 @@
 package lp
 
-// Basis warm-starting. A successful solve snapshots its final basis — the
-// set of tableau columns basic in each row — into a WarmStart; a later
-// SolveWarm of an identically-shaped problem reinstalls that basis on the
-// fresh tableau and re-enters phase 2 directly, skipping phase 1. The
-// placement LPs re-solve the same shape constantly (§4.2 re-placements
-// after capacity drift, per-job re-solves of a repeated stage shape), and
-// the optimal basis rarely moves far between drifts, so the warm phase 2
-// usually terminates in a handful of pivots.
+import "fmt"
+
+// Where phase 2 starts. A solve needs a primal feasible basis before it
+// can optimize, and takes the first of three rungs that yields one:
 //
-// Fallback rules: the snapshot is ignored (cold phase 1) whenever the new
-// tableau's dimensions differ, a snapshotted column no longer exists or
-// is artificial, the basis matrix turns out singular during installation,
-// or the reinstalled basis is primal infeasible for the new rhs beyond
-// roundoff. A warm phase 2 that then fails (unbounded ray, iteration
-// limit, residual rejection) is retried cold before the error is
-// surfaced, so SolveWarm never returns a worse verdict than SolveInto.
+//  1. Prior basis. A successful solve snapshots its final basis — the
+//     set of tableau columns basic in each row — into a WarmStart, and a
+//     later SolveWarm of an identically-shaped problem reinstalls it. The
+//     placement LPs re-solve the same shape constantly (§4.2
+//     re-placements after capacity drift, one recurring query over fresh
+//     data), and the optimal basis rarely moves far, so phase 2 usually
+//     ends within a handful of pivots.
+//  2. Declared start. The caller named a vertex while building the
+//     problem (Problem.DeclareBasic): each declared variable's column in
+//     its row, the slack in every other row. SolveInto takes this rung
+//     too; it needs no WarmStart.
+//  3. Phase 1, the search for a vertex that the rungs above skip.
+//
+// Fallback rules: rungs 1 and 2 go through the same installBasis and
+// the same B⁻¹b ≥ 0 gate, and are declined — Solution.PriorDeclined
+// says why, for rung 1 — whenever the tableau's dimensions differ from
+// the basis's, a column no longer exists, is artificial or is a missing
+// slack (DeclineMismatch), the basis matrix turns out singular during
+// installation (DeclineSingular), or the installed basis is primal
+// infeasible for this rhs beyond roundoff (DeclineInfeasible). A phase 2
+// that then fails from the installed vertex (unbounded ray, iteration
+// limit, residual rejection) is a decline as well (DeclinePhase2). A
+// declined rung that pivoted leaves nothing behind: the tableau is
+// rebuilt from equilibrate before the next rung runs, so SolveWarm and a
+// declared start never return a worse verdict than an undeclared
+// SolveInto. Only rung 1 is a warm start: Solution.Warm and every
+// counter named "warm" mean a prior solve's basis.
+
+// Rung names the starting point of a solve's phase 2.
+type Rung int
+
+// The rungs, in the order they are consulted from the top: RungPrior,
+// then RungDeclared, then RungPhase1.
+const (
+	RungPhase1   Rung = iota // the vertex phase 1 found
+	RungDeclared             // the problem's declared start (DeclareBasic)
+	RungPrior                // a prior solve's basis (SolveWarm)
+)
+
+func (r Rung) String() string {
+	switch r {
+	case RungPhase1:
+		return "phase1"
+	case RungDeclared:
+		return "declared"
+	case RungPrior:
+		return "prior"
+	default:
+		return fmt.Sprintf("Rung(%d)", int(r))
+	}
+}
+
+// Decline is the reason a basis offered to a solve was not the one
+// phase 2 started from.
+type Decline int
+
+// Decline reasons; see the fallback rules above.
+const (
+	DeclineNone Decline = iota
+	DeclineMismatch
+	DeclineSingular
+	DeclineInfeasible
+	DeclinePhase2
+)
+
+func (d Decline) String() string {
+	switch d {
+	case DeclineNone:
+		return "none"
+	case DeclineMismatch:
+		return "mismatch"
+	case DeclineSingular:
+		return "singular"
+	case DeclineInfeasible:
+		return "infeasible"
+	case DeclinePhase2:
+		return "phase2"
+	default:
+		return fmt.Sprintf("Decline(%d)", int(d))
+	}
+}
 
 // WarmStart captures the final simplex basis of a successful solve for
 // reuse by SolveWarm. The zero value is an empty (cold) warm start.
@@ -65,11 +135,11 @@ func (ws *Workspace) snapshotBasis(w *WarmStart) {
 	w.valid = true
 }
 
-// SolveWarm is SolveInto re-entering phase 2 from the basis stored in w
-// when it applies, falling back to a cold phase-1 solve when it does not
-// (see the fallback rules above). On success the final basis is
-// snapshotted back into w for the next call; on error w is reset.
-// Solution.Warm reports whether the prior basis was actually used.
+// SolveWarm is SolveInto with the basis stored in w as the ladder's top
+// rung (see the fallback rules above for when it is declined). On
+// success the final basis is snapshotted back into w for the next call;
+// on error w is reset. Solution.Warm reports whether the prior basis was
+// actually used, Solution.PriorDeclined why not.
 //
 // SolveInto itself never consults a WarmStart: cold solves stay
 // bit-identical run to run, and warm-starting is an explicit opt-in.
@@ -77,7 +147,7 @@ func (p *Problem) SolveWarm(ws *Workspace, w *WarmStart) (*Solution, error) {
 	if w == nil {
 		return p.SolveInto(ws)
 	}
-	sol, err := p.solveWarm(ws, w)
+	sol, err := p.solve(ws, w)
 	if err != nil {
 		w.Reset()
 		return nil, err
@@ -86,35 +156,92 @@ func (p *Problem) SolveWarm(ws *Workspace, w *WarmStart) (*Solution, error) {
 	return sol, nil
 }
 
-func (p *Problem) solveWarm(ws *Workspace, w *WarmStart) (*Solution, error) {
-	if err := p.equilibrate(ws); err != nil {
+// solve walks the ladder: prior (when one is given and valid), the
+// problem's declared start (when it has one), phase 1.
+func (p *Problem) solve(ws *Workspace, prior *WarmStart) (*Solution, error) {
+	if err := p.prepare(ws); err != nil {
 		return nil, err
+	}
+	declined := DeclineNone
+	if prior.Valid() {
+		sol, why, err := p.enter(ws, prior, RungPrior)
+		if sol != nil || err != nil {
+			return sol, err
+		}
+		declined = why
+	}
+	var sol *Solution
+	var err error
+	if start := p.declaredStart(ws); start != nil {
+		sol, _, err = p.enter(ws, start, RungDeclared)
+	}
+	if sol == nil && err == nil {
+		if err = ws.tab.phase1(); err == nil {
+			sol, err = p.finishSolve(ws, RungPhase1)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	sol.PriorDeclined = declined
+	return sol, nil
+}
+
+// prepare builds the fresh tableau every rung starts from. init mutates
+// the equilibrated rows in place (rhs sign normalization), so a rebuild
+// after a declined rung starts from equilibrate too.
+func (p *Problem) prepare(ws *Workspace) error {
+	if err := p.equilibrate(ws); err != nil {
+		return err
+	}
+	ws.tab.init(ws, len(p.obj))
+	return nil
+}
+
+// enter tries one rung on the fresh tableau: install b and run phase 2
+// from it. A nil solution with a nil error is a decline, and leaves the
+// tableau fresh for the next rung.
+func (p *Problem) enter(ws *Workspace, b *WarmStart, rung Rung) (*Solution, Decline, error) {
+	why, dirty := ws.tab.installBasis(b)
+	if why == DeclineNone {
+		sol, err := p.finishSolve(ws, rung)
+		if err == nil {
+			return sol, DeclineNone, nil
+		}
+		why, dirty = DeclinePhase2, true
+	}
+	if dirty {
+		if err := p.prepare(ws); err != nil {
+			return nil, why, err
+		}
+	}
+	return nil, why, nil
+}
+
+// declaredStart lays the problem's declared vertex out as a basis for
+// the prepared tableau: the declared variable's column in each declared
+// row, the row's slack elsewhere (-1 for an equality, which installBasis
+// declines). It is nil when nothing was declared, or a declared row was
+// dropped as empty. The result is workspace scratch.
+func (p *Problem) declaredStart(ws *Workspace) *WarmStart {
+	if len(p.start) == 0 {
+		return nil
 	}
 	t := &ws.tab
-	t.init(ws, len(p.obj))
-	attempt := warmSkipped
-	if w.valid {
-		attempt = t.installBasis(w)
-	}
-	if attempt == warmInstalled {
-		sol, err := p.finishSolve(ws, true)
-		if err == nil {
-			return sol, nil
+	b := &ws.start
+	b.m, b.n, b.ncols = t.m, t.n, t.ncols
+	b.cols = grow(b.cols, t.m)
+	copy(b.cols, t.slack)
+	for i, v := range p.start {
+		if v < 0 {
+			continue
 		}
-		// The prior basis led phase 2 astray; retry cold below. The
-		// tableau must be rebuilt for that — and init mutates the
-		// equilibrated rows in place (rhs sign normalization), so the
-		// rebuild starts from equilibrate, exactly like a fresh solve.
-		attempt = warmFailed
-	}
-	if attempt == warmFailed {
-		if err := p.equilibrate(ws); err != nil {
-			return nil, err
+		si := ws.rowMap[i]
+		if si < 0 {
+			return nil
 		}
-		t.init(ws, len(p.obj))
+		b.cols[si] = int(v)
 	}
-	if err := t.phase1(); err != nil {
-		return nil, err
-	}
-	return p.finishSolve(ws, false)
+	b.valid = true
+	return b
 }

@@ -29,12 +29,18 @@ type Workspace struct {
 	eqObj      []float64
 	objFactor  float64
 
-	tab tableau
+	tab   tableau
+	start WarmStart // declaredStart scratch
 }
 
 // NewWorkspace returns an empty solver workspace. Its buffers grow to
 // fit the first problems solved through it and are reused afterwards.
 func NewWorkspace() *Workspace { return &Workspace{} }
+
+// Pivots reports how many simplex pivots have run through ws since it
+// was made, install pivots and declined rungs included — the work
+// measure BenchmarkPlaceMapSteady reports next to time.
+func (ws *Workspace) Pivots() int { return ws.tab.pivots }
 
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 

@@ -87,23 +87,28 @@ func TestWorkspaceReuseDifferential(t *testing.T) {
 
 // TestSolveAllocsSteadyState guards the steady-state allocation budget:
 // once the workspace buffers have grown to fit, a solve allocates only
-// the Solution and its X/Dual slices.
+// the Solution and its X/Dual slices — entering at a declared start
+// (whose basis is workspace scratch) included.
 func TestSolveAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	p := benchProblem(12, 5)
-	ws := NewWorkspace()
-	if _, err := p.SolveInto(ws); err != nil { // warm up buffers
-		t.Fatalf("SolveInto: %v", err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := p.SolveInto(ws); err != nil {
-			t.Errorf("SolveInto: %v", err)
+	for name, p := range map[string]*Problem{
+		"phase 1":        benchProblem(12, 5),
+		"declared start": spreadProblem(spreadA, spreadCap, allAt(2)),
+	} {
+		ws := NewWorkspace()
+		if _, err := p.SolveInto(ws); err != nil { // warm up buffers
+			t.Fatalf("%s: SolveInto: %v", name, err)
 		}
-	})
-	if allocs > 4 {
-		t.Errorf("steady-state SolveInto allocates %.1f objects/op, want <= 4 (Solution + X + Dual)", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := p.SolveInto(ws); err != nil {
+				t.Errorf("%s: SolveInto: %v", name, err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("%s: steady-state SolveInto allocates %.1f objects/op, want <= 4 (Solution + X + Dual)", name, allocs)
+		}
 	}
 }
 

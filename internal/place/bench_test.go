@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tetrium/internal/cluster"
+	"tetrium/internal/lp"
 	"tetrium/internal/workload"
 )
 
@@ -199,12 +200,118 @@ func BenchmarkPlaceMapRecurring(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					solve(b, stage, 1+i%(len(maps)-1), w)
 				}
-				started, fallback := w.TakeStats()
-				b.ReportMetric(float64(started)/float64(b.N), "warm/op")
-				b.ReportMetric(float64(fallback)/float64(b.N), "fallback/op")
+				st := w.TakeStats()
+				b.ReportMetric(float64(st.Started)/float64(b.N), "warm/op")
+				b.ReportMetric(float64(st.Fallbacks())/float64(b.N), "fallback/op")
 			})
 		}
 	}
+}
+
+// steadyRequests builds what the service benchmark's submit-steady
+// workload asks of the placer: 400 BigData jobs on the eight EC2
+// regions, every map stage over its own input and every reduce stage
+// over the output of the placements that feed it, on the idle cluster
+// at ρ = 1 (the engine's default), one request per LP.
+func steadyRequests(b *testing.B) (Resources, []MapRequest, []ReduceRequest) {
+	res := benchResources(8)
+	n := res.N()
+	var maps []MapRequest
+	var reduces []ReduceRequest
+	for _, job := range workload.Generate(workload.BigData(n, 400, 1)) {
+		outAt := make(map[int][]float64) // placed stage → its output bytes per site
+		spread := func(si int, tasksAt []int) {
+			st := job.Stages[si]
+			out := make([]float64, n)
+			for y, c := range tasksAt {
+				out[y] = st.TotalOutput() * float64(c) / float64(st.NumTasks())
+			}
+			outAt[si] = out
+		}
+		for si, st := range job.Stages {
+			if st.Kind == workload.MapStage {
+				input := st.InputBySite(n)
+				req := MapRequest{
+					InputBySite: input,
+					NumTasks:    st.NumTasks(),
+					TaskCompute: st.EstCompute,
+					WANBudget:   WANBudget(1, MapBudget, input),
+					OutputBytes: st.TotalOutput(),
+				}
+				mp, err := Tetrium{}.PlaceMap(res, req)
+				if err != nil {
+					b.Fatalf("PlaceMap: %v", err)
+				}
+				maps = append(maps, req)
+				at := make([]int, n)
+				for x := range mp.Tasks {
+					for y, c := range mp.Tasks[x] {
+						at[y] += c
+					}
+				}
+				spread(si, at)
+				continue
+			}
+			inter := make([]float64, n)
+			for _, d := range st.Deps {
+				for y, v := range outAt[d] {
+					inter[y] += v
+				}
+			}
+			req := ReduceRequest{
+				InterBySite: inter,
+				NumTasks:    st.NumTasks(),
+				TaskCompute: st.EstCompute,
+				WANBudget:   WANBudget(1, ReduceBudget, inter),
+				OutputBytes: st.TotalOutput(),
+			}
+			rp, err := Tetrium{}.PlaceReduce(res, req)
+			if err != nil {
+				b.Fatalf("PlaceReduce: %v", err)
+			}
+			reduces = append(reduces, req)
+			spread(si, rp.Tasks)
+		}
+	}
+	return res, maps, reduces
+}
+
+// BenchmarkPlaceMapSteady is the layer number behind the declared start:
+// submit-steady's own LPs (steadyRequests), one per iteration in
+// population order, the map LP entered through phase 1 and at the
+// in-place vertex it declares in production, and the reduce LP, which
+// declares nothing and moves only with the solver underneath.
+// pivots/op counts every simplex pivot, install pivots included.
+func BenchmarkPlaceMapSteady(b *testing.B) {
+	res, maps, reduces := steadyRequests(b)
+	var tet Tetrium
+	dests := tet.candidateDests(res)
+	run := func(name string, lps int, solve func(ws *lp.Workspace, i int) error) {
+		b.Run(name, func(b *testing.B) {
+			ws := lp.NewWorkspace()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := solve(ws, i%lps); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ws.Pivots())/float64(b.N), "pivots/op")
+		})
+	}
+	for _, declared := range []bool{false, true} {
+		name := "map/phase1"
+		if declared {
+			name = "map/declared"
+		}
+		run(name, len(maps), func(ws *lp.Workspace, i int) error {
+			_, err := tet.solveMap(res, maps[i], dests, ws, nil, declared)
+			return err
+		})
+	}
+	run("reduce", len(reduces), func(ws *lp.Workspace, i int) error {
+		_, err := solveReduce(res, reduces[i], true, false, ws, nil)
+		return err
+	})
 }
 
 func benchName(n int) string {

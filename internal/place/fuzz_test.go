@@ -1,18 +1,38 @@
 package place
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"tetrium/internal/check"
+	"tetrium/internal/lp"
 	"tetrium/internal/units"
 )
+
+// fuzzBudget draws the §4.3 budget of a stage: none, or W(ρ) for ρ on a
+// five-point grid, and reports whether the LP must then be infeasible.
+// forced is the bytes no placement can avoid moving (data stranded on
+// zero-slot sites); W_min assumes there are none, so a small ρ can ask
+// for less than that. Budgets within 10⁻⁶ of forced are moved off it:
+// the verdict there belongs to the solver's tolerances.
+func fuzzBudget(rng *rand.Rand, kind BudgetKind, data []float64, forced float64) (w float64, infeasible bool) {
+	if rng.Float64() < 0.3 {
+		return -1, false
+	}
+	w = WANBudget(float64(rng.Intn(5))/4, kind, data)
+	if w > forced*(1-1e-6) && w < forced*(1+1e-6) {
+		w = forced * (1 + 1e-6)
+	}
+	return w, w < forced
+}
 
 // FuzzPlaceMap drives Tetrium's map placement (certify mode, so every
 // LP solve is certificate-checked internally) over randomized clusters
 // and stage shapes, asserting the returned fraction matrix obeys the
-// paper's Eq. 5 conservation and the task matrix apportions exactly the
-// requested task count.
+// paper's Eq. 5 conservation, the task matrix apportions exactly the
+// requested task count, and a §4.3 budget drawn per stage is kept — or
+// reported infeasible exactly when it cannot be.
 func FuzzPlaceMap(f *testing.F) {
 	for _, s := range []int64{1, 2, 3, 77, -12345} {
 		f.Add(s)
@@ -50,15 +70,38 @@ func FuzzPlaceMap(f *testing.F) {
 			InputBySite: input,
 			NumTasks:    1 + rng.Intn(300),
 			TaskCompute: 0.1 + rng.Float64()*5,
-			WANBudget:   -1,
 		}
+		// A map stage must move whatever sits on a zero-slot site; a
+		// reduce stage everything but what its best slotted site holds.
+		stranded, allBytes, bestSlotted := 0.0, 0.0, 0.0
+		for i, b := range input {
+			allBytes += b
+			if res.Slots[i] == 0 {
+				stranded += b
+			} else if b > bestSlotted {
+				bestSlotted = b
+			}
+		}
+		var infeasible bool
+		req.WANBudget, infeasible = fuzzBudget(rng, MapBudget, input, stranded)
 		tet := Tetrium{Check: true}
 		if rng.Float64() < 0.3 {
 			tet.MaxDest = 1 + rng.Intn(n)
 		}
 		mp, err := tet.PlaceMap(res, req)
+		if infeasible {
+			if !errors.Is(err, lp.ErrInfeasible) {
+				t.Fatalf("PlaceMap with a budget of %g against %g stranded bytes (seed %d): err = %v, want lp.ErrInfeasible", req.WANBudget, stranded, seed, err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("PlaceMap failed under certification (seed %d): %v", seed, err)
+		}
+		if req.WANBudget >= 0 {
+			if moved := mp.WANBytes(input); moved > req.WANBudget*(1+1e-6) {
+				t.Fatalf("map placement moves %g bytes over a budget of %g (seed %d)", moved, req.WANBudget, seed)
+			}
 		}
 		if cerr := check.MapFractions(mp.Frac, input, req.NumTasks); cerr != nil {
 			t.Fatalf("map placement violates Eq. 5 (seed %d): %v", seed, cerr)
@@ -84,9 +127,15 @@ func FuzzPlaceMap(f *testing.F) {
 			InterBySite: input,
 			NumTasks:    1 + rng.Intn(200),
 			TaskCompute: 0.1 + rng.Float64()*3,
-			WANBudget:   -1,
 		}
+		redReq.WANBudget, infeasible = fuzzBudget(rng, ReduceBudget, input, allBytes-bestSlotted)
 		rp, err := tet.PlaceReduce(res, redReq)
+		if infeasible {
+			if !errors.Is(err, lp.ErrInfeasible) {
+				t.Fatalf("PlaceReduce with a budget of %g against %g unavoidable bytes (seed %d): err = %v, want lp.ErrInfeasible", redReq.WANBudget, allBytes-bestSlotted, seed, err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("PlaceReduce failed under certification (seed %d): %v", seed, err)
 		}

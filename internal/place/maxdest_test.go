@@ -11,8 +11,8 @@ import (
 	"tetrium/internal/workload"
 )
 
-// ratioStats accumulates MaxDest/unrestricted estimate ratios for the
-// summary line each differential logs.
+// ratioStats accumulates estimate ratios (MaxDest/unrestricted, or
+// declared start/phase 1) for the summary line each differential logs.
 type ratioStats struct {
 	worst, sum float64
 	n, over    int // over counts ratios above 1.01
@@ -29,10 +29,27 @@ func (r *ratioStats) add(ratio float64) {
 	r.n++
 }
 
+func (r *ratioStats) mean() float64 { return r.sum / float64(r.n) }
+
 func (r *ratioStats) log(t *testing.T, what string) {
 	t.Helper()
-	t.Logf("%d %s: MaxDest/unrestricted estimate mean %.4f, worst %.4f, %d/%d > 1%%",
-		r.n, what, r.sum/float64(r.n), r.worst, r.over, r.n)
+	t.Logf("%d %s estimate mean %.4f, worst %.4f, %d/%d > 1%%",
+		r.n, what, r.mean(), r.worst, r.over, r.n)
+}
+
+// unrestrictedMap is the reference both differentials below divide by:
+// the full map LP, entered through phase 1 as every MaxDest LP still is
+// (no start is declared for them, ROADMAP 4(e)). The §3.1 optimum is
+// often a face, not a point; the in-place start and phase 1 can stop at
+// different vertices of it, equal in LP objective and certified alike,
+// that refineMap's integral waves then price a few percent apart (7 of
+// the 120 clusters below, either way round). Entering both sides the
+// same way keeps that out of a ratio meant to price the restriction;
+// TestPropertyMaxDestNearOptimal bounds the drift itself against the
+// production Tetrium{}.PlaceMap.
+func unrestrictedMap(res Resources, req MapRequest) (MapPlacement, error) {
+	var tet Tetrium
+	return tet.solveMap(res, req, tet.candidateDests(res), lp.NewWorkspace(), nil, false)
 }
 
 // TestPropertyMaxDestNearOptimal differentially tests the MaxDest
@@ -46,7 +63,7 @@ func (r *ratioStats) log(t *testing.T, what string) {
 // the unrestricted optimum.
 func TestPropertyMaxDestNearOptimal(t *testing.T) {
 	const trials = 120
-	var stats ratioStats
+	var stats, start ratioStats
 	for seed := int64(0); seed < trials; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 17 + rng.Intn(14) // 17..30 sites: the facade's MaxDest regime
@@ -81,7 +98,7 @@ func TestPropertyMaxDestNearOptimal(t *testing.T) {
 			WANBudget:   -1,
 		}
 
-		full, err := Tetrium{}.PlaceMap(res, req)
+		full, err := unrestrictedMap(res, req)
 		if err != nil {
 			t.Fatalf("seed %d: unrestricted PlaceMap: %v", seed, err)
 		}
@@ -99,8 +116,27 @@ func TestPropertyMaxDestNearOptimal(t *testing.T) {
 		// LP's vertex can round into fewer waves than the unrestricted
 		// one's — a few percent below is legitimate.
 		stats.add(restEst / fullEst)
+
+		// The production unrestricted path declares the in-place start
+		// (MaxDest == 0). Above 16 sites only tests take it, and there it
+		// is not decision-neutral (see unrestrictedMap): same LP
+		// objective, a different vertex of the optimal face for
+		// refineMap to round.
+		declared, err := Tetrium{}.PlaceMap(res, req)
+		if err != nil {
+			t.Fatalf("seed %d: declared-start PlaceMap: %v", seed, err)
+		}
+		if r := declared.EstTime() / fullEst; r > 1.08 || r < 1/1.08 {
+			t.Errorf("seed %d: declared-start estimate %.4f vs phase-1 %.4f: more than 8%% apart",
+				seed, declared.EstTime(), fullEst)
+		}
+		start.add(declared.EstTime() / fullEst)
 	}
-	stats.log(t, "clusters")
+	stats.log(t, "clusters: MaxDest/unrestricted")
+	start.log(t, "clusters: declared start/phase 1")
+	if m := start.mean(); m > 1.005 || m < 0.995 {
+		t.Errorf("declared-start estimates average %.4f of the phase-1 ones, want 1 ± 0.005", m)
+	}
 }
 
 // TestMaxDestNearOptimalSim50 is the same differential on the
@@ -158,7 +194,7 @@ func TestMaxDestNearOptimalSim50(t *testing.T) {
 				WANBudget:   -1,
 				OutputBytes: st.TotalOutput(),
 			}
-			full, err := Tetrium{}.PlaceMap(res, req)
+			full, err := unrestrictedMap(res, req)
 			if err != nil {
 				t.Fatalf("seed %d %s: unrestricted PlaceMap: %v", seed, k.name, err)
 			}
@@ -174,7 +210,7 @@ func TestMaxDestNearOptimalSim50(t *testing.T) {
 			loss += max(ratio-1, 0)
 		}
 	}
-	stats.log(t, "map LPs")
+	stats.log(t, "map LPs: MaxDest/unrestricted")
 	if loss /= float64(stats.n); loss > 0.01 {
 		t.Errorf("MaxDest estimates lose %.2f %% to the unrestricted ones on average, want ≤ 1 %%", 100*loss)
 	}

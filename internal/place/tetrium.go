@@ -13,10 +13,11 @@ import (
 // scratch buffers are reused across the several LPs one placement
 // decision issues. A non-nil basis routes the solve through
 // lp.SolveWarm, re-entering phase 2 from the previous placement's basis
-// when it still applies; the outcome (warm vs. fallback) is recorded on
-// wstate. With certify set it validates the returned solution against
-// the problem via the internal/check certifier (primal residuals,
-// non-negativity, optimality bound) and converts a failed certificate
+// when it still applies; where phase 2 started, and why not there when
+// a basis was on hand, is recorded on wstate. With certify set it
+// validates the returned solution against the problem via the
+// internal/check certifier (primal residuals, non-negativity,
+// optimality bound) and converts a failed certificate
 // into an error, so callers in debug/check mode surface numerical
 // breakdowns instead of silently using a bad placement — warm solves
 // are certified exactly like cold ones.
@@ -24,10 +25,9 @@ func solveLP(prob *lp.Problem, ws *lp.Workspace, certify bool, wstate *WarmState
 	var sol *lp.Solution
 	var err error
 	if basis != nil {
-		hadBasis := basis.Valid()
 		sol, err = prob.SolveWarm(ws, basis)
 		if err == nil {
-			wstate.observe(hadBasis, sol.Warm)
+			wstate.observe(sol)
 		}
 	} else {
 		sol, err = prob.SolveInto(ws)
@@ -186,24 +186,73 @@ func (t Tetrium) PlaceMap(res Resources, req MapRequest) (MapPlacement, error) {
 
 	ws := lp.AcquireWorkspace()
 	defer lp.ReleaseWorkspace(ws)
-	return t.solveMap(res, req, t.candidateDests(res), ws, req.Warm.mapBasis())
+	// The start is declared for the unrestricted LP only: ROADMAP 4(e).
+	return t.solveMap(res, req, t.candidateDests(res), ws, req.Warm.mapBasis(), t.MaxDest == 0)
 }
 
 // solveMap builds and solves the §3.1 map LP restricted to the given
 // candidate destination set, returning the refined placement.
-func (t Tetrium) solveMap(res Resources, req MapRequest, destOK []bool, ws *lp.Workspace, basis *lp.WarmStart) (MapPlacement, error) {
+func (t Tetrium) solveMap(res Resources, req MapRequest, destOK []bool, ws *lp.Workspace, basis *lp.WarmStart, inPlaceStart bool) (MapPlacement, error) {
+	prob := lp.AcquireProblem()
+	defer lp.ReleaseProblem(prob)
+	mv := buildMapLP(prob, res, req, destOK, inPlaceStart)
+	sol, err := solveLP(prob, ws, t.Check, req.Warm, basis)
+	if err != nil {
+		if t.Check {
+			return MapPlacement{}, err
+		}
+		// Defensive fallback: leave data in place (always feasible when
+		// every data site has slots); otherwise spread over slots.
+		return fallbackMap(res, req), nil
+	}
+	m := newMatrix(res.N())
+	for x := range m {
+		for y, v := range mv[x] {
+			if v < 0 {
+				continue
+			}
+			if f := sol.Value(v); f > 1e-12 {
+				m[x][y] = f
+			}
+		}
+	}
+	normalizeMapFracs(m, req.InputBySite)
+	return refineMap(res, req, m), nil
+}
+
+// buildMapLP emits the §3.1 map LP into prob (objective T_aggr + T_map,
+// the first two variables) and returns its m variables: mv[x] is nil for
+// a site without data, mv[x][y] is -1 where y is not a candidate
+// destination of x.
+//
+// With inPlaceStart it declares, row by row as it emits them, the vertex
+// the paper keeps coming back to: every partition stays where it is (the
+// In-Place baseline, §4.3's W = 0 point). There m[x][x] = I_x/I is basic
+// in site x's Eq. 5 row, T_map in the Eq. 4 row of the site with the most
+// input per slot, T_aggr is 0 and every other row holds its slack, so
+// the solve skips phase 1's search for a vertex and phase 2 moves data
+// off the bottleneck sites from there. The vertex does not exist when a
+// data-holding site has no slots; then nothing is declared.
+func buildMapLP(prob *lp.Problem, res Resources, req MapRequest, destOK []bool, inPlaceStart bool) [][]lp.Var {
 	n := res.N()
 	total := req.TotalInput()
 	hasData := make([]bool, n)
+	bottleneck, worst := -1, 0.0 // argmax_x I_x/S_x: where in-place computation ends last
 	for x := 0; x < n; x++ {
 		hasData[x] = req.InputBySite[x] > 0
+		if !hasData[x] {
+			continue
+		}
+		if res.Slots[x] == 0 {
+			inPlaceStart = false
+		} else if load := req.InputBySite[x] / float64(res.Slots[x]); load > worst {
+			bottleneck, worst = x, load
+		}
 	}
 	exists := func(x, y int) bool {
 		return hasData[x] && (destOK[y] || y == x)
 	}
 
-	prob := lp.AcquireProblem()
-	defer lp.ReleaseProblem(prob)
 	tAggr := prob.AddVar("Taggr", 1)
 	tMap := prob.AddVar("Tmap", 1)
 
@@ -266,6 +315,9 @@ func (t Tetrium) solveMap(res Resources, req MapRequest, destOK []bool, ws *lp.W
 		}
 		if any {
 			row.commit(prob, lp.LE, 0)
+			if inPlaceStart && y == bottleneck {
+				prob.DeclareBasic(prob.NumConstraints()-1, tMap)
+			}
 		} else {
 			row.discard()
 		}
@@ -277,7 +329,13 @@ func (t Tetrium) solveMap(res Resources, req MapRequest, destOK []bool, ws *lp.W
 				}
 			}
 			if row.len() > 0 {
+				first := row.vs[0]
 				row.commit(prob, lp.EQ, 0)
+				if inPlaceStart {
+					// An equality has no slack: any of its columns is
+					// basic in it, at level 0.
+					prob.DeclareBasic(prob.NumConstraints()-1, first)
+				}
 			}
 		}
 	}
@@ -292,6 +350,9 @@ func (t Tetrium) solveMap(res Resources, req MapRequest, destOK []bool, ws *lp.W
 			}
 		}
 		row.commit(prob, lp.EQ, req.InputBySite[x]/total)
+		if inPlaceStart {
+			prob.DeclareBasic(prob.NumConstraints()-1, mv[x][x])
+		}
 	}
 	// WAN budget (§4.3).
 	if req.WANBudget >= 0 {
@@ -306,32 +367,7 @@ func (t Tetrium) solveMap(res Resources, req MapRequest, destOK []bool, ws *lp.W
 			row.commit(prob, lp.LE, req.WANBudget)
 		}
 	}
-
-	sol, err := solveLP(prob, ws, t.Check, req.Warm, basis)
-	if err != nil {
-		if t.Check {
-			return MapPlacement{}, err
-		}
-		// Defensive fallback: leave data in place (always feasible when
-		// every data site has slots); otherwise spread over slots.
-		return fallbackMap(res, req), nil
-	}
-	m := newMatrix(n)
-	for x := range m {
-		if !hasData[x] {
-			continue
-		}
-		for y := 0; y < n; y++ {
-			if !exists(x, y) {
-				continue
-			}
-			if v := sol.Value(mv[x][y]); v > 1e-12 {
-				m[x][y] = v
-			}
-		}
-	}
-	normalizeMapFracs(m, req.InputBySite)
-	return refineMap(res, req, m), nil
+	return mv
 }
 
 // refineMap repairs the LP's continuous-wave approximation. Eq. 4 models

@@ -23,8 +23,27 @@ type WarmState struct {
 	mapLP  lp.WarmStart
 	reduce lp.WarmStart
 
-	started  int // solves that re-entered phase 2 warm
-	fallback int // solves with a basis on hand that went cold anyway
+	stats WarmStats
+}
+
+// WarmStats counts where the LPs solved through a WarmState started
+// phase 2 (lp.Rung), and why those that had a prior basis on hand did
+// not start from it.
+type WarmStats struct {
+	Started  int // re-entered phase 2 from a prior basis
+	Declared int // entered at the LP's declared start, with or without a prior basis
+	// Fallback[d] counts solves whose prior basis was declined for
+	// lp.Decline d; they ran from the declared start or phase 1.
+	Fallback [lp.DeclinePhase2 + 1]int
+}
+
+// Fallbacks is the number of solves that had a basis and went without.
+func (s WarmStats) Fallbacks() int {
+	n := 0
+	for _, c := range s.Fallback {
+		n += c
+	}
+	return n
 }
 
 // NewWarmState returns an empty (all-cold) warm state.
@@ -42,15 +61,15 @@ func (w *WarmState) Clone() *WarmState {
 	return c
 }
 
-// TakeStats reads and resets the warm/fallback counters accumulated
-// since the last call.
-func (w *WarmState) TakeStats() (started, fallback int) {
+// TakeStats reads and resets the counters accumulated since the last
+// call.
+func (w *WarmState) TakeStats() WarmStats {
 	if w == nil {
-		return 0, 0
+		return WarmStats{}
 	}
-	started, fallback = w.started, w.fallback
-	w.started, w.fallback = 0, 0
-	return started, fallback
+	st := w.stats
+	w.stats = WarmStats{}
+	return st
 }
 
 // mapBasis returns the map-LP basis slot, nil (cold) when w is nil.
@@ -69,18 +88,19 @@ func (w *WarmState) reduceBasis() *lp.WarmStart {
 	return &w.reduce
 }
 
-// observe records one solve's outcome: warmUsed means phase 2 was
-// re-entered from the prior basis; hadBasis distinguishes a genuine
-// fallback (a basis was on hand but unusable) from a first-ever cold
-// solve, which is not a fallback.
-func (w *WarmState) observe(hadBasis, warmUsed bool) {
+// observe records one solve's outcome. A first-ever solve with no
+// basis on hand is not a fallback: lp reports no decline for it.
+func (w *WarmState) observe(sol *lp.Solution) {
 	if w == nil {
 		return
 	}
-	switch {
-	case warmUsed:
-		w.started++
-	case hadBasis:
-		w.fallback++
+	switch sol.Rung {
+	case lp.RungPrior:
+		w.stats.Started++
+	case lp.RungDeclared:
+		w.stats.Declared++
+	}
+	if sol.PriorDeclined != lp.DeclineNone {
+		w.stats.Fallback[sol.PriorDeclined]++
 	}
 }

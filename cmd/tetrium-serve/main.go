@@ -34,7 +34,7 @@
 // cursor vector. -shards 1 (the default) is one plain engine. With
 // -journal each shard journals to <path>.shard<i>:
 //
-//	tetrium-serve -addr :8080 -shards 4 -shard-by hash -journal /var/lib/tetrium/j
+//	tetrium-serve -addr :8080 -shards 4 -journal /var/lib/tetrium/j
 //
 // -supervise (with -shards > 1) turns the router self-healing: each
 // shard is heartbeat-probed; a wedged, panicked, or stopped shard is
@@ -80,7 +80,7 @@ import (
 type flags struct {
 	opts tetrium.EngineOptions
 
-	addr, cluster, scheduler, shardBy string
+	addr, cluster, scheduler string
 
 	seed      int64
 	shards    int
@@ -115,7 +115,6 @@ func registerFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&o.AnalyticsSnapshotPath, "analytics-snap", "", "fleet store snapshot path (empty: no snapshots)")
 
 	fs.IntVar(&f.shards, "shards", 1, "engine shards behind the federation router (1 = single engine)")
-	fs.StringVar(&f.shardBy, "shard-by", "hash", "submission partitioning with -shards > 1: hash|site")
 	fs.BoolVar(&o.Supervise, "supervise", false, "with -shards > 1: self-healing supervisor (heartbeat probes, auto-restart with backoff, flap breaker)")
 
 	fs.BoolVar(&f.smoke, "smoke", false, "serve on an ephemeral port, run the self-checking round trip, and exit")
@@ -147,12 +146,12 @@ func main() {
 	var svc api.Service
 	what := fmt.Sprintf("cluster %s, %d sites, scheduler %s", f.cluster, cl.N(), sched)
 	if f.shards > 1 {
-		fed, err := tetrium.NewFederation(o, f.shards, f.shardBy)
+		fed, err := tetrium.NewFederation(o, f.shards, "hash")
 		if err != nil {
 			die(1, err)
 		}
 		svc = fed
-		what += fmt.Sprintf(", %d shards by %s", f.shards, fed.ShardMapName())
+		what += fmt.Sprintf(", %d shards", f.shards)
 	} else {
 		eng, err := tetrium.NewEngine(o)
 		if err != nil {

@@ -422,7 +422,7 @@ func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"addr", "analytics", "analytics-snap", "check", "cluster", "drain-timeout",
 		"eps", "fault-seed", "fault-spec", "journal", "max-pending", "rho",
-		"scheduler", "seed", "shard-by", "shards", "smoke", "solve-deadline",
+		"scheduler", "seed", "shards", "smoke", "solve-deadline",
 		"speculate", "supervise", "time-scale", "update-k",
 	}
 	fs := flag.NewFlagSet("tetrium-serve", flag.ContinueOnError)

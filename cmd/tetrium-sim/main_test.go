@@ -1,13 +1,104 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"tetrium"
 	"tetrium/internal/trace"
 	"tetrium/internal/workload"
 )
+
+// TestFlagSurface pins the simulator's flag surface: a new knob, a
+// renamed one or one that goes undocumented is a reviewed diff of this
+// list and of README "Command-line tools".
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"check", "cluster", "drop", "eps", "fault-seed", "fault-spec", "jobs", "out",
+		"rho", "scheduler", "seed", "trace", "trace-file", "update-k", "v",
+	}
+	fs := flag.NewFlagSet("tetrium-sim", flag.ContinueOnError)
+	registerFlags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // in lexical order
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flag surface changed:\n got %q\nwant %q", got, want)
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatalf("README: %v", err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n## Command-line tools\n")
+	if !ok {
+		t.Fatal(`README has no "Command-line tools" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, name := range got {
+		if !strings.Contains(section, "`-"+name+"`") {
+			t.Errorf("README \"Command-line tools\" does not document -%s", name)
+		}
+	}
+}
+
+// runSim parses args as the command line would and runs the simulation
+// in-process, returning what it printed.
+func runSim(t *testing.T, args ...string) string {
+	t.Helper()
+	fs := flag.NewFlagSet("tetrium-sim", flag.ContinueOnError)
+	f := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %q: %v", args, err)
+	}
+	var out bytes.Buffer
+	if err := run(f, &out); err != nil {
+		t.Fatalf("run %q: %v", args, err)
+	}
+	return out.String()
+}
+
+// TestRunOut: -out writes the four artifacts, the event stream is
+// byte-identical across two runs with the same seed, and recording
+// changes no result: the summary is the unrecorded run's plus the event
+// count and the LP error.
+func TestRunOut(t *testing.T) {
+	args := []string{"-cluster", "paper", "-trace", "bigdata", "-jobs", "4", "-seed", "3", "-drop", "0:0.5:2"}
+	plain := runSim(t, args...)
+
+	dirs := []string{filepath.Join(t.TempDir(), "a"), filepath.Join(t.TempDir(), "b")}
+	var events [2][]byte
+	for i, dir := range dirs {
+		out := runSim(t, append(args, "-out", dir)...)
+		rest, ok := strings.CutPrefix(out, plain)
+		if !ok {
+			t.Fatalf("recorded run printed\n%s\nwhich does not start with the unrecorded run's\n%s", out, plain)
+		}
+		if lines := strings.Split(strings.TrimSuffix(rest, "\n"), "\n"); len(lines) != 2 ||
+			!strings.HasPrefix(lines[0], "events ") || !strings.HasPrefix(lines[1], "LP |err| ") {
+			t.Errorf("recorded run's extra lines = %q, want the events and LP |err| lines", rest)
+		}
+		for _, name := range []string{"events.jsonl", "perfetto.json", "metrics.txt", "estimates.txt"} {
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil || len(b) == 0 {
+				t.Errorf("%s: %d bytes, %v", name, len(b), err)
+			}
+			if name == "events.jsonl" {
+				events[i] = b
+			}
+		}
+	}
+	if !bytes.Equal(events[0], events[1]) {
+		t.Error("events.jsonl differs between two runs with the same seed")
+	}
+	if !bytes.Contains(events[0], []byte(`"k":"drop"`)) {
+		t.Error(`events.jsonl has no "k":"drop" event for -drop`)
+	}
+}
 
 func TestParseScheduler(t *testing.T) {
 	// The CLI delegates to the facade's shared parser.

@@ -12,11 +12,11 @@ import (
 	"fmt"
 	"os"
 
+	"tetrium"
 	"tetrium/internal/cluster"
 	"tetrium/internal/metrics"
 	"tetrium/internal/trace"
 	"tetrium/internal/units"
-	"tetrium/internal/workload"
 )
 
 func main() {
@@ -59,19 +59,12 @@ func gen(args []string) {
 		os.Exit(2)
 	}
 
-	var cfg workload.GenConfig
-	switch *traceName {
-	case "tpcds":
-		cfg = workload.TPCDS(cl.N(), *jobs, *seed)
-	case "bigdata":
-		cfg = workload.BigData(cl.N(), *jobs, *seed)
-	case "prod":
-		cfg = workload.ProdTrace(cl.N(), *jobs, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "tetrium-trace: unknown trace %q\n", *traceName)
+	kind, err := tetrium.ParseTrace(*traceName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tetrium-trace:", err)
 		os.Exit(2)
 	}
-	jobsList := workload.Generate(cfg)
+	jobsList := tetrium.GenerateTrace(kind, cl, *jobs, *seed)
 	comment := fmt.Sprintf("%s trace, %d jobs, %d sites, seed %d", *traceName, *jobs, cl.N(), *seed)
 	if err := trace.WriteFile(*out, cl, jobsList, comment); err != nil {
 		fmt.Fprintln(os.Stderr, "tetrium-trace:", err)

@@ -311,7 +311,7 @@ func PresetNames() []string {
 }
 
 // Preset builds a deployment preset by CLI name — the single parser
-// shared by tetrium-sim, tetrium-obs, and tetrium-serve. The seed only
+// shared by tetrium-sim, tetrium-trace, and tetrium-serve. The seed only
 // affects the randomized presets (ec2-30, sim-50, osp).
 func Preset(name string, seed int64) (*Cluster, error) {
 	switch name {

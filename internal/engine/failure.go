@@ -30,7 +30,6 @@ import (
 	"tetrium/internal/metrics"
 	"tetrium/internal/obs"
 	"tetrium/internal/place"
-	"tetrium/internal/workload"
 )
 
 // drainRateWindow bounds the completion-time ring used to estimate the
@@ -369,50 +368,17 @@ func (s *state) restore(rs *journal.State) {
 		if lj.IdemKey != "" {
 			s.idemKeys[lj.IdemKey] = lj.ID
 		}
-		s.admitRestored(lj)
+		// Fixed ID, no re-journaling, and exempt from MaxPending: the work
+		// was already accepted in a previous life.
+		s.admit(&jobState{
+			id: lj.ID, name: lj.Spec.Name, tenant: lj.Tenant, spec: lj.Spec,
+			submitted: time.UnixMilli(lj.SubmittedMs),
+			journaled: true, // its admit record is already durable
+		})
 	}
 	s.rec.Registry().Counter("engine.jobs_restored").Add(float64(len(rs.Live)))
 	if len(rs.Live) > 0 {
 		s.scheduleSoon()
-	}
-}
-
-// admitRestored is submit() for a journal-recovered live job: fixed ID,
-// no re-journaling, exempt from MaxPending (the work was already
-// accepted in a previous life).
-func (s *state) admitRestored(lj journal.LiveJob) {
-	js := &jobState{
-		id:        lj.ID,
-		name:      lj.Spec.Name,
-		tenant:    lj.Tenant,
-		spec:      lj.Spec,
-		submitted: time.UnixMilli(lj.SubmittedMs),
-		journaled: true, // its admit record is already durable
-	}
-	total := 0
-	for si, st := range lj.Spec.Stages {
-		sr := &stageRun{idx: si, spec: st, job: js, interBySite: make([]float64, s.n)}
-		if st.Kind == workload.MapStage {
-			sr.phase = stageReady
-			sr.dataSites = s.stageDataSites(sr)
-		}
-		js.stages = append(js.stages, sr)
-		total += len(st.Tasks)
-	}
-	js.remTasks = total
-	js.numStages = len(js.stages)
-	js.orderPos = len(s.order)
-	s.jobs[js.id] = js
-	s.order = append(s.order, js)
-	s.activeCount++
-	s.rec.Registry().Gauge("engine.pending").Set(float64(s.activeCount))
-	t := s.now()
-	s.emit(obs.JobArrival{T: t, Job: js.id, Name: js.name, Tenant: js.tenant, Stages: len(js.stages), Tasks: total})
-	for _, sr := range js.stages {
-		if sr.phase == stageReady {
-			s.noteStageReady(js)
-			s.emit(obs.StageReady{T: t, Job: js.id, Stage: sr.idx, Tasks: len(sr.spec.Tasks)})
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tetrium/internal/dynamics"
-	"tetrium/internal/lp"
 	"tetrium/internal/obs"
 	"tetrium/internal/place"
 	"tetrium/internal/sched"
@@ -444,15 +443,18 @@ func (s *state) submit(spec *workload.Job, idemKey string) (int, bool, error) {
 		s.idemKeys[idemKey] = id
 	}
 	s.nextID++
-	js := &jobState{
-		id:        id,
-		name:      spec.Name,
-		tenant:    tenant,
-		spec:      spec,
-		submitted: time.Now(),
-	}
+	s.admit(&jobState{id: id, name: spec.Name, tenant: tenant, spec: spec, submitted: time.Now()})
+	s.scheduleSoon()
+	return id, false, nil
+}
+
+// admit makes an accepted job live: it builds the job's stages (map
+// stages ready), files the job in the arrival order and the ready index,
+// and emits its arrival and stage-ready events. The caller has set the
+// job's ID, spec, tenant, submitted time and journaled flag.
+func (s *state) admit(js *jobState) {
 	total := 0
-	for si, st := range spec.Stages {
+	for si, st := range js.spec.Stages {
 		sr := &stageRun{idx: si, spec: st, job: js, interBySite: make([]float64, s.n)}
 		if st.Kind == workload.MapStage {
 			sr.phase = stageReady
@@ -463,21 +465,19 @@ func (s *state) submit(spec *workload.Job, idemKey string) (int, bool, error) {
 	}
 	js.remTasks = total
 	js.numStages = len(js.stages)
-	s.jobs[id] = js
+	s.jobs[js.id] = js
 	js.orderPos = len(s.order)
 	s.order = append(s.order, js)
 	s.activeCount++
 	s.rec.Registry().Gauge("engine.pending").Set(float64(s.activeCount))
 	t := s.now()
-	s.emit(obs.JobArrival{T: t, Job: id, Name: js.name, Tenant: js.tenant, Stages: len(js.stages), Tasks: total})
+	s.emit(obs.JobArrival{T: t, Job: js.id, Name: js.name, Tenant: js.tenant, Stages: len(js.stages), Tasks: total})
 	for _, sr := range js.stages {
 		if sr.phase == stageReady {
 			s.noteStageReady(js)
-			s.emit(obs.StageReady{T: t, Job: id, Stage: sr.idx, Tasks: len(sr.spec.Tasks)})
+			s.emit(obs.StageReady{T: t, Job: js.id, Stage: sr.idx, Tasks: len(sr.spec.Tasks)})
 		}
 	}
-	s.scheduleSoon()
-	return id, false, nil
 }
 
 // Scheduling instance (admit → order → place → dispatch) -------------------
@@ -1019,19 +1019,10 @@ func (s *state) commit(it *solveItem) {
 	}
 }
 
-// warmFallbackCounter names the counter of each reason a prior basis was
-// declined; they add up to engine.solves_warm_fallback.
-var warmFallbackCounter = [...]string{
-	lp.DeclineMismatch:   "engine.solves_warm_fallback_mismatch",
-	lp.DeclineSingular:   "engine.solves_warm_fallback_singular",
-	lp.DeclineInfeasible: "engine.solves_warm_fallback_infeasible",
-	lp.DeclinePhase2:     "engine.solves_warm_fallback_phase2",
-}
-
 // noteWarmStats counts where a solve's LPs entered phase 2, whether or
 // not its result goes on to pass commit's guards: from a prior basis,
-// from the LP's declared start, and for the LPs that had a basis and
-// did not use it, why not. Loop-only.
+// from the LP's declared start, or, having had a basis, without it.
+// Loop-only.
 func (s *state) noteWarmStats(it *solveItem) {
 	reg := s.rec.Registry()
 	add := func(name string, n int) {
@@ -1041,10 +1032,7 @@ func (s *state) noteWarmStats(it *solveItem) {
 	}
 	add("engine.solves_warm_started", it.starts.Started)
 	add("engine.solves_declared_start", it.starts.Declared)
-	add("engine.solves_warm_fallback", it.starts.Fallbacks())
-	for d, n := range it.starts.Fallback {
-		add(warmFallbackCounter[d], n)
-	}
+	add("engine.solves_warm_fallback", it.starts.Fallback)
 }
 
 // capacityProportional spreads count tasks over sites proportionally to

@@ -126,7 +126,6 @@ type ShardStatus struct {
 // FederationStatus is the GET /v1/federation response.
 type FederationStatus struct {
 	Shards       int           `json:"shards"`
-	ShardMap     string        `json:"shard_map"`
 	Journal      bool          `json:"journaled"`
 	Supervised   bool          `json:"supervised"`
 	AutoRestarts int64         `json:"auto_restarts,omitempty"`
@@ -136,7 +135,6 @@ type FederationStatus struct {
 func federationStatus(f *Federation) FederationStatus {
 	out := FederationStatus{
 		Shards:     f.NumShards(),
-		ShardMap:   f.ShardMapName(),
 		Journal:    f.cfg.JournalPath != "",
 		Supervised: f.sv != nil,
 	}

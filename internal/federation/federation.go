@@ -5,11 +5,10 @@
 // file — owning a 1/N capacity slice of the fleet cluster
 // (SliceCluster). The router:
 //
-//   - admits and load-balances submissions across shards via a
-//     pluggable ShardMap (hash- or site-partitioned), spilling from a
-//     full shard to the next one and rejecting only when every shard
-//     is full (the 429 then carries the max of the shard Retry-After
-//     hints);
+//   - admits and load-balances submissions across shards by a hash of
+//     the job name and submission sequence, spilling from a full shard
+//     to the next one and rejecting only when every shard is full (the
+//     429 then carries the max of the shard Retry-After hints);
 //   - fans out §4.2 cluster updates to every shard's capacity slice;
 //   - aggregates job listings, the live cluster view, metrics
 //     (counters and gauges summed, histograms merged sample-exact),
@@ -76,9 +75,6 @@ type Config struct {
 	// Cluster is the fleet cluster; each shard owns a SliceCluster of
 	// it. Required.
 	Cluster *cluster.Cluster
-	// ShardMap routes submissions to preferred shards; nil means
-	// HashShards.
-	ShardMap ShardMap
 	// Member returns the engine configuration template for one shard:
 	// placer, policy, and knobs. The federation overrides Cluster (the
 	// shard's capacity slice) and Journal/Restore (the shard's own
@@ -106,11 +102,10 @@ type Config struct {
 // Federation is a router over N engine shards. All methods are safe
 // for concurrent use.
 type Federation struct {
-	cfg  Config
-	n    int
-	smap ShardMap
+	cfg Config
+	n   int
 
-	seq         atomic.Uint64 // submission sequence (ShardMap hash input)
+	seq         atomic.Uint64 // submission sequence (route's hash input)
 	submitted   atomic.Int64  // accepted submissions
 	spilled     atomic.Int64  // accepted by a non-preferred shard
 	rejected    atomic.Int64  // rejected by every shard
@@ -169,10 +164,7 @@ func New(cfg Config) (*Federation, error) {
 		return nil, fmt.Errorf("federation: cluster has %d slots for %d shards; every shard needs at least one",
 			cfg.Cluster.TotalSlots(), cfg.Shards)
 	}
-	f := &Federation{cfg: cfg, n: cfg.Shards, smap: cfg.ShardMap, idem: make(map[string]*idemEntry)}
-	if f.smap == nil {
-		f.smap = HashShards{N: cfg.Shards}
-	}
+	f := &Federation{cfg: cfg, n: cfg.Shards, idem: make(map[string]*idemEntry)}
 	f.shards = make([]*engine.Engine, cfg.Shards)
 	f.restartLocks = make([]sync.Mutex, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
@@ -228,9 +220,6 @@ func (f *Federation) ShardJournalPath(i int) string {
 // NumShards returns the shard count.
 func (f *Federation) NumShards() int { return f.n }
 
-// ShardMapName returns the active partitioning scheme's name.
-func (f *Federation) ShardMapName() string { return f.smap.Name() }
-
 // Shard returns shard i's current engine (tests and diagnostics; the
 // pointer changes across RestartShard).
 func (f *Federation) Shard(i int) *engine.Engine {
@@ -276,10 +265,7 @@ func (f *Federation) Submit(job *workload.Job) (engine.JobStatus, error) {
 // restart).
 func (f *Federation) routeSubmit(job *workload.Job, idemKey string) (engine.JobStatus, bool, error) {
 	seq := f.seq.Add(1)
-	pref := f.smap.Route(job, seq)
-	if pref < 0 || pref >= f.n {
-		pref = int(seq % uint64(f.n))
-	}
+	pref := route(job.Name, seq, f.n)
 	shards := f.engines()
 	var full, unavailable int
 	var lastErr error

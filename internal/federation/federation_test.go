@@ -126,23 +126,10 @@ func TestIDRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseShardMap(t *testing.T) {
-	if m, err := ParseShardMap("", 4); err != nil || m.Name() != "hash" {
-		t.Errorf("ParseShardMap(\"\") = %v, %v, want hash", m, err)
-	}
-	if m, err := ParseShardMap("site", 4); err != nil || m.Name() != "site" {
-		t.Errorf("ParseShardMap(site) = %v, %v, want site", m, err)
-	}
-	if _, err := ParseShardMap("zone", 4); err == nil {
-		t.Error("ParseShardMap(zone) accepted")
-	}
-}
-
 func TestHashShardsSpread(t *testing.T) {
-	m := HashShards{N: 4}
 	counts := make([]int, 4)
 	for i := 0; i < 400; i++ {
-		s := m.Route(benchJob(i, 1), uint64(i))
+		s := route(benchJob(i, 1).Name, uint64(i), 4)
 		if s < 0 || s >= 4 {
 			t.Fatalf("route %d out of range", s)
 		}
@@ -155,22 +142,41 @@ func TestHashShardsSpread(t *testing.T) {
 	}
 }
 
-func TestSiteShardsRoutesByDataGravity(t *testing.T) {
-	m := SiteShards{N: 2}
-	job := &workload.Job{Stages: []*workload.Stage{{
-		Kind: workload.MapStage,
-		Tasks: []workload.TaskSpec{
-			{Src: 3, Input: 100e6},
-			{Src: 2, Input: 1e6},
-		},
-	}}}
-	if got := m.Route(job, 0); got != 3%2 {
-		t.Errorf("Route = %d, want %d (site 3 holds the plurality)", got, 3%2)
-	}
-	// No map input: falls back to the sequence.
-	empty := &workload.Job{Stages: []*workload.Stage{{Kind: workload.ReduceStage}}}
-	if got := m.Route(empty, 5); got != 5%2 {
-		t.Errorf("Route(empty, 5) = %d, want %d", got, 5%2)
+// TestRouteGolden pins route's output, so a change to the hash cannot
+// silently send the same submissions to different shards. The table
+// predates route; it is not to be regenerated from it.
+func TestRouteGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seq  uint64
+		want [3]int // n = 2, 3, 4
+	}{
+		{"", 1, [3]int{0, 1, 2}},
+		{"", 2, [3]int{0, 2, 2}},
+		{"", 255, [3]int{1, 1, 3}},
+		{"", 4294967296, [3]int{1, 0, 3}},
+		{"", 18446744073709551615, [3]int{0, 1, 2}},
+		{"job-0", 1, [3]int{0, 1, 0}},
+		{"job-0", 2, [3]int{0, 2, 0}},
+		{"job-0", 255, [3]int{1, 0, 3}},
+		{"job-0", 4294967296, [3]int{1, 2, 3}},
+		{"job-0", 18446744073709551615, [3]int{1, 1, 3}},
+		{"bigdata-17", 1, [3]int{0, 0, 2}},
+		{"bigdata-17", 2, [3]int{1, 0, 3}},
+		{"bigdata-17", 255, [3]int{1, 0, 1}},
+		{"bigdata-17", 4294967296, [3]int{0, 1, 0}},
+		{"bigdata-17", 18446744073709551615, [3]int{0, 1, 2}},
+		{"jöb", 1, [3]int{0, 2, 0}},
+		{"jöb", 2, [3]int{0, 1, 2}},
+		{"jöb", 255, [3]int{0, 1, 0}},
+		{"jöb", 4294967296, [3]int{1, 0, 3}},
+		{"jöb", 18446744073709551615, [3]int{1, 1, 1}},
+	} {
+		for i, n := range []int{2, 3, 4} {
+			if got := route(tc.name, tc.seq, n); got != tc.want[i] {
+				t.Errorf("route(%q, %d, %d) = %d, want %d", tc.name, tc.seq, n, got, tc.want[i])
+			}
+		}
 	}
 }
 

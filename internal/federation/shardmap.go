@@ -1,49 +1,27 @@
 package federation
 
-import (
-	"fmt"
-
-	"tetrium/internal/cluster"
-	"tetrium/internal/workload"
-)
-
-// ShardMap decides which shard should serve a submission. The router
-// treats the answer as a preference, not an obligation: a full shard
-// spills the job to the least-loaded alternative, and only when every
-// shard rejects does the submission fail (per-shard backpressure, §4.4
-// admission at fleet scale).
-type ShardMap interface {
-	// Route returns the preferred shard in [0, shards) for a job. seq is
-	// the router's monotonically increasing submission sequence, usable
-	// as a hash input so identical specs still spread.
-	Route(job *workload.Job, seq uint64) int
-	// Name identifies the partitioning scheme in logs and /v1/federation.
-	Name() string
-}
+import "tetrium/internal/cluster"
 
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// HashShards hash-partitions jobs across shards: FNV-1a over the job
-// name mixed with the submission sequence, modulo the shard count. With
-// distinct names the partition is sticky per name; identical or empty
-// names still spread via the sequence.
-type HashShards struct {
-	// N is the shard count; Route panics on N < 1 (construction bug).
-	N int
-}
-
-// Route implements ShardMap.
-func (m HashShards) Route(job *workload.Job, seq uint64) int {
+// route is the preferred shard in [0, n) for a job named name, the
+// router's seq-th submission: FNV-1a over the name mixed with the
+// sequence, modulo the shard count. With distinct names the partition
+// is sticky per name; identical or empty names still spread via the
+// sequence. The router treats the answer as a preference, not an
+// obligation: a full shard spills the job onward, and only when every
+// shard rejects does the submission fail.
+func route(name string, seq uint64, n int) int {
 	h := uint64(fnvOffset64)
 	mix := func(b byte) {
 		h ^= uint64(b)
 		h *= fnvPrime64
 	}
-	for i := 0; i < len(job.Name); i++ {
-		mix(job.Name[i])
+	for i := 0; i < len(name); i++ {
+		mix(name[i])
 	}
 	for i := 0; i < 8; i++ {
 		mix(byte(seq >> (8 * i)))
@@ -57,57 +35,7 @@ func (m HashShards) Route(job *workload.Job, seq uint64) int {
 	h ^= h >> 33
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
-	return int(h % uint64(m.N))
-}
-
-// Name implements ShardMap.
-func (m HashShards) Name() string { return "hash" }
-
-// SiteShards partitions geographically: a job routes to the shard that
-// owns the site holding the plurality of its map-stage input bytes
-// (sites are owned round-robin, site x → shard x mod N). Jobs whose
-// data gravity sits in one region land on the shard responsible for
-// that region, so §4.2 updates affecting a region concentrate on few
-// shards. Jobs with no map input fall back to the sequence.
-type SiteShards struct {
-	// N is the shard count; Route panics on N < 1 (construction bug).
-	N int
-}
-
-// Route implements ShardMap.
-func (m SiteShards) Route(job *workload.Job, seq uint64) int {
-	bestSite, bestBytes := -1, 0.0
-	bySite := map[int]float64{}
-	for _, st := range job.Stages {
-		if st.Kind != workload.MapStage {
-			continue
-		}
-		for _, t := range st.Tasks {
-			bySite[t.Src] += t.Input
-			if bySite[t.Src] > bestBytes || (bySite[t.Src] == bestBytes && (bestSite < 0 || t.Src < bestSite)) {
-				bestSite, bestBytes = t.Src, bySite[t.Src]
-			}
-		}
-	}
-	if bestSite < 0 {
-		return int(seq % uint64(m.N))
-	}
-	return bestSite % m.N
-}
-
-// Name implements ShardMap.
-func (m SiteShards) Name() string { return "site" }
-
-// ParseShardMap resolves a CLI -shard-by value.
-func ParseShardMap(name string, shards int) (ShardMap, error) {
-	switch name {
-	case "", "hash":
-		return HashShards{N: shards}, nil
-	case "site":
-		return SiteShards{N: shards}, nil
-	default:
-		return nil, fmt.Errorf("federation: unknown shard map %q (want \"hash\" or \"site\")", name)
-	}
+	return int(h % uint64(n))
 }
 
 // SliceCluster carves shard i's shared-nothing capacity slice out of

@@ -202,7 +202,7 @@ func BenchmarkPlaceMapRecurring(b *testing.B) {
 				}
 				st := w.TakeStats()
 				b.ReportMetric(float64(st.Started)/float64(b.N), "warm/op")
-				b.ReportMetric(float64(st.Fallbacks())/float64(b.N), "fallback/op")
+				b.ReportMetric(float64(st.Fallback)/float64(b.N), "fallback/op")
 			})
 		}
 	}

@@ -27,23 +27,12 @@ type WarmState struct {
 }
 
 // WarmStats counts where the LPs solved through a WarmState started
-// phase 2 (lp.Rung), and why those that had a prior basis on hand did
-// not start from it.
+// phase 2 (lp.Rung), and how many of those that had a prior basis on
+// hand did not start from it.
 type WarmStats struct {
 	Started  int // re-entered phase 2 from a prior basis
 	Declared int // entered at the LP's declared start, with or without a prior basis
-	// Fallback[d] counts solves whose prior basis was declined for
-	// lp.Decline d; they ran from the declared start or phase 1.
-	Fallback [lp.DeclinePhase2 + 1]int
-}
-
-// Fallbacks is the number of solves that had a basis and went without.
-func (s WarmStats) Fallbacks() int {
-	n := 0
-	for _, c := range s.Fallback {
-		n += c
-	}
-	return n
+	Fallback int // had a prior basis, declined; ran from the declared start or phase 1
 }
 
 // NewWarmState returns an empty (all-cold) warm state.
@@ -101,6 +90,6 @@ func (w *WarmState) observe(sol *lp.Solution) {
 		w.stats.Declared++
 	}
 	if sol.PriorDeclined != lp.DeclineNone {
-		w.stats.Fallback[sol.PriorDeclined]++
+		w.stats.Fallback++
 	}
 }

@@ -28,6 +28,23 @@ func TestParseSchedulerErrors(t *testing.T) {
 	}
 }
 
+func TestParseTrace(t *testing.T) {
+	for name, want := range map[string]TraceKind{
+		"tpcds":   TraceTPCDS,
+		"bigdata": TraceBigData,
+		"prod":    TraceProduction,
+	} {
+		if got, err := ParseTrace(name); err != nil || got != want {
+			t.Errorf("ParseTrace(%q) = %v, %v, want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "TPCDS", "production", "bogus"} {
+		if _, err := ParseTrace(bad); err == nil {
+			t.Errorf("ParseTrace(%q) accepted", bad)
+		}
+	}
+}
+
 func TestSchedulerNames(t *testing.T) {
 	names := SchedulerNames()
 	if len(names) != len(Schedulers()) {

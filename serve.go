@@ -2,6 +2,7 @@ package tetrium
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -193,11 +194,11 @@ type Federation = federation.Federation
 
 // NewFederation starts a sharded scheduling service: `shards` engine
 // shards configured from the same EngineOptions that NewEngine takes.
-// shardBy picks the submission partitioning: "hash" (default) spreads
-// jobs by name hash, "site" routes each job to the shard owning its
-// dominant input site. Each shard builds its own placer and solve
-// pool; JournalPath becomes a per-shard prefix (<path>.shard<i>);
-// FaultSpec is injected into every shard with seed FaultSeed+shard.
+// Submissions are spread by a hash of the job name and the submission
+// sequence; shardBy names that partitioning and must be "hash" or "".
+// Each shard builds its own placer and solve pool; JournalPath becomes
+// a per-shard prefix (<path>.shard<i>); FaultSpec is injected into
+// every shard with seed FaultSeed+shard.
 // The fleet-analytics store is not yet supported behind the router —
 // set Analytics on a single engine instead.
 //
@@ -214,14 +215,12 @@ func NewFederation(o EngineOptions, shards int, shardBy string) (*Federation, er
 	if o.Cluster == nil {
 		return nil, errors.New("tetrium: Cluster is required")
 	}
-	smap, err := federation.ParseShardMap(shardBy, shards)
-	if err != nil {
-		return nil, err
+	if shardBy != "" && shardBy != "hash" {
+		return nil, fmt.Errorf("tetrium: unknown shard partitioning %q (want \"hash\")", shardBy)
 	}
 	fcfg := federation.Config{
-		Shards:   shards,
-		Cluster:  o.Cluster,
-		ShardMap: smap,
+		Shards:  shards,
+		Cluster: o.Cluster,
 		Member: func(shard int) (engine.Config, error) {
 			return o.engineConfig(o.FaultSeed + int64(shard))
 		},

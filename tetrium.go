@@ -207,6 +207,20 @@ const (
 	TraceProduction
 )
 
+// ParseTrace maps a command-line trace-family name ("tpcds", "bigdata",
+// "prod") to its TraceKind.
+func ParseTrace(name string) (TraceKind, error) {
+	switch name {
+	case "tpcds":
+		return TraceTPCDS, nil
+	case "bigdata":
+		return TraceBigData, nil
+	case "prod":
+		return TraceProduction, nil
+	}
+	return 0, fmt.Errorf("tetrium: unknown trace %q (want one of [tpcds bigdata prod])", name)
+}
+
 // GenerateTrace produces a deterministic synthetic trace of n jobs whose
 // input partitions live on the given cluster's sites.
 func GenerateTrace(kind TraceKind, c *Cluster, n int, seed int64) []*Job {

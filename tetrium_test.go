@@ -203,3 +203,22 @@ func TestSimulateChecked(t *testing.T) {
 		}
 	}
 }
+
+// TestNewFederationShardBy: the hash route is the only partitioning, so
+// shardBy accepts "" and "hash" and refuses any other name before a
+// shard starts.
+func TestNewFederationShardBy(t *testing.T) {
+	o := EngineOptions{Cluster: smallCluster(), Scheduler: SchedulerTetrium}
+	for _, by := range []string{"", "hash"} {
+		f, err := NewFederation(o, 2, by)
+		if err != nil {
+			t.Fatalf("NewFederation(shardBy %q): %v", by, err)
+		}
+		f.Close()
+	}
+	for _, by := range []string{"site", "HASH"} {
+		if _, err := NewFederation(o, 2, by); err == nil {
+			t.Errorf("NewFederation(shardBy %q) accepted", by)
+		}
+	}
+}

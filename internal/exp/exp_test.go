@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -103,18 +104,26 @@ func TestFig56Shapes(t *testing.T) {
 	}
 }
 
+// TestFig7Monotone checks that decision time grows with the number of
+// jobs. The quick table's rows take one to a few milliseconds, and a
+// loaded host can preempt a row for longer than that; preemption only
+// ever adds time, so the fastest first and last rows of five tables are
+// compared.
 func TestFig7Monotone(t *testing.T) {
-	tab, err := Fig7(quick)
-	if err != nil {
-		t.Fatal(err)
+	first, last := math.Inf(1), math.Inf(1)
+	for i := 0; i < 5; i++ {
+		tab, err := Fig7(quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tab.Rows) < 2 {
+			t.Fatal("too few rows")
+		}
+		first = math.Min(first, parseF(t, tab.Rows[0][1]))
+		last = math.Min(last, parseF(t, tab.Rows[len(tab.Rows)-1][1]))
 	}
-	if len(tab.Rows) < 2 {
-		t.Fatal("too few rows")
-	}
-	first := parseF(t, tab.Rows[0][1])
-	last := parseF(t, tab.Rows[len(tab.Rows)-1][1])
 	if last < first {
-		t.Errorf("decision time not growing with jobs: %v -> %v", first, last)
+		t.Errorf("decision time not growing with jobs: %v -> %v ms (fastest of five tables)", first, last)
 	}
 }
 

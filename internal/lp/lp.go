@@ -15,6 +15,17 @@
 // when it detects stalling, which guarantees termination on degenerate
 // problems.
 //
+// The tableau is dense, but its one pivot kernel does work in
+// proportion to the non-zeros it touches (simplex.go). Scaling the pivot
+// row gathers its non-zero columns; when they are fewer than half, every
+// other row is updated over those columns alone, and otherwise by an
+// unrolled dense loop, which the reduced-cost pass shares. A skipped
+// column holds ±0 in the pivot row, where the dense update could change
+// nothing but the sign of a zero, and no test the solver makes tells −0
+// from +0: both updates choose the same pivots and return the same bits
+// (TestPivotMatchesDenseReference). This is the dense algorithm run
+// faster, not a sparse or revised simplex.
+//
 // Phase 2 needs a feasible vertex to start from, and a solve takes the
 // first it can get from a three-rung ladder (warm.go): a prior solve's
 // basis (SolveWarm), else the vertex the caller declared while building

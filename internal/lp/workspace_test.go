@@ -88,7 +88,8 @@ func TestWorkspaceReuseDifferential(t *testing.T) {
 // TestSolveAllocsSteadyState guards the steady-state allocation budget:
 // once the workspace buffers have grown to fit, a solve allocates only
 // the Solution and its X/Dual slices — entering at a declared start
-// (whose basis is workspace scratch) included.
+// (whose basis is workspace scratch) included, and a 50-site map LP
+// whose sparse pivots gather into workspace-owned index scratch.
 func TestSolveAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -96,6 +97,7 @@ func TestSolveAllocsSteadyState(t *testing.T) {
 	for name, p := range map[string]*Problem{
 		"phase 1":        benchProblem(12, 5),
 		"declared start": spreadProblem(spreadA, spreadCap, allAt(2)),
+		"50-site map LP": mapProblem(50, 10, 1),
 	} {
 		ws := NewWorkspace()
 		if _, err := p.SolveInto(ws); err != nil { // warm up buffers

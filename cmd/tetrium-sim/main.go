@@ -22,13 +22,16 @@
 //	-v         per-job output
 //
 // With -out the run is recorded, the summary gains the event count and
-// the LP estimation error, and four artifacts are written to the
+// the LP estimation error, and five artifacts are written to the
 // directory:
 //
 //	events.jsonl    one JSON object per event, deterministic per seed
 //	perfetto.json   load at https://ui.perfetto.dev
 //	metrics.txt     the metrics-registry dump
 //	estimates.txt   per-stage and per-job LP estimation error (Fig. 12)
+//	trace.json      the cluster and jobs the run used, as a trace file;
+//	                -trace-file with the run's other flags replays it
+//	                and prints the same summary
 package main
 
 import (
@@ -101,7 +104,7 @@ func registerFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&f.faultSpec, "fault-spec", "", "fault injection spec, e.g. \"crash@10s:site=1,dur=30s;straggle:p=0.05,x=4\"")
 	fs.Int64Var(&f.faultSeed, "fault-seed", 1, "fault injector seed (straggler lottery)")
 	fs.BoolVar(&f.check, "check", false, "verify LP certificates and simulator invariants throughout the run")
-	fs.StringVar(&f.out, "out", "", "record the run and write events.jsonl, perfetto.json, metrics.txt and estimates.txt to this directory")
+	fs.StringVar(&f.out, "out", "", "record the run and write events.jsonl, perfetto.json, metrics.txt, estimates.txt and trace.json to this directory")
 	fs.Var(&f.drops, "drop", "site:frac:time capacity drop (repeatable)")
 	return f
 }
@@ -151,12 +154,19 @@ func run(f *flags, w io.Writer) error {
 	}
 
 	if f.verbose {
-		fmt.Fprintf(w, "%-10s %10s %10s %12s %10s\n", "job", "arrival", "response", "completion", "WAN (GB)")
+		byID := make(map[int]*tetrium.Job, len(jobList))
+		for _, j := range jobList {
+			byID[j.ID] = j
+		}
+		fmt.Fprintf(w, "%-10s %10s %10s %12s %10s %7s %7s %11s\n",
+			"job", "arrival", "response", "completion", "WAN (GB)", "stages", "tasks", "input (GB)")
 		jobsSorted := append([]tetrium.JobResult(nil), res.Jobs...)
 		sort.Slice(jobsSorted, func(a, b int) bool { return jobsSorted[a].ID < jobsSorted[b].ID })
 		for _, j := range jobsSorted {
-			fmt.Fprintf(w, "%-10s %10.1f %10.1f %12.1f %10.2f\n",
-				j.Name, j.Arrival, j.Response, j.Completion, j.WANBytes/units.GB)
+			spec := byID[j.ID]
+			fmt.Fprintf(w, "%-10s %10.1f %10.1f %12.1f %10.2f %7d %7d %11.2f\n",
+				j.Name, j.Arrival, j.Response, j.Completion, j.WANBytes/units.GB,
+				spec.NumStages(), spec.TotalTasks(), spec.TotalInput()/units.GB)
 		}
 		fmt.Fprintln(w)
 	}
@@ -174,7 +184,11 @@ func run(f *flags, w io.Writer) error {
 	}
 
 	rep := rec.EstimateReport()
-	if err := writeArtifacts(f.out, rec, rep); err != nil {
+	comment := fmt.Sprintf("%s trace, %d jobs, %d sites, seed %d", f.trace, len(jobList), cl.N(), f.seed)
+	if f.traceFile != "" {
+		comment = "replay of " + f.traceFile
+	}
+	if err := writeArtifacts(f.out, rec, rep, func(w io.Writer) error { return trace.Encode(w, cl, jobList, comment) }); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "events           %d\n", len(rec.Events()))
@@ -182,8 +196,9 @@ func run(f *flags, w io.Writer) error {
 	return nil
 }
 
-// writeArtifacts writes the recorded run's four artifacts to dir.
-func writeArtifacts(dir string, rec *tetrium.Recorder, rep *tetrium.EstimateReport) error {
+// writeArtifacts writes the recorded run's five artifacts to dir;
+// writeTrace renders trace.json.
+func writeArtifacts(dir string, rec *tetrium.Recorder, rep *tetrium.EstimateReport, writeTrace func(io.Writer) error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -195,6 +210,7 @@ func writeArtifacts(dir string, rec *tetrium.Recorder, rep *tetrium.EstimateRepo
 		{"perfetto.json", func(w io.Writer) error { return tetrium.WritePerfettoTrace(w, rec.Events()) }},
 		{"metrics.txt", func(w io.Writer) error { _, err := rec.Registry().WriteText(w); return err }},
 		{"estimates.txt", func(w io.Writer) error { _, err := rep.WriteText(w); return err }},
+		{"trace.json", writeTrace},
 	} {
 		path := filepath.Join(dir, a.name)
 		out, err := os.Create(path)

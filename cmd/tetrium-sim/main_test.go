@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -62,7 +63,7 @@ func runSim(t *testing.T, args ...string) string {
 	return out.String()
 }
 
-// TestRunOut: -out writes the four artifacts, the event stream is
+// TestRunOut: -out writes the five artifacts, the event stream is
 // byte-identical across two runs with the same seed, and recording
 // changes no result: the summary is the unrecorded run's plus the event
 // count and the LP error.
@@ -82,7 +83,7 @@ func TestRunOut(t *testing.T) {
 			!strings.HasPrefix(lines[0], "events ") || !strings.HasPrefix(lines[1], "LP |err| ") {
 			t.Errorf("recorded run's extra lines = %q, want the events and LP |err| lines", rest)
 		}
-		for _, name := range []string{"events.jsonl", "perfetto.json", "metrics.txt", "estimates.txt"} {
+		for _, name := range []string{"events.jsonl", "perfetto.json", "metrics.txt", "estimates.txt", "trace.json"} {
 			b, err := os.ReadFile(filepath.Join(dir, name))
 			if err != nil || len(b) == 0 {
 				t.Errorf("%s: %d bytes, %v", name, len(b), err)
@@ -97,6 +98,40 @@ func TestRunOut(t *testing.T) {
 	}
 	if !bytes.Contains(events[0], []byte(`"k":"drop"`)) {
 		t.Error(`events.jsonl has no "k":"drop" event for -drop`)
+	}
+}
+
+// TestRunOutReplays: the trace.json a recorded run writes is the run's
+// exact cluster and jobs — replaying it with -trace-file and the same
+// -seed prints a byte-identical summary, per-job table included.
+func TestRunOutReplays(t *testing.T) {
+	dir := t.TempDir()
+	plain := runSim(t, "-cluster", "paper", "-trace", "bigdata", "-jobs", "4", "-seed", "3", "-v")
+	runSim(t, "-cluster", "paper", "-trace", "bigdata", "-jobs", "4", "-seed", "3", "-out", dir)
+	if replay := runSim(t, "-trace-file", filepath.Join(dir, "trace.json"), "-seed", "3", "-v"); replay != plain {
+		t.Errorf("replay of trace.json printed\n%s\nthe recorded run\n%s", replay, plain)
+	}
+}
+
+// TestReplicaBeyondCluster: a trace whose replica names a site the
+// cluster does not have fails the run instead of reading out of range.
+func TestReplicaBeyondCluster(t *testing.T) {
+	c, jobs, err := loadWorkload("paper", "bigdata", "", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs[0].Stages[0].Tasks[0].Replicas = []int{c.N()}
+	path := filepath.Join(t.TempDir(), "t.json")
+	if err := trace.WriteFile(path, c, jobs, "replica beyond the cluster"); err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("tetrium-sim", flag.ContinueOnError)
+	f := registerFlags(fs)
+	if err := fs.Parse([]string{"-trace-file", path}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(f, io.Discard); err == nil || !strings.Contains(err.Error(), "beyond cluster") {
+		t.Errorf("run on a replica beyond the cluster: %v, want a beyond-cluster error", err)
 	}
 }
 

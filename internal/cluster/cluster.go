@@ -20,10 +20,10 @@ type SiteID int
 
 // Site is one geo-distributed location: a datacenter or edge cluster.
 type Site struct {
-	Name   string
-	Slots  int     // compute slots (equal-sized CPU+memory bundles, §7)
-	UpBW   float64 // uplink bandwidth to the core, bytes/sec
-	DownBW float64 // downlink bandwidth from the core, bytes/sec
+	Name   string  `json:"name"`
+	Slots  int     `json:"slots"`   // compute slots (equal-sized CPU+memory bundles, §7)
+	UpBW   float64 `json:"up_bw"`   // uplink bandwidth to the core, bytes/sec
+	DownBW float64 `json:"down_bw"` // downlink bandwidth from the core, bytes/sec
 }
 
 func (s Site) String() string {
@@ -311,8 +311,8 @@ func PresetNames() []string {
 }
 
 // Preset builds a deployment preset by CLI name — the single parser
-// shared by tetrium-sim, tetrium-trace, and tetrium-serve. The seed only
-// affects the randomized presets (ec2-30, sim-50, osp).
+// shared by tetrium-sim and tetrium-serve. The seed only affects the
+// randomized presets (ec2-30, sim-50, osp).
 func Preset(name string, seed int64) (*Cluster, error) {
 	switch name {
 	case "ec2-8":

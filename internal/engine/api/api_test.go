@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -124,17 +125,27 @@ func TestSubmitAndGet(t *testing.T) {
 }
 
 func TestSubmitErrors(t *testing.T) {
-	srv, _ := testServer(t, nil)
-	for name, body := range map[string]string{
-		"bad json":   "{not json",
-		"no stages":  `{"name":"x","stages":[]}`,
-		"bad kind":   `{"name":"x","stages":[{"kind":"mystery","tasks":[{"src":0,"input":1,"compute":1}]}]}`,
-		"bad source": `{"name":"x","stages":[{"kind":"map","tasks":[{"src":77,"input":1,"compute":1}]}]}`,
+	srv, e := testServer(t, nil)
+	for name, tc := range map[string]struct{ body, names string }{
+		"bad json":    {"{not json", ""},
+		"no stages":   {`{"name":"x","stages":[]}`, ""},
+		"bad kind":    {`{"name":"x","stages":[{"kind":"mystery","tasks":[{"src":0,"input":1,"compute":1}]}]}`, "mystery"},
+		"bad source":  {`{"name":"x","stages":[{"kind":"map","tasks":[{"src":77,"input":1,"compute":1}]}]}`, "site 77"},
+		"bad replica": {`{"name":"x","stages":[{"kind":"map","tasks":[{"src":0,"replicas":[1,3],"input":1,"compute":1}]}]}`, "replica site 3"},
 	} {
-		resp, _ := postJob(t, srv, []byte(body))
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST /v1/jobs: %v", err)
 		}
+		var eb errorBody
+		json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, tc.names) {
+			t.Errorf("%s: status %d error %q, want 400 naming %q", name, resp.StatusCode, eb.Error, tc.names)
+		}
+	}
+	if jobs, err := e.Jobs(); err != nil || len(jobs) != 0 {
+		t.Errorf("refused submits left jobs behind: %v, %v", jobs, err)
 	}
 
 	resp, err := http.Get(srv.URL + "/v1/jobs/999")
@@ -274,12 +285,12 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 func TestWireEstComputeDefault(t *testing.T) {
-	spec := &JobSpec{Name: "hand-written", Stages: []StageSpec{
-		{Kind: "map", Tasks: []TaskSpec{
+	spec := &JobSpec{Name: "hand-written", Stages: []workload.Stage{
+		{Kind: workload.MapStage, Tasks: []workload.TaskSpec{
 			{Src: 0, Input: 1e9, Compute: 4},
 			{Src: 1, Input: 1e9, Compute: 8},
 		}},
-		{Kind: "reduce", Deps: []int{0}, EstCompute: 2, Tasks: []TaskSpec{{Compute: 6}}},
+		{Kind: workload.ReduceStage, Deps: []int{0}, EstCompute: 2, Tasks: []workload.TaskSpec{{Compute: 6}}},
 	}}
 	job, err := spec.ToWorkload()
 	if err != nil {
@@ -503,5 +514,51 @@ func TestIdempotencyKeySurvivesRestart(t *testing.T) {
 	wantReplay("replay after restart", after, st3, st1)
 	if fresh, st4 := post(srv2, "key-2"); fresh.StatusCode != http.StatusAccepted || st4.ID == st1.ID {
 		t.Errorf("fresh key after restart: status %d id %d, want 202 and a new id", fresh.StatusCode, st4.ID)
+	}
+}
+
+// TestReplicasSurviveRestart: a replicated job posted to a journaled
+// engine keeps its replicas through the wire, the journal and a restart.
+func TestReplicasSurviveRestart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "eng.journal")
+	j, st, err := journal.Open(path, 1024)
+	if err != nil {
+		t.Fatalf("journal.Open: %v", err)
+	}
+	srv, e := testServer(t, func(cfg *engine.Config) {
+		cfg.Journal, cfg.Restore = j, st
+		cfg.TimeScale = 1e6 // the job is still live when the engine dies
+	})
+	cfg := workload.BigData(3, 1, 5)
+	cfg.ReplicaCount = 1
+	job := workload.Generate(cfg)[0]
+	body, err := json.Marshal(FromWorkload(job))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, _ := postJob(t, srv, body); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST replicated job: status %d", resp.StatusCode)
+	}
+	e.Kill()
+
+	j, st, err = journal.Open(path, 1024)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer j.Close()
+	if len(st.Live) != 1 {
+		t.Fatalf("live jobs after restart = %d, want 1", len(st.Live))
+	}
+	replicas := 0
+	for si, s := range st.Live[0].Spec.Stages {
+		for ti, task := range s.Tasks {
+			if want := job.Stages[si].Tasks[ti].Replicas; !reflect.DeepEqual(task.Replicas, want) {
+				t.Fatalf("stage %d task %d replicas = %v after restart, want %v", si, ti, task.Replicas, want)
+			}
+			replicas += len(task.Replicas)
+		}
+	}
+	if replicas == 0 {
+		t.Fatal("the posted job had no replicas")
 	}
 }

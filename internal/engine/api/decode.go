@@ -3,6 +3,8 @@ package api
 import (
 	"bytes"
 	"strconv"
+
+	"tetrium/internal/workload"
 )
 
 // decodeJobSpec is the submit route's one-pass JobSpec decoder. It
@@ -18,6 +20,7 @@ import (
 //   - strings of unescaped ASCII (no backslash, control or ≥ 0x80 byte);
 //   - numbers of the JSON grammar that strconv parses without error, an
 //     int field taking no fraction or exponent;
+//   - a stage kind of "map" or "reduce";
 //   - no null, true or false anywhere.
 //
 // Everything decoded is copied out of b: no string or slice of the
@@ -198,43 +201,59 @@ func (d *jobDecoder) int() int {
 	return int(n)
 }
 
-// count sizes an array of flat elements (numbers, or objects holding
-// only numbers) whose '[' was just consumed: the occurrences of sep
-// before the first ']'. It is a capacity, not a promise — the elements
-// are still appended one by one — and is bounded by the body's length.
+// count sizes an array whose '[' was just consumed: the occurrences of
+// sep up to the ']' that closes it, arrays nested in its elements (a
+// task's replicas) stepped over. It is a capacity, not a promise — the
+// elements are still appended one by one — and is bounded by the
+// array's length.
 func (d *jobDecoder) count(sep byte) int {
 	if d.failed {
 		return 0
 	}
 	rest := d.b[d.i:]
-	if end := bytes.IndexByte(rest, ']'); end >= 0 {
-		rest = rest[:end]
+	end, open := 0, 0
+	for {
+		j := bytes.IndexByte(rest[end:], ']')
+		if j < 0 {
+			end = len(rest)
+			break
+		}
+		open += bytes.Count(rest[end:end+j], []byte{'['})
+		end += j
+		if open == 0 {
+			break
+		}
+		open--
+		end++
 	}
-	return bytes.Count(rest, []byte{sep})
+	return bytes.Count(rest[:end], []byte{sep})
 }
 
-func (d *jobDecoder) stages() []StageSpec {
+func (d *jobDecoder) stages() []workload.Stage {
 	d.open('[')
 	// Stages nest arrays, so they are gathered on the stack (most jobs
 	// have a handful) and copied out at their exact length.
-	var few [8]StageSpec
+	var few [8]workload.Stage
 	stages := few[:0]
 	for more := !d.close(']'); more; more = d.more(']') {
 		stages = append(stages, d.stage())
 	}
-	return append(make([]StageSpec, 0, len(stages)), stages...)
+	return append(make([]workload.Stage, 0, len(stages)), stages...)
 }
 
-func (d *jobDecoder) stage() (st StageSpec) {
+func (d *jobDecoder) stage() (st workload.Stage) {
 	d.open('{')
 	var seen uint
 	for more := !d.close('}'); more; more = d.more('}') {
 		var bit uint
 		switch string(d.key()) {
 		case "kind":
-			bit, st.Kind = 1, d.str()
+			bit = 1
+			if st.Kind.UnmarshalText(d.rawStr()) != nil {
+				d.failed = true // encoding/json's error names the kind
+			}
 		case "deps":
-			bit, st.Deps = 2, d.deps()
+			bit, st.Deps = 2, d.ints()
 		case "output_ratio":
 			bit, st.OutputRatio = 4, d.float()
 		case "est_compute":
@@ -247,25 +266,26 @@ func (d *jobDecoder) stage() (st StageSpec) {
 	return st
 }
 
-func (d *jobDecoder) deps() []int {
+// ints reads an array of ints: a stage's deps or a task's replicas.
+func (d *jobDecoder) ints() []int {
 	d.open('[')
-	deps := make([]int, 0, d.count(',')+1)
+	v := make([]int, 0, d.count(',')+1)
 	for more := !d.close(']'); more; more = d.more(']') {
-		deps = append(deps, d.int())
+		v = append(v, d.int())
 	}
-	return deps
+	return v
 }
 
-func (d *jobDecoder) tasks() []TaskSpec {
+func (d *jobDecoder) tasks() []workload.TaskSpec {
 	d.open('[')
-	tasks := make([]TaskSpec, 0, d.count('{'))
+	tasks := make([]workload.TaskSpec, 0, d.count('{'))
 	for more := !d.close(']'); more; more = d.more(']') {
 		tasks = append(tasks, d.task())
 	}
 	return tasks
 }
 
-func (d *jobDecoder) task() (t TaskSpec) {
+func (d *jobDecoder) task() (t workload.TaskSpec) {
 	d.open('{')
 	var seen uint
 	for more := !d.close('}'); more; more = d.more('}') {
@@ -273,10 +293,12 @@ func (d *jobDecoder) task() (t TaskSpec) {
 		switch string(d.key()) {
 		case "src":
 			bit, t.Src = 1, d.int()
+		case "replicas":
+			bit, t.Replicas = 2, d.ints()
 		case "input":
-			bit, t.Input = 2, d.float()
+			bit, t.Input = 4, d.float()
 		case "compute":
-			bit, t.Compute = 4, d.float()
+			bit, t.Compute = 8, d.float()
 		}
 		d.once(&seen, bit)
 	}

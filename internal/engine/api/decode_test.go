@@ -19,15 +19,18 @@ import (
 
 // canonicalBodies are submit bodies as every client of this repo writes
 // them (json.Marshal of FromWorkload): the three trace kinds on the
-// 8-site and 50-site presets. maxTasks > 0 keeps only that many tasks
-// of each stage: the fuzzer mutates and minimizes a 1 KB seed far
-// better than a 90 KB one.
+// 8-site and 50-site presets, and a BigData trace whose partitions have
+// two replicas. maxTasks > 0 keeps only that many tasks of each stage:
+// the fuzzer mutates and minimizes a 1 KB seed far better than a 90 KB
+// one.
 func canonicalBodies(tb testing.TB, maxTasks int) [][]byte {
 	tb.Helper()
 	var out [][]byte
 	for _, sites := range []int{8, 50} {
+		replicated := workload.BigData(sites, 2, 3)
+		replicated.ReplicaCount = 2
 		for _, cfg := range []workload.GenConfig{
-			workload.TPCDS(sites, 2, 1), workload.BigData(sites, 2, 1), workload.ProdTrace(sites, 2, 1),
+			workload.TPCDS(sites, 2, 1), workload.BigData(sites, 2, 1), workload.ProdTrace(sites, 2, 1), replicated,
 		} {
 			for _, j := range workload.Generate(cfg) {
 				j.Tenant = fmt.Sprintf("tenant-%d", sites)
@@ -66,6 +69,10 @@ var nonCanonical = map[string]string{
 	"null string":        `{"name":null,"stages":[]}`,
 	"null stages":        `{"name":"x","stages":null}`,
 	"null tasks":         `{"stages":[{"kind":"map","tasks":null}]}`,
+	"null stage":         `{"name":"x","stages":[null]}`,
+	"null replicas":      `{"stages":[{"kind":"map","tasks":[{"src":0,"replicas":null,"input":1,"compute":1}]}]}`,
+	"unknown kind":       `{"name":"x","stages":[{"kind":"shuffle","tasks":[{"src":0,"input":1,"compute":1}]}]}`,
+	"no kind":            `{"name":"x","stages":[{"tasks":[{"src":0,"input":1,"compute":1}]}]}`,
 	"null number":        `{"stages":[{"kind":"map","output_ratio":null,"tasks":[]}]}`,
 	"bool":               `{"name":true}`,
 	"1.0 for an int":     `{"stages":[{"kind":"map","tasks":[{"src":1.0,"input":1,"compute":1}]}]}`,
@@ -203,7 +210,7 @@ func TestDecodeJobCanonical(t *testing.T) {
 func TestDecodeJobDeclines(t *testing.T) {
 	accepts := map[string]bool{
 		"minus zero": true, "exponents": true, "trailing space": true, "whitespace": true,
-		"empty object": true, "empty arrays": true, "nine stages": true,
+		"empty object": true, "empty arrays": true, "nine stages": true, "no kind": true,
 		"negative ratio": true, "overflowing totals": true, // well-formed; Validate's to refuse
 	}
 	for name, body := range nonCanonical {
@@ -291,26 +298,45 @@ func TestDecodeJobDoesNotAliasBuffer(t *testing.T) {
 
 // TestDecodeJobAllocs pins the allocations of body → model job on the
 // benchmark's submit-steady body shape (4 stages, 3 with deps): the
-// name, the wire and the model stage lists, the model stages and the
-// job itself (5), and per stage its kind, its wire tasks and its model
-// tasks (12) plus its deps (3). encoding/json takes 60.
+// name, the stage list, the job and its list of stage pointers (4), and
+// per stage its tasks (4) plus its deps (3). encoding/json takes 51.
+// The same job with two replicas per partition adds exactly one list
+// per replicated task: its tasks array is still sized in one go, the
+// replica lists inside it notwithstanding.
 func TestDecodeJobAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const pinned = 20
-	body := marshalJob(t, workload.Generate(workload.BigData(8, 1, 5))[0])
-	got := testing.AllocsPerRun(100, func() {
-		var spec JobSpec
-		if !decodeJobSpec(body, &spec) {
-			t.Fatal("declined")
+	const pinned = 11
+	plain := workload.BigData(8, 1, 5)
+	replicated := plain
+	replicated.ReplicaCount = 2
+	for _, c := range []struct {
+		name string
+		cfg  workload.GenConfig
+	}{{"ec2-8", plain}, {"ec2-8 replicated", replicated}} {
+		j := workload.Generate(c.cfg)[0]
+		want := pinned
+		for _, st := range j.Stages {
+			for _, tk := range st.Tasks {
+				if len(tk.Replicas) > 0 {
+					want++
+				}
+			}
 		}
-		if _, err := spec.ToWorkload(); err != nil {
-			t.Fatal(err)
+		body := marshalJob(t, j)
+		got := testing.AllocsPerRun(100, func() {
+			var spec JobSpec
+			if !decodeJobSpec(body, &spec) {
+				t.Fatal("declined")
+			}
+			if _, err := spec.ToWorkload(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > float64(want) {
+			t.Errorf("decode of the %s body: %.0f allocs, want ≤ %d", c.name, got, want)
 		}
-	})
-	if got > pinned {
-		t.Errorf("decode of the ec2-8 body: %.0f allocs, want ≤ %d", got, pinned)
 	}
 }
 

@@ -23,101 +23,54 @@
 package api
 
 import (
-	"fmt"
 	"time"
 
 	"tetrium/internal/engine"
 	"tetrium/internal/workload"
 )
 
-// JobSpec is the submission body. It reuses the trace file's stage
-// schema (internal/trace) so generated traces can be replayed against a
-// server verbatim, one job per request.
+// JobSpec is the submission body: the header of internal/workload's
+// job encoding — the one trace files and the journal hold — without the
+// id and arrival the engine assigns. A trace's job posts as is, one job
+// per request.
 type JobSpec struct {
 	Name string `json:"name"`
 	// Tenant attributes the job for fleet analytics; empty means
 	// "default".
-	Tenant string      `json:"tenant,omitempty"`
-	Stages []StageSpec `json:"stages"`
+	Tenant string           `json:"tenant,omitempty"`
+	Stages []workload.Stage `json:"stages"`
 }
 
-// StageSpec mirrors workload.Stage on the wire. EstCompute defaults to
-// the mean of the tasks' compute times when omitted.
-type StageSpec struct {
-	Kind        string     `json:"kind"` // "map" | "reduce"
-	Deps        []int      `json:"deps,omitempty"`
-	OutputRatio float64    `json:"output_ratio"`
-	EstCompute  float64    `json:"est_compute"`
-	Tasks       []TaskSpec `json:"tasks"`
-}
-
-// TaskSpec mirrors workload.TaskSpec on the wire.
-type TaskSpec struct {
-	Src     int     `json:"src"`
-	Input   float64 `json:"input"`
-	Compute float64 `json:"compute"`
-}
-
-// ToWorkload converts the wire job to the engine's model. The engine
-// keeps the job for as long as it lists it, so the stages and each
-// stage's tasks are allocated once, at their exact size.
+// ToWorkload makes the engine's job of the wire job, applying the two
+// rules the wire adds: a reduce task's src is -1 whatever the body said,
+// and an omitted est_compute is the mean task compute (§5's estimate,
+// rather than a compute-free stage for the placement LPs). The job's
+// stages point into j.Stages; nothing is copied. The error is always
+// nil: the signature is part of the surface the service benchmark pins.
 func (j *JobSpec) ToWorkload() (*workload.Job, error) {
-	job := &workload.Job{Name: j.Name, Tenant: j.Tenant, Stages: make([]*workload.Stage, 0, len(j.Stages))}
-	stages := make([]workload.Stage, len(j.Stages))
+	job := &workload.Job{Name: j.Name, Tenant: j.Tenant, Stages: make([]*workload.Stage, len(j.Stages))}
 	for si := range j.Stages {
 		st := &j.Stages[si]
-		var kind workload.StageKind
-		switch st.Kind {
-		case "map":
-			kind = workload.MapStage
-		case "reduce":
-			kind = workload.ReduceStage
-		default:
-			return nil, fmt.Errorf("stage %d: unknown kind %q (want \"map\" or \"reduce\")", si, st.Kind)
-		}
-		ws := &stages[si]
-		*ws = workload.Stage{
-			Kind:        kind,
-			Deps:        st.Deps,
-			OutputRatio: st.OutputRatio,
-			EstCompute:  st.EstCompute,
-			Tasks:       make([]workload.TaskSpec, len(st.Tasks)),
-		}
-		var computeSum float64
-		for ti, t := range st.Tasks {
-			src := t.Src
-			if kind == workload.ReduceStage {
-				src = -1
+		if st.Kind == workload.ReduceStage {
+			for ti := range st.Tasks {
+				st.Tasks[ti].Src = -1
 			}
-			ws.Tasks[ti] = workload.TaskSpec{Src: src, Input: t.Input, Compute: t.Compute}
-			computeSum += t.Compute
 		}
-		// est_compute is the §5 scheduler-visible estimate (mean task
-		// compute); when the client omits it, derive it from the tasks
-		// rather than handing the placement LPs a compute-free stage.
-		if ws.EstCompute == 0 && len(st.Tasks) > 0 {
-			ws.EstCompute = computeSum / float64(len(st.Tasks))
+		if st.EstCompute == 0 {
+			st.EstCompute = st.MeanCompute()
 		}
-		job.Stages = append(job.Stages, ws)
+		job.Stages[si] = st
 	}
 	return job, nil
 }
 
-// FromWorkload converts a model job to the wire form — how the smoke,
-// the tests and the service benchmark replay generated traces over HTTP.
+// FromWorkload makes the wire form of a model job — how the smoke, the
+// tests and the service benchmark replay generated traces over HTTP.
+// The spec shares each stage's deps and tasks with j.
 func FromWorkload(j *workload.Job) *JobSpec {
-	spec := &JobSpec{Name: j.Name, Tenant: j.Tenant}
-	for _, st := range j.Stages {
-		ws := StageSpec{
-			Kind:        st.Kind.String(),
-			Deps:        st.Deps,
-			OutputRatio: st.OutputRatio,
-			EstCompute:  st.EstCompute,
-		}
-		for _, t := range st.Tasks {
-			ws.Tasks = append(ws.Tasks, TaskSpec{Src: t.Src, Input: t.Input, Compute: t.Compute})
-		}
-		spec.Stages = append(spec.Stages, ws)
+	spec := &JobSpec{Name: j.Name, Tenant: j.Tenant, Stages: make([]workload.Stage, len(j.Stages))}
+	for si, st := range j.Stages {
+		spec.Stages[si] = *st
 	}
 	return spec
 }

@@ -483,13 +483,8 @@ func (e *Engine) SubmitIdem(job *workload.Job, idemKey string) (JobStatus, bool,
 	if err := job.Validate(); err != nil {
 		return JobStatus{}, false, fmt.Errorf("engine: %w", err)
 	}
-	n := e.cfg.Cluster.N()
-	for si, st := range job.Stages {
-		for ti, task := range st.Tasks {
-			if st.Kind == workload.MapStage && task.Src >= n {
-				return JobStatus{}, false, fmt.Errorf("engine: stage %d task %d references site %d beyond cluster (%d sites)", si, ti, task.Src, n)
-			}
-		}
+	if err := job.CheckSites(e.cfg.Cluster.N()); err != nil {
+		return JobStatus{}, false, fmt.Errorf("engine: %w", err)
 	}
 	var (
 		status JobStatus

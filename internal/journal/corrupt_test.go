@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -189,6 +190,59 @@ func TestUnframedLinesQuarantined(t *testing.T) {
 	}
 	if strings.Count(string(side), "# unrecognized frame\n") != 2 || !strings.Contains(string(side), `"id":7`) {
 		t.Errorf("sidecar does not hold both lines with their reason:\n%s", side)
+	}
+}
+
+// goFieldSpec is a job as journals wrote it before internal/workload
+// owned the job encoding: encoding/json's reflection of the Go fields,
+// the stage kind a number.
+const goFieldSpec = `{"ID":0,"Name":"old","Arrival":0,"Stages":[{"Kind":0,"Deps":null,"Tasks":[{"Src":0,"Replicas":null,"Input":1000000,"Compute":1}],"OutputRatio":0.5,"EstCompute":1}]}`
+
+// TestGoFieldEncodingRefused: the job encoding changed, and that is a
+// stated break. An admit record in the old encoding passes its CRC but
+// is quarantined and counted — never replayed as a job whose
+// output_ratio and est_compute, keys the old encoding spelled
+// differently, read as zero. A snapshot holding live jobs in the old
+// encoding makes Open fail, naming the snapshot.
+func TestGoFieldEncodingRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "eng.journal")
+	j, _, err := Open(path, 1<<20)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := j.Admit(0, 100, "acme", sampleJob("a")); err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	payload := []byte(`{"k":"admit","id":1,"t":105,"spec":` + goFieldSpec + `,"name":"old"}`)
+	line := append(appendCRCHex([]byte{'~'}, crc32.ChecksumIEEE(payload)), ' ')
+	if _, err := j.f.Write(append(append(line, payload...), '\n')); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Admit(2, 110, "", sampleJob("b")); err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	if err := j.Abandon(); err != nil {
+		t.Fatalf("Abandon: %v", err)
+	}
+	j, st, err := Open(path, 1<<20)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer j.Close()
+	if st.Quarantined != 1 || len(st.Live) != 2 || st.Live[0].ID != 0 || st.Live[1].ID != 2 {
+		t.Errorf("replay of an old-encoding admit: quarantined %d, live %+v; want 1 and jobs 0, 2", st.Quarantined, st.Live)
+	}
+	if side, _ := os.ReadFile(path + ".corrupt"); !strings.Contains(string(side), "# unparseable json\n") {
+		t.Errorf("sidecar does not hold the old-encoding record:\n%s", side)
+	}
+
+	snapPath := filepath.Join(t.TempDir(), "old.journal")
+	snap := `{"next_id":2,"live":[{"ID":1,"Tenant":"default","IdemKey":"","SubmittedMs":105,"Placed":false,"Spec":` + goFieldSpec + `}],"done":[]}`
+	if err := os.WriteFile(snapPath+".snap", []byte(snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(snapPath, 1024); err == nil || !strings.Contains(err.Error(), "snapshot") {
+		t.Errorf("Open on an old-encoding snapshot: %v, want an error naming the snapshot", err)
 	}
 }
 

@@ -9,7 +9,10 @@
 // includes the unframed bare-JSON lines builds before CRC framing wrote:
 // a journal still holding such a tail (never snapshotted or cleanly
 // closed by a framing build) is not replayable — each unframed line is
-// quarantined like any damaged one and its job is lost.
+// quarantined like any damaged one and its job is lost. Likewise an
+// admit record whose spec predates internal/workload's job encoding
+// (Go field names, the stage kind a number) fails to parse and is
+// quarantined, and a snapshot holding such a live job fails Open.
 //
 // Durability model: records are written straight to the file descriptor
 // (no user-space buffering), so once Admit returns, the record survives
@@ -64,9 +67,11 @@ type record struct {
 	// T is wall-clock unix milliseconds of the record.
 	T int64 `json:"t"`
 
-	// admit
+	// admit: the job in internal/workload's job encoding, its name
+	// included.
 	Spec *workload.Job `json:"spec,omitempty"`
-	Name string        `json:"name,omitempty"`
+	// done
+	Name string `json:"name,omitempty"`
 	// Tenant attributes the job for fleet analytics (admit and done
 	// records). Absent in journals written before the field existed;
 	// replay defaults it to "default".
@@ -196,7 +201,7 @@ func (j *Journal) Admit(id int, nowMs int64, tenant string, spec *workload.Job) 
 // AdmitIdem is Admit carrying the client's idempotency key, so replay
 // can rebuild the submit-dedup index.
 func (j *Journal) AdmitIdem(id int, nowMs int64, tenant, idemKey string, spec *workload.Job) error {
-	return j.append(record{K: "admit", ID: id, T: nowMs, Tenant: tenant, Idem: idemKey, Spec: spec, Name: spec.Name})
+	return j.append(record{K: "admit", ID: id, T: nowMs, Tenant: tenant, Idem: idemKey, Spec: spec})
 }
 
 // Place journals a placement decision for one stage of a live job.

@@ -63,10 +63,10 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPreTenantFixtureReplay replays records written before the Tenant
-// field existed (checked-in fixture, CRC-framed since replay applies
-// nothing else): every record must recover with tenant "default" and
-// otherwise identical state.
+// TestPreTenantFixtureReplay replays records without the Tenant field
+// (checked-in fixture in the current job encoding, CRC-framed since
+// replay applies nothing else): every record must recover with tenant
+// "default" and otherwise identical state.
 func TestPreTenantFixtureReplay(t *testing.T) {
 	st, err := ReadFile(filepath.Join("testdata", "pre_tenant.journal"))
 	if err != nil {
@@ -89,6 +89,9 @@ func TestPreTenantFixtureReplay(t *testing.T) {
 	}
 	if !st.Live[0].Placed || st.Live[1].Placed {
 		t.Errorf("Placed flags = %v/%v, want true/false", st.Live[0].Placed, st.Live[1].Placed)
+	}
+	if sp := st.Live[0].Spec; sp.Name != "q2" || sp.Stages[0].OutputRatio != 0.5 || sp.Stages[0].EstCompute != 2 {
+		t.Errorf("live job 1 spec = %+v, want q2 with output_ratio 0.5 and est_compute 2", sp)
 	}
 }
 

@@ -179,7 +179,7 @@ func (e *engine) copySite(st *stageRun, ti int) int {
 			return task.Src
 		}
 		for _, r := range task.Replicas {
-			if r >= 0 && r < e.n && e.free[r] > 0 {
+			if e.free[r] > 0 {
 				return r
 			}
 		}
@@ -458,9 +458,6 @@ func (e *engine) effSrc(st *stageRun, ti int) int {
 	}
 	best := task.Src
 	for _, r := range task.Replicas {
-		if r < 0 || r >= e.n {
-			continue
-		}
 		if e.capSlots[r] > e.capSlots[best] ||
 			(e.capSlots[r] == e.capSlots[best] && e.upBW[r] > e.upBW[best]) {
 			best = r

@@ -185,12 +185,8 @@ func Run(cfg Config) (*Result, error) {
 		if err := j.Validate(); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		for _, st := range j.Stages {
-			for _, task := range st.Tasks {
-				if st.Kind == workload.MapStage && task.Src >= cfg.Cluster.N() {
-					return nil, fmt.Errorf("sim: job %d references site %d beyond cluster", j.ID, task.Src)
-				}
-			}
+		if err := j.CheckSites(cfg.Cluster.N()); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
 		}
 	}
 	if cfg.Rho < 0 {

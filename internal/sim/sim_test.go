@@ -459,6 +459,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(baseConfig(c, []*workload.Job{bad})); err == nil {
 		t.Error("out-of-range site accepted")
 	}
+	replicated := mapOnlyJob(0, []int{1}, units.MB, 1)
+	replicated.Stages[0].Tasks[0].Replicas = []int{1} // a replica at site 1 of a 1-site cluster
+	if _, err := Run(baseConfig(c, []*workload.Job{replicated})); err == nil {
+		t.Error("out-of-range replica accepted")
+	}
 }
 
 func TestJoinJobsComplete(t *testing.T) {

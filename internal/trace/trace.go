@@ -1,7 +1,9 @@
 // Package trace serializes workloads and cluster descriptions to a
 // stable JSON format so traces can be generated once, inspected, edited
 // and replayed — the role the paper's production trace files play in its
-// simulations (§6.1). The format is versioned and forward-checked.
+// simulations (§6.1). A trace holds jobs in internal/workload's one job
+// encoding, the one POST /v1/jobs and the journal use. The format is
+// versioned and forward-checked.
 package trace
 
 import (
@@ -19,68 +21,17 @@ const FormatVersion = 1
 
 // File is the on-disk trace document.
 type File struct {
-	Version int    `json:"version"`
-	Cluster []Site `json:"cluster,omitempty"`
-	Jobs    []Job  `json:"jobs"`
-	Comment string `json:"comment,omitempty"`
-}
-
-// Site mirrors cluster.Site.
-type Site struct {
-	Name   string  `json:"name"`
-	Slots  int     `json:"slots"`
-	UpBW   float64 `json:"up_bw"`
-	DownBW float64 `json:"down_bw"`
-}
-
-// Job mirrors workload.Job.
-type Job struct {
-	ID      int     `json:"id"`
-	Name    string  `json:"name"`
-	Arrival float64 `json:"arrival"`
-	Stages  []Stage `json:"stages"`
-}
-
-// Stage mirrors workload.Stage.
-type Stage struct {
-	Kind        string  `json:"kind"` // "map" | "reduce"
-	Deps        []int   `json:"deps,omitempty"`
-	OutputRatio float64 `json:"output_ratio"`
-	EstCompute  float64 `json:"est_compute"`
-	Tasks       []Task  `json:"tasks"`
-}
-
-// Task mirrors workload.TaskSpec.
-type Task struct {
-	Src      int     `json:"src"`
-	Replicas []int   `json:"replicas,omitempty"`
-	Input    float64 `json:"input"`
-	Compute  float64 `json:"compute"`
+	Version int             `json:"version"`
+	Cluster []cluster.Site  `json:"cluster,omitempty"`
+	Jobs    []*workload.Job `json:"jobs"`
+	Comment string          `json:"comment,omitempty"`
 }
 
 // Encode writes jobs (and optionally a cluster) as JSON.
 func Encode(w io.Writer, cl *cluster.Cluster, jobs []*workload.Job, comment string) error {
-	f := File{Version: FormatVersion, Comment: comment}
+	f := File{Version: FormatVersion, Jobs: jobs, Comment: comment}
 	if cl != nil {
-		for _, s := range cl.Sites {
-			f.Cluster = append(f.Cluster, Site{Name: s.Name, Slots: s.Slots, UpBW: s.UpBW, DownBW: s.DownBW})
-		}
-	}
-	for _, j := range jobs {
-		tj := Job{ID: j.ID, Name: j.Name, Arrival: j.Arrival}
-		for _, st := range j.Stages {
-			ts := Stage{
-				Kind:        st.Kind.String(),
-				Deps:        st.Deps,
-				OutputRatio: st.OutputRatio,
-				EstCompute:  st.EstCompute,
-			}
-			for _, task := range st.Tasks {
-				ts.Tasks = append(ts.Tasks, Task{Src: task.Src, Replicas: task.Replicas, Input: task.Input, Compute: task.Compute})
-			}
-			tj.Stages = append(tj.Stages, ts)
-		}
-		f.Jobs = append(f.Jobs, tj)
+		f.Cluster = cl.Sites
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -99,45 +50,22 @@ func Decode(r io.Reader) (*cluster.Cluster, []*workload.Job, error) {
 	}
 	var cl *cluster.Cluster
 	if len(f.Cluster) > 0 {
-		sites := make([]cluster.Site, len(f.Cluster))
 		for i, s := range f.Cluster {
 			if s.Slots < 0 || s.UpBW < 0 || s.DownBW < 0 {
 				return nil, nil, fmt.Errorf("trace: site %d has negative capacity", i)
 			}
-			sites[i] = cluster.Site{Name: s.Name, Slots: s.Slots, UpBW: s.UpBW, DownBW: s.DownBW}
 		}
-		cl = cluster.New(sites)
+		cl = cluster.New(f.Cluster)
 	}
-	jobs := make([]*workload.Job, 0, len(f.Jobs))
-	for _, tj := range f.Jobs {
-		j := &workload.Job{ID: tj.ID, Name: tj.Name, Arrival: tj.Arrival}
-		for _, ts := range tj.Stages {
-			var kind workload.StageKind
-			switch ts.Kind {
-			case "map":
-				kind = workload.MapStage
-			case "reduce":
-				kind = workload.ReduceStage
-			default:
-				return nil, nil, fmt.Errorf("trace: job %d has unknown stage kind %q", tj.ID, ts.Kind)
-			}
-			st := &workload.Stage{
-				Kind:        kind,
-				Deps:        ts.Deps,
-				OutputRatio: ts.OutputRatio,
-				EstCompute:  ts.EstCompute,
-			}
-			for _, task := range ts.Tasks {
-				st.Tasks = append(st.Tasks, workload.TaskSpec{Src: task.Src, Replicas: task.Replicas, Input: task.Input, Compute: task.Compute})
-			}
-			j.Stages = append(j.Stages, st)
+	for i, j := range f.Jobs {
+		if j == nil {
+			return nil, nil, fmt.Errorf("trace: job %d is null", i)
 		}
 		if err := j.Validate(); err != nil {
 			return nil, nil, fmt.Errorf("trace: %w", err)
 		}
-		jobs = append(jobs, j)
 	}
-	return cl, jobs, nil
+	return cl, f.Jobs, nil
 }
 
 // WriteFile encodes to path.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,41 +22,28 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl2.N() != cl.N() {
-		t.Fatalf("cluster sites %d != %d", cl2.N(), cl.N())
+	if !reflect.DeepEqual(cl2, cl) {
+		t.Errorf("cluster changed in the round trip:\n got %v\nwant %v", cl2.Sites, cl.Sites)
 	}
-	for i := range cl.Sites {
-		if cl.Sites[i] != cl2.Sites[i] {
-			t.Fatalf("site %d differs: %v vs %v", i, cl.Sites[i], cl2.Sites[i])
-		}
+	if !reflect.DeepEqual(jobs2, jobs) {
+		t.Error("jobs changed in the round trip")
 	}
-	if len(jobs2) != len(jobs) {
-		t.Fatalf("jobs %d != %d", len(jobs2), len(jobs))
+}
+
+// TestDecodeParentFile: a trace written before the job encoding moved
+// into internal/workload — by `tetrium-trace gen -trace bigdata
+// -cluster paper -jobs 2 -seed 2` — still decodes to exactly the jobs
+// and cluster that generated it.
+func TestDecodeParentFile(t *testing.T) {
+	cl, jobs, err := ReadFile(filepath.Join("testdata", "bigdata-paper-2jobs-seed2.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range jobs {
-		a, b := jobs[i], jobs2[i]
-		if a.ID != b.ID || a.Arrival != b.Arrival || a.NumStages() != b.NumStages() ||
-			a.TotalTasks() != b.TotalTasks() {
-			t.Fatalf("job %d differs", i)
-		}
-		for si := range a.Stages {
-			sa, sb := a.Stages[si], b.Stages[si]
-			if sa.Kind != sb.Kind || sa.OutputRatio != sb.OutputRatio || sa.EstCompute != sb.EstCompute {
-				t.Fatalf("job %d stage %d metadata differs", i, si)
-			}
-			for ti := range sa.Tasks {
-				ta, tb := sa.Tasks[ti], sb.Tasks[ti]
-				if ta.Src != tb.Src || ta.Input != tb.Input || ta.Compute != tb.Compute ||
-					len(ta.Replicas) != len(tb.Replicas) {
-					t.Fatalf("job %d stage %d task %d differs", i, si, ti)
-				}
-				for ri := range ta.Replicas {
-					if ta.Replicas[ri] != tb.Replicas[ri] {
-						t.Fatalf("job %d stage %d task %d replica %d differs", i, si, ti, ri)
-					}
-				}
-			}
-		}
+	if want := cluster.PaperExample(); !reflect.DeepEqual(cl, want) {
+		t.Errorf("cluster = %v, want %v", cl.Sites, want.Sites)
+	}
+	if want := workload.Generate(workload.BigData(3, 2, 2)); !reflect.DeepEqual(jobs, want) {
+		t.Error("jobs differ from the generator's")
 	}
 }
 
@@ -84,6 +72,8 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 		"bad kind":     `{"version": 1, "jobs": [{"id":0,"stages":[{"kind":"shuffle","tasks":[{"src":0,"input":1,"compute":1}]}]}]}`,
 		"invalid job":  `{"version": 1, "jobs": [{"id":0,"stages":[]}]}`,
 		"negative cap": `{"version": 1, "cluster":[{"name":"x","slots":-1}], "jobs": []}`,
+		"null job":     `{"version": 1, "jobs": [null]}`,
+		"null stage":   `{"version": 1, "jobs": [{"id":0,"stages":[null]}]}`,
 	}
 	for name, doc := range cases {
 		if _, _, err := Decode(strings.NewReader(doc)); err == nil {

@@ -40,20 +40,43 @@ func (k StageKind) String() string {
 	}
 }
 
+// MarshalText encodes the kind as "map" or "reduce", its spelling in
+// the job encoding.
+func (k StageKind) MarshalText() ([]byte, error) {
+	if k != MapStage && k != ReduceStage {
+		return nil, fmt.Errorf("workload: cannot encode %v", k)
+	}
+	return []byte(k.String()), nil
+}
+
+// UnmarshalText decodes "map" or "reduce"; any other kind is an error
+// that names it.
+func (k *StageKind) UnmarshalText(b []byte) error {
+	switch string(b) {
+	case "map":
+		*k = MapStage
+	case "reduce":
+		*k = ReduceStage
+	default:
+		return fmt.Errorf("unknown stage kind %q (want \"map\" or \"reduce\")", b)
+	}
+	return nil
+}
+
 // TaskSpec describes one task of a stage.
 type TaskSpec struct {
 	// Src is the site holding this task's primary input partition; valid
 	// only for map-stage tasks (-1 for reduce tasks, whose input is
 	// spread over all sites).
-	Src int
+	Src int `json:"src"`
 	// Replicas lists additional sites holding copies of the partition
 	// (§8: "the selection from multiple data replica"). A task placed at
 	// any replica site reads locally.
-	Replicas []int
+	Replicas []int `json:"replicas,omitempty"`
 	// Input is the task's total input bytes.
-	Input float64
+	Input float64 `json:"input"`
 	// Compute is the task's true computation duration in seconds.
-	Compute float64
+	Compute float64 `json:"compute"`
 }
 
 // HasReplicaAt reports whether the task's partition is available at the
@@ -73,21 +96,21 @@ func (t TaskSpec) HasReplicaAt(site int) bool {
 // Stage is one stage of a job: a set of parallel tasks with a common
 // communication pattern.
 type Stage struct {
-	Kind StageKind
+	Kind StageKind `json:"kind"`
 	// Deps lists stage indices within the job that must complete before
 	// this stage can start. Map stages have no deps; the common shape is
 	// a chain, with joins producing multiple roots.
-	Deps  []int
-	Tasks []TaskSpec
+	Deps []int `json:"deps,omitempty"`
 	// OutputRatio is (bytes of output) / (bytes of input) for the whole
 	// stage; it determines the intermediate data volume downstream
 	// stages shuffle.
-	OutputRatio float64
+	OutputRatio float64 `json:"output_ratio"`
 	// EstCompute is the scheduler-visible estimate of the mean task
 	// compute duration (§5: estimated from finished tasks of the same
 	// stage). It differs from the true mean by the injected estimation
 	// error (Fig. 12d).
-	EstCompute float64
+	EstCompute float64    `json:"est_compute"`
+	Tasks      []TaskSpec `json:"tasks"`
 }
 
 // NumTasks returns the task count of the stage.
@@ -134,12 +157,16 @@ func (s *Stage) InputBySite(nSites int) []float64 {
 // Job is a DAG of stages with an arrival time. Tenant identifies the
 // submitting tenant for per-tenant accounting (fleet analytics); empty
 // means the default tenant.
+//
+// The json tags of Job, Stage and TaskSpec are the one JSON encoding of
+// a job: trace files, the journal's admit records and (without id and
+// arrival) the POST /v1/jobs body all read and write it.
 type Job struct {
-	ID      int
-	Name    string
-	Tenant  string  `json:",omitempty"`
-	Arrival float64 // seconds
-	Stages  []*Stage
+	ID      int      `json:"id"`
+	Name    string   `json:"name"`
+	Tenant  string   `json:"tenant,omitempty"`
+	Arrival float64  `json:"arrival"` // seconds
+	Stages  []*Stage `json:"stages"`
 }
 
 // NumStages returns the number of stages in the job.
@@ -224,6 +251,9 @@ func (j *Job) Validate() error {
 	}
 	var input, output, compute float64 // job-wide totals
 	for i, s := range j.Stages {
+		if s == nil {
+			return fmt.Errorf("job %d stage %d: null stage", j.ID, i)
+		}
 		if len(s.Tasks) == 0 {
 			return fmt.Errorf("job %d stage %d: no tasks", j.ID, i)
 		}
@@ -269,6 +299,28 @@ func (j *Job) Validate() error {
 	for _, total := range []float64{input, output, compute} {
 		if !(total <= math.MaxFloat64) {
 			return fmt.Errorf("job %d: input, output or compute total is not finite", j.ID)
+		}
+	}
+	return nil
+}
+
+// CheckSites checks that every site the job's map tasks read from — a
+// primary or a replica — exists on a cluster of n sites. Validate has
+// already refused negative sites.
+func (j *Job) CheckSites(n int) error {
+	for si, s := range j.Stages {
+		if s.Kind != MapStage {
+			continue
+		}
+		for ti, t := range s.Tasks {
+			if t.Src >= n {
+				return fmt.Errorf("job %d stage %d task %d: site %d beyond cluster (%d sites)", j.ID, si, ti, t.Src, n)
+			}
+			for _, r := range t.Replicas {
+				if r >= n {
+					return fmt.Errorf("job %d stage %d task %d: replica site %d beyond cluster (%d sites)", j.ID, si, ti, r, n)
+				}
+			}
 		}
 	}
 	return nil

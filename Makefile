@@ -108,9 +108,11 @@ fuzz-smoke:
 # non-zero on any deviation. On a fleet its fleet-only steps run too
 # (spread check, kill + journal-restore of shard 0, merged
 # metrics/events/status); with -supervise the heals happen under live
-# supervision.
+# supervision. The iridium run schedules under Fair (ε = 0), so the
+# §4.4 capped allocation (sched.Allocate) is driven end to end.
 serve-smoke:
 	$(GO) run ./cmd/tetrium-serve -smoke -cluster paper -time-scale 0.002
+	$(GO) run ./cmd/tetrium-serve -smoke -cluster paper -scheduler iridium -time-scale 0.002
 	$(GO) run ./cmd/tetrium-serve -smoke -shards 2 -journal $$(mktemp -d)/journal -time-scale 0.002
 	$(GO) run ./cmd/tetrium-serve -smoke -shards 2 -supervise -journal $$(mktemp -d)/journal -time-scale 0.002
 

@@ -89,8 +89,8 @@ type Config struct {
 
 	// Rho is the WAN-budget knob ρ of §4.3, clamped to [0,1].
 	Rho float64
-	// Eps is the fairness knob ε of §4.4, clamped to [0,1]; forced to 0
-	// when Policy is Fair (matching internal/sim).
+	// Eps is the fairness knob ε of §4.4, clamped to [0,1]; ignored
+	// (sched.Instance forces 0) when Policy is Fair.
 	Eps float64
 	// UpdateK bounds how many sites a placement may change when cluster
 	// resources change (§4.2); 0 allows a full update.
@@ -133,10 +133,6 @@ type Config struct {
 	// past a percentile-calibrated multiple of its estimate gets a
 	// duplicate on the fastest site; first finish wins.
 	Speculate bool
-	// SpecPercentile is the percentile of observed actual/estimate
-	// stage-duration ratios that sets the speculation threshold.
-	// Default 95.
-	SpecPercentile float64
 	// SolveDeadline bounds how long a stage waits on its async LP solve
 	// before falling back to the greedy in-place baseline (never
 	// cached; upgraded if the real solve lands before launch). 0
@@ -201,9 +197,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	cfg.Rho = clamp01(cfg.Rho)
 	cfg.Eps = clamp01(cfg.Eps)
-	if cfg.Policy == sched.Fair {
-		cfg.Eps = 0
-	}
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 1024
 	}
@@ -215,9 +208,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.PlaceCacheSize == 0 {
 		cfg.PlaceCacheSize = 4096
-	}
-	if cfg.SpecPercentile <= 0 || cfg.SpecPercentile > 100 {
-		cfg.SpecPercentile = 95
 	}
 	if cfg.SolveRetries == 0 {
 		cfg.SolveRetries = 2

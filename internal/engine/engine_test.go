@@ -561,3 +561,43 @@ func ExampleEngine() {
 	fmt.Println(done.Phase)
 	// Output: done
 }
+
+// TestFairCapScalesAcrossSites: under Fair (ε = 0) two jobs share the
+// cluster's slots, and a job whose demand exceeds its share takes the
+// share spread over its sites in proportion to its demand (§4.4), as
+// the simulator does — not its first sites filled in index order.
+func TestFairCapScalesAcrossSites(t *testing.T) {
+	site := cluster.Site{Name: "s", Slots: 4, UpBW: 1e8, DownBW: 1e8}
+	cfg := testConfig(cluster.New([]cluster.Site{site, site, site}))
+	cfg.Placer = place.InPlace{}
+	cfg.Policy = sched.Fair
+	cfg.TimeScale = 1e6 // nothing completes: launched stages hold their slots
+	e := mustEngine(t, cfg)
+	job := func() *workload.Job {
+		st := &workload.Stage{Kind: workload.MapStage, EstCompute: 1}
+		for i := 0; i < 12; i++ {
+			st.Tasks = append(st.Tasks, workload.TaskSpec{Src: i % 3, Input: 64e6, Compute: 1})
+		}
+		return &workload.Job{Name: "spread", Stages: []*workload.Stage{st}}
+	}
+	// Both admitted in one loop turn, so the scheduling pass sees both.
+	if err := e.do(func() {
+		for i := 0; i < 2; i++ {
+			if _, _, err := e.st.submit(job(), ""); err != nil {
+				t.Errorf("submit: %v", err)
+			}
+		}
+	}); err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	quiesceLoop(t, e)
+	for id := 0; id < 2; id++ {
+		js, err := e.Job(id)
+		if err != nil {
+			t.Fatalf("Job(%d): %v", id, err)
+		}
+		if got := js.Stages[0].SlotsHeld; fmt.Sprint(got) != "[2 2 2]" {
+			t.Errorf("job %d holds %v (tasks %v), want [2 2 2]", id, got, js.Stages[0].TasksBySite)
+		}
+	}
+}

@@ -29,7 +29,6 @@ import (
 	"tetrium/internal/journal"
 	"tetrium/internal/metrics"
 	"tetrium/internal/obs"
-	"tetrium/internal/place"
 )
 
 // drainRateWindow bounds the completion-time ring used to estimate the
@@ -177,8 +176,12 @@ func (s *state) scheduleSpecCheck(js *jobState, sr *stageRun, gen int) {
 	})
 }
 
+// specPercentile is the percentile of observed actual/estimate
+// stage-duration ratios that sets the speculation threshold.
+const specPercentile = 95
+
 // specThreshold is the straggle multiplier that triggers a duplicate:
-// the SpecPercentile of observed actual/estimate stage-duration ratios,
+// the specPercentile of observed actual/estimate stage-duration ratios,
 // floored at 1.5 (never speculate on on-estimate stages), defaulting to
 // 2 until enough history accumulates (the 1404.1328 regime where a
 // single replica past a calibrated threshold captures most of the tail
@@ -188,7 +191,7 @@ func (s *state) specThreshold() float64 {
 	if len(s.specRatios) < minSamples {
 		return defaultThr
 	}
-	thr := metrics.Percentile(s.specRatios, s.e.cfg.SpecPercentile)
+	thr := metrics.Percentile(s.specRatios, specPercentile)
 	return maxFloat(thr, minThr)
 }
 
@@ -276,30 +279,23 @@ func (s *state) cancelSpec(sr *stageRun) {
 // LP-solve deadline -----------------------------------------------------------
 
 // solveDeadline fires when a pooled solve outlives Config.SolveDeadline
-// without committing: place the stage NOW with the cheap greedy baseline
-// so scheduling never stalls behind a wedged solver, and retry the real
-// LP after a jittered backoff (bounded by Config.SolveRetries). it is
-// the loop's own copy of the dispatched item, taken before the pool
-// task could touch it.
+// without committing, or panicked (dispatch): place the stage NOW with
+// the stopgap so scheduling never stalls behind a wedged solver, and
+// retry the real LP after a jittered backoff (bounded by
+// Config.SolveRetries). it is the loop's own copy of the dispatched
+// item.
 func (s *state) solveDeadline(it solveItem) {
 	sr, js := it.sr, it.sr.job
 	if it.seq != sr.solveSeq || sr.placed || js.terminal() || it.gen != s.resGen {
 		return // the solve (or a newer attempt, or an update) got there first
 	}
-	stopgap := it
-	stopgap.deadline = true
-	stopgap.solve(place.InPlace{}, s.liveResources(), nil)
-	// In-place means "run where the data is" — but a crashed data site
-	// has no slots, and an estimate computed against zero capacity is
-	// garbage. Spread over surviving capacity instead.
-	for x, n := range stopgap.res.tasks {
-		if n > 0 && s.capSlots[x] == 0 {
-			stopgap.res = fallbackResult(s.capSlots, it.pr.numTasks(), stageTaskCompute(it.pr))
-			break
-		}
-	}
+	sg := it
+	sg.deadline = true
+	t0 := time.Now()
+	sg.res = stopgap(s.liveResources(), it.pr)
+	sg.nanos = time.Since(t0).Nanoseconds()
 	s.rec.Registry().Counter("engine.solves_deadline_fallback").Inc()
-	s.commit(&stopgap)
+	s.commit(&sg)
 	s.scheduleSoon()
 
 	if it.attempt < s.e.cfg.SolveRetries {

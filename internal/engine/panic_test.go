@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"strings"
@@ -155,7 +156,9 @@ func (p *panicOncePlacer) PlaceMap(res place.Resources, req place.MapRequest) (p
 // TestPooledSolvePanicSettlesPoolBusy: the pool task whose solve
 // panicked still reports back to the loop, so the engine does not count
 // it as outstanding for ever — which would keep every later recurring
-// query from the cache's basis.
+// query from the cache's basis — and the job whose solve panicked still
+// finishes: its stage takes the stopgap, as on an expired deadline,
+// rather than staying marked as solving with no solve left to answer.
 func TestPooledSolvePanicSettlesPoolBusy(t *testing.T) {
 	cfg := testConfig(cluster.PaperExample())
 	cfg.Placer = &panicOncePlacer{}
@@ -184,6 +187,18 @@ func TestPooledSolvePanicSettlesPoolBusy(t *testing.T) {
 	runOneByOne(t, e, []*workload.Job{oneStageJob(1, 6, 5), fresh})
 	if v := counterValue(t, e, "engine.solves_warm_started"); v != 1 {
 		t.Errorf("engine.solves_warm_started = %g after the panic, want 1 (the near repeat)", v)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := e.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	js, err := e.Job(0)
+	if err != nil {
+		t.Fatalf("Job(0): %v", err)
+	}
+	if js.Phase != JobDone {
+		t.Fatalf("job 0 is %v after Drain, want done", js.Phase)
 	}
 }
 

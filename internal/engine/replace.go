@@ -24,7 +24,11 @@ package engine
 // bit-identically across fault timelines; the unexported
 // Config.replaceFull keeps the full scan available as their oracle.
 
-import "sort"
+import (
+	"sort"
+
+	"tetrium/internal/sched"
+)
 
 // replacePlacements re-places stages affected by a capacity change at
 // the given sites. grew reports whether any capacity dimension
@@ -103,10 +107,9 @@ func (s *state) migrateHeld(sr *stageRun) {
 	for x, h := range sr.held {
 		s.free[x] += h
 	}
-	alloc, total := s.allocate(sr.tasks, len(sr.spec.Tasks))
-	for x, a := range alloc {
+	sr.held = sched.Allocate(sr.tasks, s.free, len(sr.spec.Tasks))
+	sr.heldTotal = sumInts(sr.held)
+	for x, a := range sr.held {
 		s.free[x] -= a
 	}
-	sr.held = alloc
-	sr.heldTotal = total
 }

@@ -526,10 +526,8 @@ func (s *state) schedule() {
 	}
 	freeAtStart := totalFree
 
-	launched := 0
 	solves, hits := 0, 0
 	infos := make([]sched.JobInfo, len(cands))
-	remTasks := make([]int, len(cands))
 	for i, c := range cands {
 		est := 0.0
 		for _, sr := range arena[c.lo:c.hi] {
@@ -548,31 +546,20 @@ func (s *state) schedule() {
 			EstStageTime:    est,
 			RemainingTasks:  c.js.remTasks,
 		}
-		remTasks[i] = c.js.remTasks
 	}
-	orderIdx := sched.Order(s.e.cfg.Policy, infos)
-	shares := sched.FairShares(totalFree, remTasks)
-	orderIDs := make([]int, len(orderIdx))
-	for i, k := range orderIdx {
-		orderIDs[i] = cands[k].js.id
-	}
-	for _, k := range orderIdx {
-		if totalFree <= 0 {
-			break
-		}
-		budget := sched.Cap(s.e.cfg.Eps, totalFree, shares, k)
-		if budget <= 0 {
-			continue
-		}
-		c := cands[k]
+	orderIdx, launched := sched.Instance(s.e.cfg.Policy, s.e.cfg.Eps, totalFree, infos, func(k, budget int) int {
+		c, n := cands[k], 0
 		for _, sr := range arena[c.lo:c.hi] {
 			if budget <= 0 {
 				break
 			}
-			n := s.launchStage(c.js, sr, &budget)
-			launched += n
-			totalFree -= n
+			n += s.launchStage(c.js, sr, &budget)
 		}
+		return n
+	})
+	orderIDs := make([]int, len(orderIdx))
+	for i, k := range orderIdx {
+		orderIDs[i] = cands[k].js.id
 	}
 	s.candScratch, s.stageScratch = cands[:0], arena[:0]
 	s.dispatch(s.pending)
@@ -692,38 +679,49 @@ func (s *state) requestKey(pr placeRequest) placeKey {
 
 // solveRequest runs one placement LP. It touches no loop state — only
 // the given placer, resource snapshot, and request — so it is safe on a
-// pool worker. The bool result reports the fallback path (placer error).
-func solveRequest(placer place.Placer, res place.Resources, pr placeRequest) (placeResult, bool) {
+// pool worker.
+func solveRequest(placer place.Placer, res place.Resources, pr placeRequest) (placeResult, error) {
 	if pr.kind == "map" {
 		mp, err := placer.PlaceMap(res, pr.mreq)
 		if err != nil {
-			return fallbackResult(res.Slots, pr.mreq.NumTasks, pr.mreq.TaskCompute), true
-		}
-		quota := make([]int, len(res.Slots))
-		for x := range mp.Tasks {
-			for y, c := range mp.Tasks[x] {
-				quota[y] += c
-			}
+			return placeResult{}, err
 		}
 		return placeResult{
-			tasks: quota, estNet: mp.TAggr, estCompute: mp.TMap,
+			tasks: mp.TasksBySite(), estNet: mp.TAggr, estCompute: mp.TMap,
 			wan: mp.WANBytes(pr.mreq.InputBySite),
-		}, false
+		}, nil
 	}
 	rp, err := placer.PlaceReduce(res, pr.rreq)
 	if err != nil {
-		return fallbackResult(res.Slots, pr.rreq.NumTasks, pr.rreq.TaskCompute), true
+		return placeResult{}, err
 	}
 	return placeResult{
 		tasks: append([]int(nil), rp.Tasks...), estNet: rp.TShufl, estCompute: rp.TRed,
 		wan: rp.WANBytes(pr.rreq.InterBySite),
-	}, false
+	}, nil
 }
 
-func fallbackResult(slots []int, numTasks int, taskCompute float64) placeResult {
+// stopgap is the one placement the engine commits when the LP gives no
+// answer — the placer erred, the solve outlived Config.SolveDeadline,
+// or it panicked: In-Place, every task where its data is. A data site
+// with no slots cannot run them, and an estimate against zero capacity
+// is garbage, so then the tasks spread over capacity instead. Never
+// cached; safe on a pool worker.
+func stopgap(res place.Resources, pr placeRequest) placeResult {
+	r, err := solveRequest(place.InPlace{}, res, pr)
+	inPlace := err == nil
+	for x, n := range r.tasks {
+		if n > 0 && res.Slots[x] <= 0 {
+			inPlace = false
+		}
+	}
+	if inPlace {
+		return r
+	}
+	n := pr.numTasks()
 	return placeResult{
-		tasks:      capacityProportional(slots, numTasks),
-		estCompute: fallbackEst(numTasks, taskCompute, slots),
+		tasks:      capacityProportional(res.Slots, n),
+		estCompute: fallbackEst(n, stageTaskCompute(pr), res.Slots),
 	}
 }
 
@@ -754,9 +752,9 @@ type solveItem struct {
 	res      placeResult
 	nanos    int64
 	starts   place.WarmStats // where this solve's LPs entered phase 2
-	fallback bool            // placer error: capacity-proportional stand-in
+	fallback bool            // placer error: the stopgap stands in
 	cached   bool            // served by the memo cache, no solve ran
-	deadline bool            // solve-deadline greedy stopgap (failure.go)
+	deadline bool            // deadline or panic: the stopgap stands in (failure.go)
 }
 
 // solve runs the item's placement against res, warm-starting from (and
@@ -766,7 +764,10 @@ type solveItem struct {
 func (it *solveItem) solve(placer place.Placer, res place.Resources, warm *place.WarmState) {
 	t0 := time.Now()
 	it.pr.setWarm(warm)
-	it.res, it.fallback = solveRequest(placer, res, it.pr)
+	var err error
+	if it.res, err = solveRequest(placer, res, it.pr); err != nil {
+		it.res, it.fallback = stopgap(res, it.pr), true
+	}
 	it.nanos = time.Since(t0).Nanoseconds()
 	it.starts = warm.TakeStats()
 }
@@ -904,12 +905,24 @@ func (s *state) dispatch(items []solveItem) {
 		s.poolBusy++
 		s.e.pool.submit(func() {
 			// Deferred, so a solve that panics (the pool contains it) still
-			// settles poolBusy and lands the members solved before it.
+			// settles poolBusy and lands the members solved before it. The
+			// member that panicked will never answer: it takes the
+			// deadline's stopgap and bounded retry now. The members after
+			// it never ran; the next pass requests them afresh.
 			solved := 0
 			defer func() {
 				s.e.inject(func() {
 					s.poolBusy--
-					for i, it := range group[:solved] {
+					for i, it := range group {
+						if i >= solved {
+							if it.seq == it.sr.solveSeq {
+								it.sr.solving = false
+							}
+							if i == solved {
+								s.solveDeadline(*it)
+							}
+							continue
+						}
 						s.noteWarmStats(it)
 						if it.seq == it.sr.solveSeq {
 							// Hand the chained basis back to each member for
@@ -1036,8 +1049,8 @@ func (s *state) noteWarmStats(it *solveItem) {
 }
 
 // capacityProportional spreads count tasks over sites proportionally to
-// capacity — the placement fallback when the placer errors or its
-// chosen sites have lost all capacity.
+// capacity — where the stopgap goes when a data site has no slots, and
+// where a placement goes whose sites have all lost their capacity.
 func capacityProportional(slots []int, count int) []int {
 	out := make([]int, len(slots))
 	totalCap := 0
@@ -1061,7 +1074,8 @@ func capacityProportional(slots []int, count int) []int {
 	return out
 }
 
-// fallbackEst is a wave-count compute estimate used when the LP fails.
+// fallbackEst is the wave-count compute estimate of a capacity-
+// proportional placement.
 func fallbackEst(numTasks int, taskCompute float64, capSlots []int) float64 {
 	total := 0
 	for _, c := range capSlots {
@@ -1076,14 +1090,15 @@ func fallbackEst(numTasks int, taskCompute float64, capSlots []int) float64 {
 
 // launchStage dispatches a ready, placed stage: it takes the slots the
 // placement demands (bounded by free capacity and the job's ε-fairness
-// budget) and arranges completion after the LP-estimated duration,
+// budget, sched.Allocate) and arranges completion after the LP-estimated duration,
 // stretched when fewer slots than the full-capacity demand were
 // available (extra waves). Returns slots taken.
 func (s *state) launchStage(js *jobState, sr *stageRun, budget *int) int {
 	if *budget <= 0 || !sr.placed {
 		return 0
 	}
-	alloc, total := s.allocate(sr.tasks, *budget)
+	alloc := sched.Allocate(sr.tasks, s.free, *budget)
+	total := sumInts(alloc)
 	if total == 0 {
 		// The placement's sites may have lost all capacity since the
 		// solve (§4.2); retarget proportionally to surviving capacity
@@ -1094,7 +1109,8 @@ func (s *state) launchStage(js *jobState, sr *stageRun, budget *int) int {
 			sr.estNet = 0
 			sr.estCompute = fallbackEst(len(sr.spec.Tasks), sr.spec.EstCompute, s.capSlots)
 			sr.est = sr.estCompute
-			alloc, total = s.allocate(sr.tasks, *budget)
+			alloc = sched.Allocate(sr.tasks, s.free, *budget)
+			total = sumInts(alloc)
 		}
 		if total == 0 {
 			return 0
@@ -1163,28 +1179,6 @@ func (s *state) launchStage(js *jobState, sr *stageRun, budget *int) int {
 		})
 	}
 	return total
-}
-
-// allocate takes min(want, free, budget) slots site-by-site.
-func (s *state) allocate(want []int, budget int) ([]int, int) {
-	alloc := make([]int, s.n)
-	total := 0
-	for x, w := range want {
-		if total >= budget {
-			break
-		}
-		f := s.free[x]
-		if f <= 0 || w <= 0 {
-			continue
-		}
-		a := minInt(w, f)
-		if total+a > budget {
-			a = budget - total
-		}
-		alloc[x] = a
-		total += a
-	}
-	return alloc, total
 }
 
 // anyCapacity reports whether any site the assignment uses still has
@@ -1443,6 +1437,14 @@ func renderProm(reg *obs.Registry) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+func sumInts(xs []int) int {
+	t := 0
+	for _, x := range xs {
+		t += x
+	}
+	return t
 }
 
 func minInt(a, b int) int {

@@ -110,15 +110,6 @@ func simCluster(n int, seed int64) *cluster.Cluster {
 	return cluster.SimNRange(n, seed, 4, 600)
 }
 
-// tetriumFor returns the Tetrium placer tuned for the cluster size: at
-// simulation scale the map LP uses candidate-destination restriction.
-func tetriumFor(n int) place.Placer {
-	if n > 16 {
-		return place.Tetrium{MaxDest: 10}
-	}
-	return place.Tetrium{}
-}
-
 // runOne executes a simulation with common defaults.
 func runOne(c *cluster.Cluster, jobs []*workload.Job, pl place.Placer, pol sched.Policy, mutate func(*sim.Config)) (*sim.Result, error) {
 	cfg := sim.Config{

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"tetrium/internal/cluster"
+	"tetrium/internal/place"
 	"tetrium/internal/sched"
 	"tetrium/internal/sim"
 	"tetrium/internal/workload"
@@ -42,7 +43,7 @@ func Extensions(o Options) (*Table, error) {
 		{"+ speculation", base, true},
 		{"+ both", replicated, true},
 	} {
-		res, err := runOne(c, v.jobs, tetriumFor(n), sched.SRPT, func(cfg *sim.Config) {
+		res, err := runOne(c, v.jobs, place.TetriumFor(n), sched.SRPT, func(cfg *sim.Config) {
 			cfg.Speculation = v.spec
 		})
 		if err != nil {

@@ -169,7 +169,8 @@ func clusterSec22() *cluster.Cluster {
 // instance as the number of concurrent jobs grows (25→400 in the
 // paper; Gurobi took ≈950 ms at 50 jobs and ≈8 s at 400). The measured
 // quantity is the wall time to estimate placements for every runnable
-// job plus the SRPT ordering — exactly the work of one instance.
+// job plus the SRPT order and ε walk (sched.Instance) — exactly the
+// work of one instance short of launching tasks.
 func Fig7(o Options) (*Table, error) {
 	counts := []int{25, 50, 100, 200, 400}
 	if o.Quick {
@@ -177,7 +178,7 @@ func Fig7(o Options) (*Table, error) {
 	}
 	n := o.simSites()
 	c := simCluster(n, o.seed())
-	pl := tetriumFor(n)
+	pl := place.TetriumFor(n)
 	res := place.Resources{Slots: c.Slots(), UpBW: c.UpBW(), DownBW: c.DownBW()}
 
 	t := &Table{
@@ -206,7 +207,7 @@ func Fig7(o Options) (*Table, error) {
 				EstStageTime: mp.EstTime(), RemainingTasks: j.TotalTasks(),
 			})
 		}
-		sched.Order(sched.SRPT, infos)
+		sched.Instance(sched.SRPT, 1, c.TotalSlots(), infos, func(int, int) int { return 0 })
 		elapsed := time.Since(start)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", jcount),

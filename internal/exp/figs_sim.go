@@ -82,7 +82,7 @@ func Fig56(o Options) (*Table, *Table, error) {
 	}
 
 	for _, s := range settings {
-		pl := tetriumFor(s.sites)
+		pl := place.TetriumFor(s.sites)
 		tet, err := runOne(s.c, s.jobs, pl, sched.SRPT, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s tetrium: %w", s.name, err)
@@ -130,7 +130,7 @@ func Fig8(o Options) (*Table, *Table, error) {
 	n := o.simSites()
 	c := simCluster(n, o.seed())
 	jobs := workload.Generate(simTraceConfig(c, o.scaleJobs(50, 8), o.seed()))
-	pl := tetriumFor(n)
+	pl := place.TetriumFor(n)
 
 	inp, err := runOne(c, jobs, place.InPlace{}, sched.Fair, nil)
 	if err != nil {
@@ -287,7 +287,7 @@ func TetrisCompare(o Options) (*Table, error) {
 	n := o.simSites()
 	c := simCluster(n, o.seed())
 	jobs := workload.Generate(simTraceConfig(c, o.scaleJobs(40, 8), o.seed()))
-	tet, err := runOne(c, jobs, tetriumFor(n), sched.SRPT, nil)
+	tet, err := runOne(c, jobs, place.TetriumFor(n), sched.SRPT, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +316,7 @@ func Fig9(o Options) (*Table, error) {
 	n := o.simSites()
 	c := simCluster(n, o.seed())
 	jobs := workload.Generate(simTraceConfig(c, o.scaleJobs(40, 8), o.seed()))
-	pl := tetriumFor(n)
+	pl := place.TetriumFor(n)
 	inp, err := runOne(c, jobs, place.InPlace{}, sched.Fair, nil)
 	if err != nil {
 		return nil, err
@@ -350,7 +350,7 @@ func Fig10ab(o Options) (*Table, error) {
 	n := o.simSites()
 	c := simCluster(n, o.seed())
 	jobs := workload.Generate(simTraceConfig(c, o.scaleJobs(40, 8), o.seed()))
-	pl := tetriumFor(n)
+	pl := place.TetriumFor(n)
 	inp, err := runOne(c, jobs, place.InPlace{}, sched.Fair, nil)
 	if err != nil {
 		return nil, err
@@ -398,7 +398,7 @@ func Fig10c(o Options) (*Table, error) {
 	gen := simTraceConfig(c, o.scaleJobs(40, 8), o.seed())
 	gen.MeanInterarrival = 5
 	jobs := workload.Generate(gen)
-	pl := tetriumFor(n)
+	pl := place.TetriumFor(n)
 	inp, err := runOne(c, jobs, place.InPlace{}, sched.Fair, nil)
 	if err != nil {
 		return nil, err
@@ -432,7 +432,7 @@ func Fig11(o Options) (*Table, error) {
 	n := o.simSites()
 	c := simCluster(n, o.seed())
 	jobs := workload.Generate(simTraceConfig(c, o.scaleJobs(30, 6), o.seed()))
-	pl := tetriumFor(n)
+	pl := place.TetriumFor(n)
 
 	dropSites := pickSites(n, 5, o.seed())
 	if o.Quick {
@@ -506,7 +506,7 @@ func Fig12(o Options) ([]*Table, error) {
 	cfg := simTraceConfig(c, o.scaleJobs(60, 10), o.seed())
 	cfg.EstErrorFrac = 0.4 // populate the error buckets
 	jobs := workload.Generate(cfg)
-	pl := tetriumFor(n)
+	pl := place.TetriumFor(n)
 
 	inp, err := runOne(c, jobs, place.InPlace{}, sched.Fair, nil)
 	if err != nil {
@@ -618,7 +618,7 @@ func SkewSweep(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			tet, err := runOne(c, w, tetriumFor(n), sched.SRPT, nil)
+			tet, err := runOne(c, w, place.TetriumFor(n), sched.SRPT, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -101,15 +101,23 @@ type MapPlacement struct {
 // EstTime is the LP's estimate of the stage's remaining processing time.
 func (p MapPlacement) EstTime() float64 { return p.TAggr + p.TMap }
 
+// TasksBySite returns the tasks the placement runs at each site: the
+// column sums Σ_x Tasks[x][y].
+func (p MapPlacement) TasksBySite() []int {
+	at := make([]int, len(p.Tasks))
+	for _, row := range p.Tasks {
+		for y, c := range row {
+			at[y] += c
+		}
+	}
+	return at
+}
+
 // SlotDemand returns D = {d_x = min(S_x, tasks at x)} (§3.1 outcome c).
 func (p MapPlacement) SlotDemand(slots []int) []int {
-	d := make([]int, len(slots))
-	for y := range slots {
-		at := 0
-		for x := range p.Tasks {
-			at += p.Tasks[x][y]
-		}
-		d[y] = min(slots[y], at)
+	d := p.TasksBySite()
+	for y := range d {
+		d[y] = min(slots[y], d[y])
 	}
 	return d
 }

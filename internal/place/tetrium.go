@@ -143,6 +143,16 @@ type Tetrium struct {
 	Check bool
 }
 
+// TetriumFor returns the Tetrium placer for an n-site cluster: above 16
+// sites the map LP restricts its candidate destinations (MaxDest 10),
+// at or below it solves the exact LP.
+func TetriumFor(n int) Tetrium {
+	if n > 16 {
+		return Tetrium{MaxDest: 10}
+	}
+	return Tetrium{}
+}
+
 // Name implements Placer.
 func (Tetrium) Name() string { return "tetrium" }
 

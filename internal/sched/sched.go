@@ -3,8 +3,10 @@
 // remaining stage count G_j as the primary key and the current stage's
 // LP-estimated remaining time T_j as the tie-breaker (§4.1), the
 // baseline FIFO and Fair orderings, and the ε-fairness slot capping of
-// §4.4. The functions here are pure policy; the simulator supplies the
-// per-job state and enforces the resulting allocations.
+// §4.4. The functions here are pure policy: Instance walks one
+// scheduling instance and Allocate sizes one stage's launch, and both
+// the simulator (internal/sim) and the serving engine (internal/engine)
+// call them, supplying the per-job state and carrying out the launches.
 package sched
 
 import "sort"
@@ -137,6 +139,56 @@ func Cap(eps float64, totalSlots int, shares []int, k int) int {
 		q = shares[k]
 	}
 	return q
+}
+
+// Instance runs the policy half of one scheduling instance over jobs
+// with free slots available in total: it orders the jobs (§4.1), gives
+// each its fair share p_i (§4.4), and walks them in order, offering job
+// k its ε-fair budget q_k of the slots still free. launch(k, budget)
+// starts up to budget slots' worth of job k's tasks and returns how
+// many it started. The walk ends when no slot is left. Fair forces
+// ε = 0. Instance returns the order (indices into jobs) and the total
+// launched.
+func Instance(policy Policy, eps float64, free int, jobs []JobInfo, launch func(k, budget int) int) (order []int, launched int) {
+	if policy == Fair {
+		eps = 0
+	}
+	order = Order(policy, jobs)
+	remTasks := make([]int, len(jobs))
+	for i, j := range jobs {
+		remTasks[i] = j.RemainingTasks
+	}
+	shares := FairShares(free, remTasks)
+	for _, k := range order {
+		if free <= 0 {
+			break
+		}
+		budget := Cap(eps, free, shares, k)
+		if budget <= 0 {
+			continue
+		}
+		n := launch(k, budget)
+		launched += n
+		free -= n
+	}
+	return order, launched
+}
+
+// Allocate sizes one stage's launch: each site gets the smaller of its
+// demand and its free slots (a site with no free slot gets none), and
+// when that sums past the job's budget the allocation is scaled down
+// proportionally (ScaleDemand, §4.4) rather than filled in site order.
+func Allocate(demand, free []int, budget int) []int {
+	alloc := make([]int, len(demand))
+	total := 0
+	for x, d := range demand {
+		alloc[x] = max(0, min(d, free[x]))
+		total += alloc[x]
+	}
+	if total > budget {
+		return ScaleDemand(alloc, budget)
+	}
+	return alloc
 }
 
 // ScaleDemand scales the per-site slot demand d down proportionally so

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -195,6 +196,161 @@ func TestScaleDemandProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// offer is one launch call of a scheduling instance: the job offered
+// and the budget it was offered.
+type offer struct{ job, budget int }
+
+// walk runs Instance with a launch that records every offer and takes
+// take(k, budget) slots.
+func walk(policy Policy, eps float64, free int, jobs []JobInfo, take func(k, budget int) int) ([]int, int, []offer) {
+	var offers []offer
+	order, launched := Instance(policy, eps, free, jobs, func(k, budget int) int {
+		offers = append(offers, offer{k, budget})
+		return take(k, budget)
+	})
+	return order, launched, offers
+}
+
+func all(_, budget int) int { return budget }
+
+func TestInstanceWalksPolicyOrder(t *testing.T) {
+	jobs := []JobInfo{
+		{ID: 0, RemainingStages: 3, RemainingTasks: 1},
+		{ID: 1, RemainingStages: 1, RemainingTasks: 1},
+		{ID: 2, RemainingStages: 2, RemainingTasks: 1},
+	}
+	for _, tc := range []struct {
+		policy Policy
+		want   []int
+	}{
+		{SRPT, []int{1, 2, 0}}, // fewest remaining stages first
+		{FIFO, []int{0, 1, 2}},
+		{Fair, []int{0, 1, 2}},
+	} {
+		order, launched, offers := walk(tc.policy, 1, 10, jobs, func(int, int) int { return 1 })
+		if !reflect.DeepEqual(order, tc.want) {
+			t.Errorf("%v: order %v, want %v", tc.policy, order, tc.want)
+		}
+		if launched != 3 || len(offers) != 3 {
+			t.Fatalf("%v: launched %d over %d offers, want 3 over 3", tc.policy, launched, len(offers))
+		}
+		for i, o := range offers {
+			if o.job != tc.want[i] {
+				t.Errorf("%v: offer %d went to job %d, want %d", tc.policy, i, o.job, tc.want[i])
+			}
+		}
+	}
+}
+
+// TestInstanceOffersCap: each job is offered Cap of the slots still
+// free, against the instance's fair shares (here [3 1 6] of 10).
+func TestInstanceOffersCap(t *testing.T) {
+	jobs := []JobInfo{
+		{ID: 0, RemainingStages: 1, RemainingTasks: 30},
+		{ID: 1, RemainingStages: 1, RemainingTasks: 10},
+		{ID: 2, RemainingStages: 1, RemainingTasks: 60},
+	}
+	shares := []int{3, 1, 6}
+	for _, eps := range []float64{0, 0.5} {
+		free := 10
+		// No job launches more than 3.
+		_, launched, offers := walk(SRPT, eps, free, jobs, func(_, budget int) int { return min(budget, 3) })
+		if len(offers) != 3 {
+			t.Fatalf("eps %g: %d offers, want 3", eps, len(offers))
+		}
+		for _, o := range offers {
+			if want := Cap(eps, free, shares, o.job); o.budget != want {
+				t.Errorf("eps %g: job %d offered %d with %d free, want Cap = %d", eps, o.job, o.budget, free, want)
+			}
+			free -= min(o.budget, 3)
+		}
+		if launched != 10-free {
+			t.Errorf("eps %g: launched %d, want %d", eps, launched, 10-free)
+		}
+	}
+	// ε = 0 gives each job exactly its share.
+	_, _, offers := walk(SRPT, 0, 10, jobs, all)
+	if want := []offer{{0, 3}, {1, 1}, {2, 6}}; !reflect.DeepEqual(offers, want) {
+		t.Errorf("eps 0 offers %v, want %v", offers, want)
+	}
+	// Fair ignores ε and walks as ε = 0 does.
+	if _, _, fair := walk(Fair, 1, 10, jobs, all); !reflect.DeepEqual(fair, offers) {
+		t.Errorf("Fair at eps 1 offers %v, want the eps 0 offers %v", fair, offers)
+	}
+}
+
+// TestInstanceStopsWhenFull: once a job takes the last free slot, no
+// later job is offered anything; a job that launches nothing does not
+// end the walk.
+func TestInstanceStopsWhenFull(t *testing.T) {
+	jobs := []JobInfo{{ID: 0, RemainingTasks: 5}, {ID: 1, RemainingTasks: 5}, {ID: 2, RemainingTasks: 5}}
+	order, launched, offers := walk(FIFO, 1, 4, jobs, func(k, budget int) int {
+		if k == 0 {
+			return 0
+		}
+		return budget
+	})
+	if want := []offer{{0, 4}, {1, 4}}; !reflect.DeepEqual(offers, want) {
+		t.Errorf("offers %v, want %v", offers, want)
+	}
+	if launched != 4 || len(order) != 3 {
+		t.Errorf("launched %d, order %v; want 4 and all three jobs ordered", launched, order)
+	}
+	if _, _, offers := walk(SRPT, 1, 0, jobs, all); len(offers) != 0 {
+		t.Errorf("offers with no free slot: %v", offers)
+	}
+}
+
+func TestAllocate(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		demand, free []int
+		budget       int
+		want         []int
+	}{
+		{"within free and budget", []int{1, 2, 3}, []int{4, 4, 4}, 10, []int{1, 2, 3}},
+		{"free caps demand", []int{5, 5, 5}, []int{4, 1, 0}, 20, []int{4, 1, 0}},
+		{"negative free gives nothing", []int{3, 3, 3}, []int{-2, 1, 5}, 10, []int{0, 1, 3}},
+		{"zero demand", []int{0, 2, 0}, []int{4, 4, 4}, 10, []int{0, 2, 0}},
+		{"budget scales down proportionally", []int{4, 4, 4}, []int{4, 4, 4}, 6, []int{2, 2, 2}},
+		{"zero budget", []int{4, 4}, []int{4, 4}, 0, []int{0, 0}},
+	} {
+		if got := Allocate(tc.demand, tc.free, tc.budget); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: Allocate(%v, %v, %d) = %v, want %v", tc.name, tc.demand, tc.free, tc.budget, got, tc.want)
+		}
+	}
+}
+
+// TestAllocateScalesCappedDemand: past the budget, Allocate is
+// ScaleDemand of the free-capped demand — not of the raw demand.
+func TestAllocateScalesCappedDemand(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(8)
+		demand, free, capped := make([]int, n), make([]int, n), make([]int, n)
+		total := 0
+		for x := range demand {
+			demand[x] = rng.Intn(20)
+			free[x] = rng.Intn(20) - 5
+			capped[x] = max(0, min(demand[x], free[x]))
+			total += capped[x]
+		}
+		budget := rng.Intn(40)
+		got := Allocate(demand, free, budget)
+		if total <= budget {
+			return reflect.DeepEqual(got, capped)
+		}
+		return reflect.DeepEqual(got, ScaleDemand(capped, budget))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	got := Allocate([]int{6, 1, 5}, []int{4, 4, -1}, 3)
+	if want := ScaleDemand([]int{4, 1, 0}, 3); !reflect.DeepEqual(got, want) {
+		t.Errorf("Allocate = %v, want ScaleDemand([4 1 0], 3) = %v", got, want)
 	}
 }
 

@@ -10,32 +10,6 @@ import (
 	"tetrium/internal/workload"
 )
 
-func TestCeilFrac(t *testing.T) {
-	cases := []struct {
-		f    float64
-		n    int
-		want int
-	}{
-		{0, 5, 0},
-		{-0.5, 5, 0},
-		{0.5, 0, 0},
-		{1, 5, 5},
-		{0.5, 4, 2},     // exact product: no spurious round-up
-		{0.5, 5, 3},     // 2.5 → 3
-		{0.401, 5, 3},   // 2.005 → 3; the old +0.999 idiom returned 2
-		{0.2, 5, 1},     // 1.0000000000000002 in floats: stays 1
-		{0.1, 3, 1},     // 0.30000000000000004 → 1
-		{0.3333, 3, 1},  // 0.9999 → 1
-		{0.33334, 3, 2}, // 1.00002 → 2
-		{1e-12, 10, 0},  // below the 1e-9 guard: treated as rounding noise
-	}
-	for _, c := range cases {
-		if got := ceilFrac(c.f, c.n); got != c.want {
-			t.Errorf("ceilFrac(%v, %d) = %d, want %d", c.f, c.n, got, c.want)
-		}
-	}
-}
-
 // TestCheckedRunsClean runs seeded random workloads through every placer
 // with Config.Check set: the engine's conservation invariants (byte
 // conservation per WAN flow, slot occupancy bounds, event-time

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"sort"
 	"time"
 
@@ -24,7 +23,9 @@ import (
 //  2. order jobs per the configured policy (SRPT on G_j then T_j, §4.1);
 //  3. walk jobs in order, capping each job's slots per ε-fairness
 //     (§4.4), and launch tasks at the sites its placement calls for,
-//     choosing which tasks per the stage's ordering strategy (§3.3);
+//     choosing which tasks per the stage's ordering strategy (§3.3) —
+//     steps 2 and 3 are sched.Instance, which the serving engine runs
+//     too;
 //  4. aggregate the launched tasks' input fetches into per-(src,dst)
 //     WAN flows.
 func (e *engine) dispatch() {
@@ -71,9 +72,7 @@ func (e *engine) dispatch() {
 		return
 	}
 	freeAtStart := totalFree
-
 	infos := make([]sched.JobInfo, len(cands))
-	remTasks := make([]int, len(cands))
 	for i, c := range cands {
 		est := 0.0
 		for _, st := range c.stages {
@@ -88,32 +87,17 @@ func (e *engine) dispatch() {
 			EstStageTime:    est,
 			RemainingTasks:  c.job.remainingTasks,
 		}
-		remTasks[i] = c.job.remainingTasks
 	}
-	orderIdx := sched.Order(e.cfg.Policy, infos)
-	shares := sched.FairShares(totalFree, remTasks)
-
-	launched := 0
-	for _, k := range orderIdx {
-		if totalFree <= 0 {
-			break
-		}
-		budget := sched.Cap(e.cfg.Eps, totalFree, shares, k)
-		if budget <= 0 {
-			continue
-		}
-		c := cands[k]
-		for _, st := range c.stages {
+	orderIdx, launched := sched.Instance(e.cfg.Policy, e.cfg.Eps, totalFree, infos, func(k, budget int) int {
+		n := 0
+		for _, st := range cands[k].stages {
 			if budget <= 0 {
 				break
 			}
-			n := e.launchStage(st, &budget)
-			if n > 0 {
-				launched += n
-				totalFree -= n
-			}
+			n += e.launchStage(st, &budget)
 		}
-	}
+		return n
+	})
 	if e.cfg.Speculation {
 		e.speculate()
 	}
@@ -128,15 +112,11 @@ func (e *engine) dispatch() {
 }
 
 // speculate launches redundant copies of straggling tasks (§8): any task
-// whose computation has run SpecThreshold× the stage's estimated task
+// whose computation has run specThreshold× the stage's estimated task
 // duration gets one copy at the free-slot-richest site (preferring the
 // task's data site), reading the same input. The task completes when
 // either attempt finishes; the loser runs out its slot (no remote kill).
 func (e *engine) speculate() {
-	thr := e.cfg.SpecThreshold
-	if thr <= 0 {
-		thr = 2
-	}
 	for _, j := range e.jobs {
 		if j.done() {
 			continue
@@ -145,7 +125,7 @@ func (e *engine) speculate() {
 			if st.launched == st.done || st.spec.EstCompute <= 0 {
 				continue
 			}
-			limit := thr * st.spec.EstCompute
+			limit := specThreshold * st.spec.EstCompute
 			for ti := range st.spec.Tasks {
 				if st.doneTask[ti] || st.copyLaunched[ti] || st.computeStart[ti] < 0 {
 					continue
@@ -294,24 +274,23 @@ func (e *engine) ensureCache(st *stageRun) {
 				e.check.Violatef("t=%g job %d stage %d: map placer failed: %v",
 					e.now, st.job.spec.ID, st.idx, err)
 			}
-			mp = diagonalPlacement(res, req)
+			// Defensive stopgap: leave tasks with their data. In-Place
+			// fails only on malformed resources, which the simulator
+			// never builds, so an error here is a bug and stops the run.
+			var ferr error
+			if mp, ferr = (place.InPlace{}).PlaceMap(res, req); ferr != nil {
+				panic("sim: in-place fallback failed: " + ferr.Error())
+			}
 		}
 		if e.check != nil {
 			if cerr := check.MapFractions(mp.Frac, input, nPend); cerr != nil {
 				e.check.Violatef("t=%g job %d stage %d: %v", e.now, st.job.spec.ID, st.idx, cerr)
 			}
 		}
-		quota := make([]int, e.n)
-		quotaTotal := 0
-		for x := range mp.Tasks {
-			for y, c := range mp.Tasks[x] {
-				quota[y] += c
-				quotaTotal += c
-			}
-		}
-		if e.check != nil && quotaTotal != nPend {
+		quota := mp.TasksBySite()
+		if e.check != nil && sum(quota) != nPend {
 			e.check.Violatef("t=%g job %d stage %d: placement apportioned %d tasks for %d pending",
-				e.now, st.job.spec.ID, st.idx, quotaTotal, nPend)
+				e.now, st.job.spec.ID, st.idx, sum(quota), nPend)
 		}
 		st.cache = &placeCache{
 			est:       mp.EstTime(),
@@ -350,19 +329,18 @@ func (e *engine) ensureCache(st *stageRun) {
 			e.check.Violatef("t=%g job %d stage %d: reduce placer failed: %v",
 				e.now, st.job.spec.ID, st.idx, err)
 		}
-		rp = proportionalReduce(res, req)
+		var ferr error
+		if rp, ferr = (place.InPlace{}).PlaceReduce(res, req); ferr != nil {
+			panic("sim: in-place fallback failed: " + ferr.Error())
+		}
 	}
 	if e.check != nil {
 		if cerr := check.ReduceFractions(rp.Frac); cerr != nil {
 			e.check.Violatef("t=%g job %d stage %d: %v", e.now, st.job.spec.ID, st.idx, cerr)
 		}
-		quotaTotal := 0
-		for _, c := range rp.Tasks {
-			quotaTotal += c
-		}
-		if quotaTotal != nPend {
+		if sum(rp.Tasks) != nPend {
 			e.check.Violatef("t=%g job %d stage %d: placement apportioned %d tasks for %d pending",
-				e.now, st.job.spec.ID, st.idx, quotaTotal, nPend)
+				e.now, st.job.spec.ID, st.idx, sum(rp.Tasks), nPend)
 		}
 	}
 	quota := make([]int, e.n)
@@ -525,37 +503,16 @@ func newLaunchBatch() *launchBatch {
 }
 
 // launchStage launches as many of the stage's pending tasks as the
-// placement quota, free slots, and the job's slot budget allow. It
-// returns the number launched and decrements *budget.
+// placement quota, free slots, and the job's slot budget allow
+// (sched.Allocate). It returns the number launched and decrements
+// *budget.
 func (e *engine) launchStage(st *stageRun, budget *int) int {
 	launched := 0
 	batch := newLaunchBatch()
-	// When the job's ε-fairness budget is tighter than its launchable
-	// demand, scale the per-site allocation down proportionally (§4.4)
-	// instead of filling sites in index order.
-	caps := make([]int, e.n)
-	demand := 0
-	for y := 0; y < e.n; y++ {
-		c := st.cache.quota[y]
-		if c > e.free[y] {
-			c = e.free[y]
-		}
-		if c < 0 {
-			c = 0
-		}
-		caps[y] = c
-		demand += c
-	}
-	if demand > *budget {
-		caps = sched.ScaleDemand(caps, *budget)
-	}
-	for y := 0; y < e.n && *budget > 0; y++ {
-		n := caps[y]
+	alloc := sched.Allocate(st.cache.quota, e.free, *budget)
+	for y, n := range alloc {
 		if n <= 0 {
 			continue
-		}
-		if n > *budget {
-			n = *budget
 		}
 		chosen := e.chooseTasks(st, y, n)
 		for _, ti := range chosen {
@@ -778,11 +735,6 @@ func (e *engine) chooseTasks(st *stageRun, y, n int) []int {
 			}
 		}
 		ordered := order.OrderMap(cands, e.cfg.MapOrder)
-		// Optionally reserve a fraction of the batch for local tasks
-		// (§5, "Handling Dynamic Slot Arrivals").
-		if e.cfg.LocalReserve > 0 && e.cfg.MapOrder == order.RemoteFirstSpread {
-			ordered = reserveLocal(st, ordered, y, n, e.cfg.LocalReserve)
-		}
 		if len(ordered) > n {
 			ordered = ordered[:n]
 		}
@@ -797,58 +749,6 @@ func (e *engine) chooseTasks(st *stageRun, y, n int) []int {
 		ordered = ordered[:n]
 	}
 	return ordered
-}
-
-// ceilFrac returns ⌈f·n⌉, robust to floating-point error in the
-// product: values within 1e-9 below an integer count as having reached
-// it. (The previous int(f·n + 0.999) idiom silently rounded *down*
-// whenever the product's fractional part fell in (0, 0.001) — e.g. a
-// reserve share of 0.401 over 5 slots wants ⌈2.005⌉ = 3, not 2.)
-func ceilFrac(f float64, n int) int {
-	if f <= 0 || n <= 0 {
-		return 0
-	}
-	return int(math.Ceil(f*float64(n) - 1e-9))
-}
-
-// reserveLocal rearranges an ordered launch list so that at least
-// ⌈reserve·n⌉ of the first n tasks are local to site y when enough local
-// tasks exist.
-func reserveLocal(st *stageRun, ordered []int, y, n int, reserve float64) []int {
-	want := ceilFrac(reserve, n)
-	if want <= 0 || len(ordered) <= n {
-		return ordered
-	}
-	isLocal := func(ti int) bool { return st.spec.Tasks[ti].Src == y }
-	localIn := 0
-	for i := 0; i < n; i++ {
-		if isLocal(ordered[i]) {
-			localIn++
-		}
-	}
-	if localIn >= want {
-		return ordered
-	}
-	out := make([]int, len(ordered))
-	copy(out, ordered)
-	// Pull local tasks from beyond position n into the tail of the
-	// first n slots.
-	insert := n - 1
-	for j := n; j < len(out) && localIn < want; j++ {
-		if !isLocal(out[j]) {
-			continue
-		}
-		for insert >= 0 && isLocal(out[insert]) {
-			insert--
-		}
-		if insert < 0 {
-			break
-		}
-		out[insert], out[j] = out[j], out[insert]
-		localIn++
-		insert--
-	}
-	return out
 }
 
 // removePending deletes task ti from the stage's pending list.
@@ -879,24 +779,15 @@ func (e *engine) reassignCaches() {
 			}
 			old := st.cache.quota
 			// Ideal assignment under the new capacities.
-			prev := st.cache
 			st.cache = nil
-			e.ensureCacheForce(st)
-			ideal := st.cache.quota
+			e.ensureCache(st)
 			if e.cfg.UpdateK > 0 {
-				adjusted := dynamics.Reassign(old, ideal, e.cfg.UpdateK)
+				adjusted := dynamics.Reassign(old, st.cache.quota, e.cfg.UpdateK)
 				st.cache.quota = adjusted
 				rescaleQuotaMatrix(st.cache, adjusted)
 			}
-			_ = prev
 		}
 	}
-}
-
-// ensureCacheForce recomputes the placement unconditionally.
-func (e *engine) ensureCacheForce(st *stageRun) {
-	st.cache = nil
-	e.ensureCache(st)
 }
 
 // rescaleQuotaMatrix reshapes a map stage's (src→dst) quota matrix to
@@ -984,21 +875,10 @@ func rescaleQuotaMatrix(c *placeCache, destTotals []int) {
 	}
 }
 
-// diagonalPlacement is the defensive fallback when a placer errors on a
-// map request: leave tasks with their data.
-func diagonalPlacement(res place.Resources, req place.MapRequest) place.MapPlacement {
-	p, err := place.InPlace{}.PlaceMap(res, req)
-	if err != nil {
-		panic("sim: in-place fallback failed: " + err.Error())
+func sum(xs []int) int {
+	t := 0
+	for _, x := range xs {
+		t += x
 	}
-	return p
-}
-
-// proportionalReduce is the fallback for reduce requests.
-func proportionalReduce(res place.Resources, req place.ReduceRequest) place.ReducePlacement {
-	p, err := place.InPlace{}.PlaceReduce(res, req)
-	if err != nil {
-		panic("sim: in-place fallback failed: " + err.Error())
-	}
-	return p
+	return t
 }

@@ -63,8 +63,8 @@ type Config struct {
 	// treated as 1 (the paper's default setting, §6.1).
 	Rho float64
 	// Eps is the fairness knob ε of §4.4: 1 is pure SRPT, 0 is complete
-	// fairness. Values < 0 are treated as 1. Ignored (forced to 0) when
-	// Policy is Fair.
+	// fairness. Values < 0 are treated as 1. Ignored (sched.Instance
+	// forces 0) when Policy is Fair.
 	Eps float64
 
 	// Seed drives the only randomized component (random reduce-task
@@ -75,11 +75,6 @@ type Config struct {
 	// this many seconds after the triggering event so that more released
 	// slots are visible to one decision (§5, "Batching of Slots").
 	BatchWindow float64
-
-	// LocalReserve is the fraction of a map-stage launch batch reserved
-	// for data-local tasks under remote-first ordering (§5, "Handling
-	// Dynamic Slot Arrivals").
-	LocalReserve float64
 
 	// Drops injects resource-capacity reductions at runtime.
 	Drops []Drop
@@ -118,14 +113,16 @@ type Config struct {
 	Observer obs.Observer
 
 	// Speculation launches a redundant copy of a straggling task once
-	// its computation has run SpecThreshold× the stage's estimated task
+	// its computation has run specThreshold× the stage's estimated task
 	// duration (§8: straggler mitigation is orthogonal to placement;
 	// copies are placed at the free-slot-richest site, preferring the
-	// task's data site). SpecThreshold defaults to 2 when Speculation is
-	// set.
-	Speculation   bool
-	SpecThreshold float64
+	// task's data site).
+	Speculation bool
 }
+
+// specThreshold is the multiple of a stage's estimated task duration a
+// task's computation must exceed before Speculation copies it.
+const specThreshold = 2
 
 // JobResult summarizes one job's execution.
 type JobResult struct {
@@ -194,9 +191,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Eps < 0 {
 		cfg.Eps = 1
-	}
-	if cfg.Policy == sched.Fair {
-		cfg.Eps = 0
 	}
 	e := newEngine(cfg)
 	if err := e.run(); err != nil {
@@ -792,13 +786,9 @@ func (e *engine) startCompute(st *stageRun, task, site int, isCopy bool) {
 			// would find the task already done — behaviourally identical
 			// to scheduling a check for every task, which a real
 			// scheduler (that cannot see durations) would do.
-			thr := e.cfg.SpecThreshold
-			if thr <= 0 {
-				thr = 2
-			}
-			if dur > thr*st.spec.EstCompute {
+			if dur > specThreshold*st.spec.EstCompute {
 				e.push(&event{
-					time: e.now + thr*st.spec.EstCompute + 1e-6,
+					time: e.now + specThreshold*st.spec.EstCompute + 1e-6,
 					kind: evSpecCheck,
 					st:   st, task: task, site: site,
 				})

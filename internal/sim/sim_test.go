@@ -394,16 +394,6 @@ func TestBatchWindow(t *testing.T) {
 	}
 }
 
-func TestLocalReserve(t *testing.T) {
-	c := cluster.EC2EightRegions()
-	jobs := workload.Generate(workload.BigData(8, 6, 10))
-	cfg := baseConfig(c, jobs)
-	cfg.LocalReserve = 0.2
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTaskOrderingStrategiesComplete(t *testing.T) {
 	c := cluster.EC2EightRegions()
 	jobs := workload.Generate(workload.BigData(8, 6, 11))

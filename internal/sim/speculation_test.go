@@ -42,7 +42,6 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 	spec := baseConfig(c, mk())
 	spec.Placer = place.InPlace{}
 	spec.Speculation = true
-	spec.SpecThreshold = 2
 	withSpec, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)

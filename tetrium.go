@@ -304,11 +304,10 @@ type Options struct {
 	// 0 schedules immediately on every event.
 	BatchWindow float64
 
-	// Speculation launches redundant copies of straggling tasks (§8);
-	// SpecThreshold is the elapsed-time multiple of the stage's
-	// estimated task duration that triggers a copy (default 2).
-	Speculation   bool
-	SpecThreshold float64
+	// Speculation launches redundant copies of straggling tasks (§8):
+	// a copy starts once a task's computation has run twice the stage's
+	// estimated task duration.
+	Speculation bool
 
 	// Observer, when non-nil, receives the run's structured event
 	// trace: scheduling instances, placement decisions with LP
@@ -362,20 +361,19 @@ func buildConfig(o Options) (sim.Config, error) {
 		eps = o.Eps
 	}
 	cfg := sim.Config{
-		Cluster:       o.Cluster,
-		Jobs:          o.Jobs,
-		MapOrder:      order.RemoteFirstSpread,
-		ReduceOrder:   order.LongestFirst,
-		Rho:           rho,
-		Eps:           eps,
-		Seed:          o.Seed,
-		Drops:         o.Drops,
-		UpdateK:       o.UpdateK,
-		BatchWindow:   o.BatchWindow,
-		Speculation:   o.Speculation,
-		SpecThreshold: o.SpecThreshold,
-		Observer:      o.Observer,
-		Check:         o.Check,
+		Cluster:     o.Cluster,
+		Jobs:        o.Jobs,
+		MapOrder:    order.RemoteFirstSpread,
+		ReduceOrder: order.LongestFirst,
+		Rho:         rho,
+		Eps:         eps,
+		Seed:        o.Seed,
+		Drops:       o.Drops,
+		UpdateK:     o.UpdateK,
+		BatchWindow: o.BatchWindow,
+		Speculation: o.Speculation,
+		Observer:    o.Observer,
+		Check:       o.Check,
 	}
 	if o.FaultSpec != "" {
 		inj, err := fault.Parse(o.FaultSpec, o.FaultSeed)
@@ -398,7 +396,9 @@ func buildConfig(o Options) (sim.Config, error) {
 func plannerFor(s Scheduler, n int, check bool) (place.Placer, sched.Policy, error) {
 	switch s {
 	case SchedulerTetrium:
-		return tetriumPlacer(n, check), sched.SRPT, nil
+		p := place.TetriumFor(n)
+		p.Check = check
+		return p, sched.SRPT, nil
 	case SchedulerIridium:
 		return place.Iridium{Check: check}, sched.Fair, nil
 	case SchedulerInPlace:
@@ -410,15 +410,6 @@ func plannerFor(s Scheduler, n int, check bool) (place.Placer, sched.Policy, err
 	default:
 		return nil, 0, fmt.Errorf("tetrium: unknown scheduler %v", s)
 	}
-}
-
-// tetriumPlacer restricts the map LP's candidate destinations at large
-// site counts (see place.Tetrium.MaxDest).
-func tetriumPlacer(n int, check bool) place.Placer {
-	if n > 16 {
-		return place.Tetrium{MaxDest: 10, Check: check}
-	}
-	return place.Tetrium{Check: check}
 }
 
 // PlaceJob computes Tetrium's placement for the first map stage of a job
@@ -434,7 +425,7 @@ func PlaceJob(c *Cluster, job *Job) (estSeconds float64, tasksBySite []int, err 
 		return 0, nil, fmt.Errorf("tetrium: job's first stage is not a map stage")
 	}
 	res := place.Resources{Slots: c.Slots(), UpBW: c.UpBW(), DownBW: c.DownBW()}
-	mp, err := tetriumPlacer(c.N(), false).PlaceMap(res, place.MapRequest{
+	mp, err := place.TetriumFor(c.N()).PlaceMap(res, place.MapRequest{
 		InputBySite: st.InputBySite(c.N()),
 		NumTasks:    st.NumTasks(),
 		TaskCompute: st.EstCompute,
@@ -443,11 +434,5 @@ func PlaceJob(c *Cluster, job *Job) (estSeconds float64, tasksBySite []int, err 
 	if err != nil {
 		return 0, nil, err
 	}
-	tasksBySite = make([]int, c.N())
-	for x := range mp.Tasks {
-		for y, cnt := range mp.Tasks[x] {
-			tasksBySite[y] += cnt
-		}
-	}
-	return mp.EstTime(), tasksBySite, nil
+	return mp.EstTime(), mp.TasksBySite(), nil
 }

@@ -109,10 +109,14 @@ fuzz-smoke:
 # (spread check, kill + journal-restore of shard 0, merged
 # metrics/events/status); with -supervise the heals happen under live
 # supervision. The iridium run schedules under Fair (ε = 0), so the
-# §4.4 capped allocation (sched.Allocate) is driven end to end.
+# §4.4 capped allocation (sched.Allocate) is driven end to end. The
+# -solve-deadline 1us run answers nearly every placement with the
+# stopgap (place.InPlace) while site 0 is crashed, so its share spreads
+# over the sites with slots.
 serve-smoke:
 	$(GO) run ./cmd/tetrium-serve -smoke -cluster paper -time-scale 0.002
 	$(GO) run ./cmd/tetrium-serve -smoke -cluster paper -scheduler iridium -time-scale 0.002
+	$(GO) run ./cmd/tetrium-serve -smoke -cluster paper -time-scale 0.002 -solve-deadline 1us -fault-spec "crash@0s:site=0,dur=0.5s"
 	$(GO) run ./cmd/tetrium-serve -smoke -shards 2 -journal $$(mktemp -d)/journal -time-scale 0.002
 	$(GO) run ./cmd/tetrium-serve -smoke -shards 2 -supervise -journal $$(mktemp -d)/journal -time-scale 0.002
 

@@ -403,13 +403,6 @@ func (s *state) drainRate(now time.Time) float64 {
 	return float64(len(recent)) / span
 }
 
-func stageTaskCompute(pr placeRequest) float64 {
-	if pr.kind == "map" {
-		return pr.mreq.TaskCompute
-	}
-	return pr.rreq.TaskCompute
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -17,6 +17,7 @@ import (
 	"tetrium/internal/fault"
 	"tetrium/internal/journal"
 	"tetrium/internal/obs"
+	"tetrium/internal/place"
 )
 
 // counterValue reads one counter from the engine's text metrics dump
@@ -444,5 +445,30 @@ func TestReadyAndRetryAfter(t *testing.T) {
 	}
 	if ra := e.RetryAfter(); ra != 1 {
 		t.Errorf("RetryAfter after close = %d, want 1", ra)
+	}
+}
+
+// TestStopgapSpreadsSlotlessData: the stopgap is In-Place, so a data
+// site without slots keeps none of its tasks; they spread over the
+// sites with slots, and the placement reports the bytes that crossed
+// the WAN and the time they take.
+func TestStopgapSpreadsSlotlessData(t *testing.T) {
+	res := place.Resources{
+		Slots:  []int{0, 4, 4},
+		UpBW:   []float64{1e8, 1e8, 1e8},
+		DownBW: []float64{1e8, 1e8, 1e8},
+	}
+	input := []float64{8e9, 0, 0}
+	r := stopgap(res, placeRequest{kind: "map", mreq: place.MapRequest{
+		InputBySite: input, NumTasks: 8, TaskCompute: 1, WANBudget: -1,
+	}})
+	if r.tasks[0] != 0 || r.tasks[1]+r.tasks[2] != 8 {
+		t.Errorf("stopgap tasks %v, want none at slotless site 0", r.tasks)
+	}
+	if r.wan != input[0] {
+		t.Errorf("stopgap WAN bytes %v, want %v", r.wan, input[0])
+	}
+	if r.estNet <= 0 {
+		t.Errorf("stopgap estNet %v, want > 0", r.estNet)
 	}
 }

@@ -587,6 +587,13 @@ func (pr placeRequest) numTasks() int {
 	return pr.rreq.NumTasks
 }
 
+func (pr placeRequest) taskCompute() float64 {
+	if pr.kind == "map" {
+		return pr.mreq.TaskCompute
+	}
+	return pr.rreq.TaskCompute
+}
+
 // setWarm points the request at a warm-start state for the placer to
 // use. Never reflected in requestKey: a warm start changes solve speed,
 // not the placement, so cache signatures ignore it.
@@ -616,7 +623,7 @@ func (pr placeRequest) recurrenceKey() placeKey {
 	b := newKeyBuilder(len(data) + 4)
 	b.bit(pr.kind == "map")
 	b.int(pr.numTasks())
-	b.float(stageTaskCompute(pr))
+	b.float(pr.taskCompute())
 	for _, v := range data {
 		b.bit(v > 0)
 	}
@@ -702,27 +709,18 @@ func solveRequest(placer place.Placer, res place.Resources, pr placeRequest) (pl
 }
 
 // stopgap is the one placement the engine commits when the LP gives no
-// answer — the placer erred, the solve outlived Config.SolveDeadline,
-// or it panicked: In-Place, every task where its data is. A data site
-// with no slots cannot run them, and an estimate against zero capacity
-// is garbage, so then the tasks spread over capacity instead. Never
+// answer — the placer erred, the solve outlived Config.SolveDeadline, or
+// it panicked — and where a placement goes whose sites have all lost
+// their capacity: place.InPlace, every task where its data is, a
+// slotless site's share spread over the sites with slots. In-Place fails
+// only on malformed resources, which the engine never builds. Never
 // cached; safe on a pool worker.
 func stopgap(res place.Resources, pr placeRequest) placeResult {
 	r, err := solveRequest(place.InPlace{}, res, pr)
-	inPlace := err == nil
-	for x, n := range r.tasks {
-		if n > 0 && res.Slots[x] <= 0 {
-			inPlace = false
-		}
+	if err != nil {
+		panic("engine: in-place stopgap failed: " + err.Error())
 	}
-	if inPlace {
-		return r
-	}
-	n := pr.numTasks()
-	return placeResult{
-		tasks:      capacityProportional(res.Slots, n),
-		estCompute: fallbackEst(n, stageTaskCompute(pr), res.Slots),
-	}
+	return r
 }
 
 // maxStaleDrops is how many consecutive generation-guard drops a stage
@@ -1048,46 +1046,6 @@ func (s *state) noteWarmStats(it *solveItem) {
 	add("engine.solves_warm_fallback", it.starts.Fallback)
 }
 
-// capacityProportional spreads count tasks over sites proportionally to
-// capacity — where the stopgap goes when a data site has no slots, and
-// where a placement goes whose sites have all lost their capacity.
-func capacityProportional(slots []int, count int) []int {
-	out := make([]int, len(slots))
-	totalCap := 0
-	for _, c := range slots {
-		totalCap += c
-	}
-	if totalCap == 0 {
-		out[0] = count
-		return out
-	}
-	assigned := 0
-	bestIdx, bestCap := 0, -1
-	for x, c := range slots {
-		out[x] = count * c / totalCap
-		assigned += out[x]
-		if c > bestCap {
-			bestIdx, bestCap = x, c
-		}
-	}
-	out[bestIdx] += count - assigned
-	return out
-}
-
-// fallbackEst is the wave-count compute estimate of a capacity-
-// proportional placement.
-func fallbackEst(numTasks int, taskCompute float64, capSlots []int) float64 {
-	total := 0
-	for _, c := range capSlots {
-		total += c
-	}
-	if total == 0 {
-		total = 1
-	}
-	waves := (numTasks + total - 1) / total
-	return float64(waves) * taskCompute
-}
-
 // launchStage dispatches a ready, placed stage: it takes the slots the
 // placement demands (bounded by free capacity and the job's ε-fairness
 // budget, sched.Allocate) and arranges completion after the LP-estimated duration,
@@ -1101,14 +1059,12 @@ func (s *state) launchStage(js *jobState, sr *stageRun, budget *int) int {
 	total := sumInts(alloc)
 	if total == 0 {
 		// The placement's sites may have lost all capacity since the
-		// solve (§4.2); retarget proportionally to surviving capacity
-		// and retry once. The old estimate described the dead sites, so
-		// restamp it with the wave-count estimate for the new ones.
+		// solve (§4.2); retarget to the stopgap against surviving
+		// capacity, with its estimate and WAN bytes, and retry once.
 		if !s.anyCapacity(sr.tasks) {
-			sr.tasks = capacityProportional(s.capSlots, len(sr.spec.Tasks))
-			sr.estNet = 0
-			sr.estCompute = fallbackEst(len(sr.spec.Tasks), sr.spec.EstCompute, s.capSlots)
-			sr.est = sr.estCompute
+			r := stopgap(s.liveResources(), s.buildRequest(sr))
+			sr.tasks, sr.wan = r.tasks, r.wan
+			sr.estNet, sr.estCompute, sr.est = r.estNet, r.estCompute, r.estNet+r.estCompute
 			alloc = sched.Allocate(sr.tasks, s.free, *budget)
 			total = sumInts(alloc)
 		}

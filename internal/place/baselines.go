@@ -21,13 +21,9 @@ type Iridium struct {
 // Name implements Placer.
 func (Iridium) Name() string { return "iridium" }
 
-// PlaceMap leaves every map task at its data's site.
+// PlaceMap is In-Place's: every map task stays at its data's site.
 func (Iridium) PlaceMap(res Resources, req MapRequest) (MapPlacement, error) {
-	if err := res.validate(); err != nil {
-		return MapPlacement{}, err
-	}
-	mp := fallbackMap(res, req) // diagonal placement is exactly "in place"
-	return mp, nil
+	return InPlace{}.PlaceMap(res, req)
 }
 
 // PlaceReduce solves the shuffle-only LP (the paper's Eq. 6 with only
@@ -40,7 +36,12 @@ func (i Iridium) PlaceReduce(res Resources, req ReduceRequest) (ReducePlacement,
 
 // InPlace is the site-locality baseline (§6.1a): default Spark behaviour
 // where every task runs where its data is — map tasks at their partition
-// sites, reduce tasks spread proportionally to the intermediate data.
+// sites, reduce tasks spread in proportion to the intermediate data. A
+// site without slots cannot run its share, so that share spreads over
+// the sites with slots in proportion to their slots (and stays put when
+// no site has any). It is also every placer's answer when it has none of
+// its own: Iridium's maps, Tetrium's LP failures, and the engine's and
+// the simulator's stopgap.
 type InPlace struct{}
 
 // Name implements Placer.
@@ -61,6 +62,74 @@ func (InPlace) PlaceReduce(res Resources, req ReduceRequest) (ReducePlacement, e
 		return ReducePlacement{}, err
 	}
 	return fallbackReduce(res, req), nil
+}
+
+// fallbackMap is InPlace.PlaceMap on validated resources. With no input
+// the tasks balance over slots, each site "holding" its own zero-byte
+// share: the diagonal, so WAN accounting derived from the fraction
+// matrix sees no flow.
+func fallbackMap(res Resources, req MapRequest) MapPlacement {
+	n := res.N()
+	m := newMatrix(n)
+	total := req.TotalInput()
+	if total <= 0 {
+		for y, f := range uniformOverSlots(res.Slots) {
+			m[y][y] = f
+		}
+	} else {
+		for x, b := range req.InputBySite {
+			keepOrSpread(m[x], x, b/total, res)
+		}
+	}
+	return finishMap(res, req, m,
+		aggrTime(res, m, total),
+		computeTime(req.TaskCompute, req.NumTasks, destShares(m), res.Slots))
+}
+
+// fallbackReduce is InPlace.PlaceReduce on validated resources. With no
+// intermediate data the tasks balance over slots.
+func fallbackReduce(res Resources, req ReduceRequest) ReducePlacement {
+	total := req.TotalInter()
+	var frac []float64
+	if total <= 0 {
+		frac = uniformOverSlots(res.Slots)
+	} else {
+		frac = make([]float64, res.N())
+		for x, b := range req.InterBySite {
+			keepOrSpread(frac, x, b/total, res)
+		}
+	}
+	return finishReduce(res, req, frac,
+		shuffleTime(res, req.InterBySite, frac),
+		computeTime(req.TaskCompute, req.NumTasks, frac, res.Slots))
+}
+
+// keepOrSpread adds site x's share of a stage to the per-site fractions
+// dst: at x when x has slots, otherwise over the sites with slots in
+// proportion to their slots, and at x after all when no site has any.
+func keepOrSpread(dst []float64, x int, share float64, res Resources) {
+	total := res.TotalSlots()
+	if res.Slots[x] > 0 || total <= 0 {
+		dst[x] += share
+		return
+	}
+	for y, s := range res.Slots {
+		if s > 0 {
+			dst[y] += share * float64(s) / float64(total)
+		}
+	}
+}
+
+// destShares returns the column sums of a map fraction matrix: the share
+// of the stage's tasks that runs at each site.
+func destShares(m [][]float64) []float64 {
+	out := make([]float64, len(m))
+	for x := range m {
+		for y, f := range m[x] {
+			out[y] += f
+		}
+	}
+	return out
 }
 
 // Centralized aggregates all input data to the most powerful site
@@ -154,20 +223,10 @@ func (Tetris) PlaceMap(res Resources, req MapRequest) (MapPlacement, error) {
 	}
 	n := res.N()
 	total := req.TotalInput()
-	m := make([][]float64, n)
-	for x := range m {
-		m[x] = make([]float64, n)
-	}
 	if total <= 0 {
-		// Diagonal attribution (as in Tetrium's zero-input path): parking
-		// the whole row on site 0 would read as phantom site-0 egress in
-		// WAN accounting derived from the fraction matrix.
-		frac := uniformOverSlots(res.Slots)
-		for y, f := range frac {
-			m[y][y] = f
-		}
-		return finishMap(res, req, m, 0, computeTime(req.TaskCompute, req.NumTasks, frac, res.Slots)), nil
+		return fallbackMap(res, req), nil
 	}
+	m := newMatrix(n)
 
 	// Pre-configured per-task demand: one slot and the task's input
 	// bytes of network transfer when placed remotely.
@@ -226,15 +285,9 @@ func (Tetris) PlaceMap(res Resources, req MapRequest) (MapPlacement, error) {
 			m[x][best] += 1 / float64(req.NumTasks)
 		}
 	}
-	destFrac := make([]float64, n)
-	for x := range m {
-		for y := range m[x] {
-			destFrac[y] += m[x][y]
-		}
-	}
 	return finishMap(res, req, m,
 		aggrTime(res, m, total),
-		computeTime(req.TaskCompute, req.NumTasks, destFrac, res.Slots)), nil
+		computeTime(req.TaskCompute, req.NumTasks, destShares(m), res.Slots)), nil
 }
 
 // PlaceReduce packs reduce tasks by the same alignment score, using each

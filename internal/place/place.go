@@ -75,6 +75,10 @@ type MapRequest struct {
 	// placement is returned, only how fast the LP converges. Placers
 	// other than Tetrium ignore it.
 	Warm *WarmState
+
+	// destShare, when set, fixes each site's share of the tasks (§3.4's
+	// reverse plan, step iii). Tetrium only.
+	destShare []float64
 }
 
 // TotalInput sums the stage's input bytes.
@@ -389,7 +393,8 @@ func copyIntMatrixInto(dst, src [][]int) [][]int {
 }
 
 // uniformOverSlots spreads fractions across sites proportionally to
-// available slots — the fallback when data is absent or an LP fails.
+// available slots — In-Place's placement of a stage without data, and
+// the fixed reduce shares of §3.4's reverse plan.
 func uniformOverSlots(slots []int) []float64 {
 	total := 0
 	for _, s := range slots {

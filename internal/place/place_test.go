@@ -3,6 +3,7 @@ package place
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -213,6 +214,107 @@ func TestInPlacePlacements(t *testing.T) {
 	}
 }
 
+// TestInPlaceSpreadsSlotlessShares: In-Place keeps each share at its
+// site when the site has slots and spreads it over the sites with slots,
+// in proportion to their slots, when it has none.
+func TestInPlaceSpreadsSlotlessShares(t *testing.T) {
+	res := paperResources()
+	res.Slots = []int{0, 10, 30}
+	req := MapRequest{
+		InputBySite: []float64{40 * units.GB, 30 * units.GB, 30 * units.GB},
+		NumTasks:    100, TaskCompute: 2, WANBudget: -1,
+	}
+	mp, err := InPlace{}.PlaceMap(res, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapFracValid(t, mp, req)
+	if got, want := mp.Tasks, [][]int{{0, 10, 30}, {0, 30, 0}, {0, 0, 30}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("map tasks = %v, want %v", got, want)
+	}
+	if got, want := mp.WANBytes(req.InputBySite), 40*units.GB; math.Abs(got-want) > 1 {
+		t.Errorf("map WAN bytes = %v, want %v (site 0's input)", got, want)
+	}
+	if mp.TAggr <= 0 {
+		t.Errorf("map TAggr = %v, want > 0: site 0's input crosses the WAN", mp.TAggr)
+	}
+	// 40 tasks at site 1's 10 slots: 4 waves of 2 s.
+	if mp.TMap != 8 {
+		t.Errorf("map TMap = %v, want 8", mp.TMap)
+	}
+
+	rreq := ReduceRequest{
+		InterBySite: []float64{20 * units.GB, 20 * units.GB, 60 * units.GB},
+		NumTasks:    100, TaskCompute: 1, WANBudget: -1,
+	}
+	rp, err := InPlace{}.PlaceReduce(res, rreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reduceFracValid(t, rp, rreq)
+	if got, want := rp.Tasks, []int{0, 25, 75}; !reflect.DeepEqual(got, want) {
+		t.Errorf("reduce tasks = %v, want %v", got, want)
+	}
+}
+
+// TestInPlaceWithoutData: with no input In-Place balances the tasks
+// over slots — the zero-input placement every placer shares.
+func TestInPlaceWithoutData(t *testing.T) {
+	res := paperResources()
+	req := MapRequest{InputBySite: []float64{0, 0, 0}, NumTasks: 70, TaskCompute: 1, WANBudget: -1}
+	for _, p := range []Placer{InPlace{}, Iridium{}, Tetrium{}, Tetris{}} {
+		mp, err := p.PlaceMap(res, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mp.Tasks, [][]int{{40, 0, 0}, {0, 10, 0}, {0, 0, 20}}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: map tasks = %v, want %v", p.Name(), got, want)
+		}
+		if mp.TAggr != 0 || mp.TMap != 1 {
+			t.Errorf("%s: map estimate %v + %v, want 0 + 1", p.Name(), mp.TAggr, mp.TMap)
+		}
+	}
+	rreq := ReduceRequest{InterBySite: []float64{0, 0, 0}, NumTasks: 70, TaskCompute: 1, WANBudget: -1}
+	for _, p := range []Placer{InPlace{}, Tetrium{}} {
+		rp, err := p.PlaceReduce(res, rreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rp.Tasks, []int{40, 10, 20}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reduce tasks = %v, want %v", p.Name(), got, want)
+		}
+		if rp.TShufl != 0 || rp.TRed != 1 {
+			t.Errorf("%s: reduce estimate %v + %v, want 0 + 1", p.Name(), rp.TShufl, rp.TRed)
+		}
+	}
+}
+
+// TestInPlaceSlotlessCluster: with no slots anywhere there is nowhere
+// to spread to, so every share stays at its site.
+func TestInPlaceSlotlessCluster(t *testing.T) {
+	res := paperResources()
+	res.Slots = []int{0, 0, 0}
+	req := paperMapRequest()
+	mp, err := InPlace{}.PlaceMap(res, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mp.Tasks, [][]int{{200, 0, 0}, {0, 300, 0}, {0, 0, 500}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("map tasks = %v, want %v", got, want)
+	}
+	if got := mp.WANBytes(req.InputBySite); got != 0 {
+		t.Errorf("map WAN bytes = %v, want 0", got)
+	}
+	rreq := ReduceRequest{InterBySite: []float64{10, 30, 60}, NumTasks: 10, TaskCompute: 1, WANBudget: -1}
+	rp, err := InPlace{}.PlaceReduce(res, rreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rp.Tasks, []int{1, 3, 6}; !reflect.DeepEqual(got, want) {
+		t.Errorf("reduce tasks = %v, want %v", got, want)
+	}
+}
+
 func TestCentralizedPlacements(t *testing.T) {
 	res := paperResources()
 	req := paperMapRequest()
@@ -396,34 +498,67 @@ func TestMinReduceWANMatchesLP(t *testing.T) {
 func TestForwardReverse(t *testing.T) {
 	res := paperResources()
 	req := paperMapRequest()
-	mp, rp, err := Tetrium{}.PlaceReverse(res, req, 500, 1, 0.5)
+	fwd, rev, err := Tetrium{}.PlanBoth(res, req, 500, 1, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapFracValid(t, mp, req)
-	reduceFracValid(t, rp, ReduceRequest{NumTasks: 500})
+	mapFracValid(t, rev.Map, req)
+	reduceFracValid(t, rev.Reduce, ReduceRequest{NumTasks: 500})
+	// §3.4/§6.3.1: the two are close; best-of-both is at most marginally
+	// better than forward. Guard against either being wildly off.
+	if rev.Est > 3*fwd.Est || fwd.Est > 3*rev.Est {
+		t.Errorf("forward %v and reverse %v diverge wildly", fwd.Est, rev.Est)
+	}
+}
 
-	// Forward for comparison.
-	fm, err := Tetrium{}.PlaceMap(res, req)
+// TestReversePlanShufflesIntermediateBytes: the reverse plan's reduce
+// step is the §3.2 LP over the intermediate bytes its map leaves behind
+// (input × output ratio), as the forward plan's is.
+func TestReversePlanShufflesIntermediateBytes(t *testing.T) {
+	res := paperResources()
+	req := paperMapRequest()
+	rev, err := Tetrium{}.planReverse(res, req, 500, 1, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fInter := interFromMap(fm, req)
-	for i := range fInter {
-		fInter[i] *= 0.5
-	}
-	fr, err := Tetrium{}.PlaceReduce(res, ReduceRequest{
-		InterBySite: fInter, NumTasks: 500, TaskCompute: 1, WANBudget: -1,
+	want, err := Tetrium{}.PlaceReduce(res, ReduceRequest{
+		InterBySite: interFromMap(rev.Map, req.TotalInput()*0.5),
+		NumTasks:    500, TaskCompute: 1, WANBudget: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	forward := fm.EstTime() + fr.EstTime()
-	reverse := mp.EstTime() + rp.EstTime()
-	// §3.4/§6.3.1: the two are close; best-of-both is at most marginally
-	// better than forward. Guard against either being wildly off.
-	if reverse > 3*forward || forward > 3*reverse {
-		t.Errorf("forward %v and reverse %v diverge wildly", forward, reverse)
+	if !reflect.DeepEqual(rev.Reduce, want) {
+		t.Errorf("reverse reduce = %+v, want %+v", rev.Reduce, want)
+	}
+	if rev.Est != rev.Map.EstTime()+want.EstTime() {
+		t.Errorf("reverse estimate %v, want %v", rev.Est, rev.Map.EstTime()+want.EstTime())
+	}
+}
+
+// TestReversePlanKeepsSlotlessSitesDry: map output only appears where
+// map tasks ran, so the reverse plan runs none at a slotless site; with
+// no slots anywhere it is the forward plan.
+func TestReversePlanKeepsSlotlessSitesDry(t *testing.T) {
+	res := paperResources()
+	res.Slots = []int{40, 0, 20}
+	req := paperMapRequest()
+	rev, err := Tetrium{}.planReverse(res, req, 500, 1, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapFracValid(t, rev.Map, req)
+	if at := rev.Map.TasksBySite(); at[1] != 0 {
+		t.Errorf("reverse map runs %v tasks by site, want none at the slotless site 1", at)
+	}
+
+	res.Slots = []int{0, 0, 0}
+	fwd, rev, err := Tetrium{}.PlanBoth(res, req, 500, 1, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fwd, rev) {
+		t.Errorf("slotless cluster: reverse %+v, want the forward plan %+v", rev, fwd)
 	}
 }
 

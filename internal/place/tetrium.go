@@ -175,23 +175,9 @@ func (t Tetrium) PlaceMap(res Resources, req MapRequest) (MapPlacement, error) {
 	if req.NumTasks <= 0 {
 		return MapPlacement{}, fmt.Errorf("place: map request with %d tasks", req.NumTasks)
 	}
-	total := req.TotalInput()
-	if total <= 0 {
-		// No data to read: pure computation; balance tasks over slots.
-		frac := uniformOverSlots(res.Slots)
-		m := make([][]float64, n)
-		for x := range m {
-			m[x] = make([]float64, n)
-		}
-		// Synthetic per-site attribution: each destination "holds" its
-		// own zero-byte partitions (diagonal). An earlier version parked
-		// the whole row on site 0 "for bookkeeping", which any WAN
-		// accounting derived from the fraction matrix read as phantom
-		// site-0 egress.
-		for y, f := range frac {
-			m[y][y] = f
-		}
-		return finishMap(res, req, m, 0, computeTime(req.TaskCompute, req.NumTasks, frac, res.Slots)), nil
+	if req.TotalInput() <= 0 {
+		// No data to read: pure computation, In-Place balances it over slots.
+		return fallbackMap(res, req), nil
 	}
 
 	ws := lp.AcquireWorkspace()
@@ -242,10 +228,12 @@ func (t Tetrium) solveMap(res Resources, req MapRequest, destOK []bool, ws *lp.W
 // input per slot, T_aggr is 0 and every other row holds its slack, so
 // the solve skips phase 1's search for a vertex and phase 2 moves data
 // off the bottleneck sites from there. The vertex does not exist when a
-// data-holding site has no slots; then nothing is declared.
+// data-holding site has no slots, nor under §3.4's destination shares;
+// then nothing is declared.
 func buildMapLP(prob *lp.Problem, res Resources, req MapRequest, destOK []bool, inPlaceStart bool) [][]lp.Var {
 	n := res.N()
 	total := req.TotalInput()
+	inPlaceStart = inPlaceStart && req.destShare == nil
 	hasData := make([]bool, n)
 	bottleneck, worst := -1, 0.0 // argmax_x I_x/S_x: where in-place computation ends last
 	for x := 0; x < n; x++ {
@@ -362,6 +350,18 @@ func buildMapLP(prob *lp.Problem, res Resources, req MapRequest, destOK []bool, 
 		row.commit(prob, lp.EQ, req.InputBySite[x]/total)
 		if inPlaceStart {
 			prob.DeclareBasic(prob.NumConstraints()-1, mv[x][x])
+		}
+	}
+	// §3.4 step (iii): each destination's share of the tasks, and so of
+	// the intermediate output, is fixed: Σ_x m_{x,y} = d_y.
+	for y, d := range req.destShare {
+		for x := 0; x < n; x++ {
+			if exists(x, y) {
+				row.add(mv[x][y], 1)
+			}
+		}
+		if row.len() > 0 {
+			row.commit(prob, lp.EQ, d)
 		}
 	}
 	// WAN budget (§4.3).
@@ -616,8 +616,7 @@ func solveReduce(res Resources, req ReduceRequest, includeCompute, certify bool,
 	}
 	total := req.TotalInter()
 	if total <= 0 {
-		frac := uniformOverSlots(res.Slots)
-		return finishReduce(res, req, frac, 0, computeTime(req.TaskCompute, req.NumTasks, frac, res.Slots)), nil
+		return fallbackReduce(res, req), nil
 	}
 
 	prob := lp.AcquireProblem()
@@ -817,178 +816,6 @@ func ceilReduceTimes(res Resources, req ReduceRequest, tasks []int) (tShufl, tRe
 	return tShufl, tRed
 }
 
-// PlaceReverse runs the paper's reverse (reduce-first) heuristic (§3.4):
-// (i) fix r_x proportional to the slot distribution; (ii) solve the
-// reduce LP with the intermediate distribution as the decision variable,
-// yielding a desired I_shufl distribution; (iii) solve the map LP with
-// the extra constraint that each destination's share of intermediate
-// output matches that distribution. It returns both placements plus the
-// combined estimated time, letting callers pick min(forward, reverse).
-func (t Tetrium) PlaceReverse(res Resources, mapReq MapRequest, redTasks int, redTaskCompute, outputRatio float64) (MapPlacement, ReducePlacement, error) {
-	n := res.N()
-	if err := res.validate(); err != nil {
-		return MapPlacement{}, ReducePlacement{}, err
-	}
-	ws := lp.AcquireWorkspace()
-	defer lp.ReleaseWorkspace(ws)
-
-	// (i) r_x = S_x / Σ S.
-	rFrac := uniformOverSlots(res.Slots)
-
-	// (ii) choose the intermediate distribution d_x (fractions of total
-	// intermediate bytes) minimizing shuffle time under fixed r:
-	//   up_x:   D·d_x·(1−r_x) ≤ T·B_up_x
-	//   down_x: D·(1−d_x)·r_x ≤ T·B_down_x
-	// where D is total intermediate volume (= map input × ratio).
-	totalInter := mapReq.TotalInput() * outputRatio
-	desired := make([]float64, n)
-	err := func() error {
-		prob := lp.AcquireProblem()
-		defer lp.ReleaseProblem(prob)
-		T := prob.AddVar("T", 1)
-		dv := make([]lp.Var, n)
-		for x := 0; x < n; x++ {
-			dv[x] = prob.AddVar("", 0)
-		}
-		var row rowBuf
-		for x := 0; x < n; x++ {
-			row.add(dv[x], totalInter*(1-rFrac[x]))
-			row.add(T, -res.UpBW[x])
-			row.commit(prob, lp.LE, 0)
-			// down: D·r_x − D·d_x·r_x ≤ T·B_down.
-			row.add(dv[x], -totalInter*rFrac[x])
-			row.add(T, -res.DownBW[x])
-			row.commit(prob, lp.LE, -totalInter*rFrac[x])
-		}
-		for x := 0; x < n; x++ {
-			row.add(dv[x], 1)
-		}
-		row.commit(prob, lp.EQ, 1)
-		sol, err := solveLP(prob, ws, t.Check, nil, nil)
-		if err != nil {
-			return err
-		}
-		for x := 0; x < n; x++ {
-			desired[x] = sol.Value(dv[x])
-		}
-		return nil
-	}()
-	if err != nil {
-		// Degenerate; fall back to forward planning only.
-		mp, e1 := t.PlaceMap(res, mapReq)
-		if e1 != nil {
-			return MapPlacement{}, ReducePlacement{}, e1
-		}
-		rp, e2 := t.PlaceReduce(res, ReduceRequest{
-			InterBySite: interFromMap(mp, mapReq), NumTasks: redTasks,
-			TaskCompute: redTaskCompute, WANBudget: -1,
-		})
-		return mp, rp, e2
-	}
-
-	// (iii) map LP with destination-share constraints Σ_x m_{x,y} = d_y.
-	mp, err := placeMapWithDestShares(res, mapReq, desired, t.Check, ws)
-	if err != nil {
-		return MapPlacement{}, ReducePlacement{}, err
-	}
-	rp, err := solveReduce(res, ReduceRequest{
-		InterBySite: interFromMap(mp, mapReq),
-		NumTasks:    redTasks,
-		TaskCompute: redTaskCompute,
-		WANBudget:   -1,
-	}, true, t.Check, ws, nil)
-	return mp, rp, err
-}
-
-// interFromMap derives the intermediate distribution a map placement
-// produces: output appears where map tasks ran, proportional to the
-// tasks at each destination.
-func interFromMap(mp MapPlacement, req MapRequest) []float64 {
-	n := len(mp.Frac)
-	out := make([]float64, n)
-	total := req.TotalInput()
-	for x := range mp.Frac {
-		for y, f := range mp.Frac[x] {
-			out[y] += f * total
-		}
-	}
-	return out
-}
-
-// placeMapWithDestShares is the §3.4 step (iii) map LP: standard §3.1
-// constraints plus Σ_x m_{x,y} = share_y.
-func placeMapWithDestShares(res Resources, req MapRequest, share []float64, certify bool, ws *lp.Workspace) (MapPlacement, error) {
-	n := res.N()
-	total := req.TotalInput()
-	if total <= 0 {
-		return Tetrium{Check: certify}.PlaceMap(res, req)
-	}
-	prob := lp.AcquireProblem()
-	defer lp.ReleaseProblem(prob)
-	tAggr := prob.AddVar("Taggr", 1)
-	tMap := prob.AddVar("Tmap", 1)
-	mv := make([][]lp.Var, n)
-	for x := 0; x < n; x++ {
-		mv[x] = make([]lp.Var, n)
-		for y := 0; y < n; y++ {
-			mv[x][y] = prob.AddVar("", 0)
-		}
-	}
-	var row rowBuf
-	for x := 0; x < n; x++ {
-		// Upload.
-		row.add(tAggr, -res.UpBW[x])
-		for y := 0; y < n; y++ {
-			if y != x {
-				row.add(mv[x][y], total)
-			}
-		}
-		row.commit(prob, lp.LE, 0)
-		// Download.
-		row.add(tAggr, -res.DownBW[x])
-		for y := 0; y < n; y++ {
-			if y != x {
-				row.add(mv[y][x], total)
-			}
-		}
-		row.commit(prob, lp.LE, 0)
-		// Computation.
-		row.add(tMap, -1)
-		for y := 0; y < n; y++ {
-			row.add(mv[y][x], req.TaskCompute*float64(req.NumTasks)/slotCap(res.Slots[x]))
-		}
-		row.commit(prob, lp.LE, 0)
-		// Conservation.
-		for y := 0; y < n; y++ {
-			row.add(mv[x][y], 1)
-		}
-		row.commit(prob, lp.EQ, req.InputBySite[x]/total)
-		// Destination share.
-		for y := 0; y < n; y++ {
-			row.add(mv[y][x], 1)
-		}
-		row.commit(prob, lp.EQ, share[x])
-	}
-	sol, err := solveLP(prob, ws, certify, nil, nil)
-	if err != nil {
-		if certify {
-			return MapPlacement{}, err
-		}
-		return fallbackMap(res, req), nil
-	}
-	m := make([][]float64, n)
-	for x := range m {
-		m[x] = make([]float64, n)
-		for y := 0; y < n; y++ {
-			if v := sol.Value(mv[x][y]); v > 1e-12 {
-				m[x][y] = v
-			}
-		}
-	}
-	normalizeMapFracs(m, req.InputBySite)
-	return finishMap(res, req, m, sol.Value(tAggr), sol.Value(tMap)), nil
-}
-
 // slotCap treats a zero-slot site as having a vanishing capacity so Eq. 4
 // divisions stay finite; an explicit equality constraint separately
 // forbids placing tasks there.
@@ -1058,40 +885,6 @@ func finishReduce(res Resources, req ReduceRequest, frac []float64, tShufl, tRed
 		TShufl: tShufl,
 		TRed:   tRed,
 	}
-}
-
-// fallbackMap leaves data in place (diagonal matrix). Used only if the
-// LP solver fails numerically.
-func fallbackMap(res Resources, req MapRequest) MapPlacement {
-	n := res.N()
-	total := req.TotalInput()
-	m := make([][]float64, n)
-	for x := range m {
-		m[x] = make([]float64, n)
-		if total > 0 {
-			m[x][x] = req.InputBySite[x] / total
-		}
-	}
-	frac := make([]float64, n)
-	for x := range frac {
-		frac[x] = m[x][x]
-	}
-	return finishMap(res, req, m, 0, computeTime(req.TaskCompute, req.NumTasks, frac, res.Slots))
-}
-
-// fallbackReduce places reduce tasks proportional to data. Used only if
-// the LP solver fails numerically.
-func fallbackReduce(res Resources, req ReduceRequest) ReducePlacement {
-	n := res.N()
-	total := req.TotalInter()
-	frac := make([]float64, n)
-	for x := range frac {
-		if total > 0 {
-			frac[x] = req.InterBySite[x] / total
-		}
-	}
-	tsh := shuffleTime(res, req.InterBySite, frac)
-	return finishReduce(res, req, frac, tsh, computeTime(req.TaskCompute, req.NumTasks, frac, res.Slots))
 }
 
 // shuffleTime is the bottleneck shuffle estimate for fractions r over

@@ -248,6 +248,12 @@ func (e *engine) ensureCache(st *stageRun) {
 		e.instCacheHits++
 		return
 	}
+	e.replan(st)
+}
+
+// replan solves the stage's placement against current capacities and
+// holds the move from its previous one to the §4.2 k-site limit.
+func (e *engine) replan(st *stageRun) {
 	prev := st.cache
 	res := place.Resources{Slots: e.capSlots, UpBW: e.availUp(), DownBW: e.availDown()}
 	nPend := len(st.pending)
@@ -777,15 +783,7 @@ func (e *engine) reassignCaches() {
 			if st.state != stReady || st.cache == nil || len(st.pending) == 0 {
 				continue
 			}
-			old := st.cache.quota
-			// Ideal assignment under the new capacities.
-			st.cache = nil
-			e.ensureCache(st)
-			if e.cfg.UpdateK > 0 {
-				adjusted := dynamics.Reassign(old, st.cache.quota, e.cfg.UpdateK)
-				st.cache.quota = adjusted
-				rescaleQuotaMatrix(st.cache, adjusted)
-			}
+			e.replan(st)
 		}
 	}
 }

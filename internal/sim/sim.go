@@ -662,20 +662,28 @@ func (e *engine) onDrop(d Drop) {
 	if newSlots < 0 {
 		newSlots = 0
 	}
-	delta := e.capSlots[d.Site] - newSlots
-	e.capSlots[d.Site] = newSlots
-	e.free[d.Site] -= delta // may go negative until running tasks drain
-	minBW := 1.0            // keep netsim capacities positive
-	up := math.Max(orig.UpBW*(1-d.Frac), minBW)
-	down := math.Max(orig.DownBW*(1-d.Frac), minBW)
-	e.net.SetCapacity(d.Site, up, down)
-	e.upBW[d.Site] = up
-	e.downBW[d.Site] = down
+	e.setSite(d.Site, newSlots, math.Max(orig.UpBW*(1-d.Frac), minBW), math.Max(orig.DownBW*(1-d.Frac), minBW))
 	if e.obs != nil {
 		e.obs.Emit(obs.DropEvent{T: e.now, Site: d.Site, Frac: d.Frac, NewSlots: newSlots})
 	}
 	e.reassignCaches()
 	e.needDispatch = true
+}
+
+// minBW is the floor of a site's link capacities after a drop or fault:
+// netsim capacities stay positive.
+const minBW = 1.0
+
+// setSite sets a site's slots and link capacities: the slot change
+// lands on free (which may go negative until running tasks drain, a
+// graceful decommission), the links on the network model and the
+// bandwidth vectors placement reads.
+func (e *engine) setSite(site, slots int, up, down float64) {
+	e.free[site] += slots - e.capSlots[site]
+	e.capSlots[site] = slots
+	e.net.SetCapacity(site, up, down)
+	e.upBW[site] = up
+	e.downBW[site] = down
 }
 
 // onFault applies one injector timeline fault. Crashes reuse the §4.2
@@ -687,34 +695,17 @@ func (e *engine) onFault(f fault.Fault) {
 		return
 	}
 	orig := e.cfg.Cluster.Sites[f.Site]
-	const minBW = 1.0 // keep netsim capacities positive
 	switch f.Kind {
 	case fault.SiteCrash:
 		e.dropped = true
-		delta := e.capSlots[f.Site]
-		e.capSlots[f.Site] = 0
-		e.free[f.Site] -= delta // may go negative until running tasks drain
-		e.net.SetCapacity(f.Site, minBW, minBW)
-		e.upBW[f.Site] = minBW
-		e.downBW[f.Site] = minBW
+		e.setSite(f.Site, 0, minBW, minBW)
 	case fault.SiteRejoin:
-		delta := orig.Slots - e.capSlots[f.Site]
-		e.capSlots[f.Site] = orig.Slots
-		e.free[f.Site] += delta
-		e.net.SetCapacity(f.Site, orig.UpBW, orig.DownBW)
-		e.upBW[f.Site] = orig.UpBW
-		e.downBW[f.Site] = orig.DownBW
+		e.setSite(f.Site, orig.Slots, orig.UpBW, orig.DownBW)
 	case fault.LinkDegrade:
 		e.dropped = true
-		up := math.Max(orig.UpBW*(1-f.Frac), minBW)
-		down := math.Max(orig.DownBW*(1-f.Frac), minBW)
-		e.net.SetCapacity(f.Site, up, down)
-		e.upBW[f.Site] = up
-		e.downBW[f.Site] = down
+		e.setSite(f.Site, e.capSlots[f.Site], math.Max(orig.UpBW*(1-f.Frac), minBW), math.Max(orig.DownBW*(1-f.Frac), minBW))
 	case fault.LinkRestore:
-		e.net.SetCapacity(f.Site, orig.UpBW, orig.DownBW)
-		e.upBW[f.Site] = orig.UpBW
-		e.downBW[f.Site] = orig.DownBW
+		e.setSite(f.Site, e.capSlots[f.Site], orig.UpBW, orig.DownBW)
 	default:
 		return
 	}

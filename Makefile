@@ -112,11 +112,14 @@ fuzz-smoke:
 # §4.4 capped allocation (sched.Allocate) is driven end to end. The
 # -solve-deadline 1us run answers nearly every placement with the
 # stopgap (place.InPlace) while site 0 is crashed, so its share spreads
-# over the sites with slots.
+# over the sites with slots. The -speculate run straggles 30% of stages
+# 8× while site 1 is partitioned, so duplicates launch at
+# fault.SpeculateAfter × the estimate and race the stragglers.
 serve-smoke:
 	$(GO) run ./cmd/tetrium-serve -smoke -cluster paper -time-scale 0.002
 	$(GO) run ./cmd/tetrium-serve -smoke -cluster paper -scheduler iridium -time-scale 0.002
 	$(GO) run ./cmd/tetrium-serve -smoke -cluster paper -time-scale 0.002 -solve-deadline 1us -fault-spec "crash@0s:site=0,dur=0.5s"
+	$(GO) run ./cmd/tetrium-serve -smoke -cluster paper -time-scale 0.002 -speculate -fault-spec "straggle:p=0.3,x=8;partition@0s:site=1,dur=0.5s"
 	$(GO) run ./cmd/tetrium-serve -smoke -shards 2 -journal $$(mktemp -d)/journal -time-scale 0.002
 	$(GO) run ./cmd/tetrium-serve -smoke -shards 2 -supervise -journal $$(mktemp -d)/journal -time-scale 0.002
 

@@ -220,3 +220,12 @@ func TestLoadWorkloadTraceFile(t *testing.T) {
 		t.Error("missing trace file accepted")
 	}
 }
+
+// TestCrashRunFinishes: a permanent crash of a data site leaves its
+// links up, so the run ends instead of livelocking on stranded input.
+func TestCrashRunFinishes(t *testing.T) {
+	out := runSim(t, "-cluster", "ec2-8", "-trace", "bigdata", "-jobs", "10", "-fault-spec", "crash@5s:site=0")
+	if !strings.Contains(out, "median") {
+		t.Errorf("crash run printed no summary:\n%s", out)
+	}
+}

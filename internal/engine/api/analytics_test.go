@@ -60,15 +60,19 @@ func TestEventsSincePagination(t *testing.T) {
 	srv, _ := testServer(t, func(cfg *engine.Config) { cfg.EventCap = 64 })
 
 	body := submitBody(t)
-	var lastID int
-	for i := 0; i < 30; i++ {
+	ids := make([]int, 30)
+	for i := range ids {
 		resp, st := postJob(t, srv, body)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d: %s", i, resp.Status)
 		}
-		lastID = st.ID
+		ids[i] = st.ID
 	}
-	pollJobState(t, srv, lastID, "done")
+	// Every job, not just the last: an earlier one still running would
+	// emit events between the pages below.
+	for _, id := range ids {
+		pollJobState(t, srv, id, "done")
+	}
 
 	// No cursor means since=0: after overflow, missed counts what the
 	// ring discarded, and the page returns the whole retained ring.

@@ -130,8 +130,8 @@ type Config struct {
 	// State returned by journal.Open.
 	Restore *journal.State
 	// Speculate enables straggler speculation: a stage still running
-	// past a percentile-calibrated multiple of its estimate gets a
-	// duplicate on the fastest site; first finish wins.
+	// past fault.SpeculateAfter × its estimate gets a duplicate on the
+	// fastest site; first finish wins.
 	Speculate bool
 	// SolveDeadline bounds how long a stage waits on its async LP solve
 	// before falling back to the greedy in-place baseline (never

@@ -3,14 +3,15 @@ package engine
 // The failure domain: what the engine does when the world breaks.
 //
 //   - Site loss (injected or real): every stage running on the dead site
-//     is pulled back to ready and re-executed elsewhere; surviving
-//     placements are re-pulled through §4.2 dynamics.Reassign with the
-//     dead site's capacity zeroed (applyFault / requeueStage).
-//   - Stragglers: a running stage whose attempt exceeds a
-//     percentile-calibrated multiple of its estimate gets a speculative
-//     duplicate on the fastest eligible site; first finish wins, the
-//     loser is cancelled (arXiv:1404.1328: replicate-on-threshold bounds
-//     tail latency at bounded extra load).
+//     is pulled back to ready and re-executed elsewhere; fault.Fault.Apply
+//     says what the fault leaves of the site (a crash loses its compute,
+//     not its links), and surviving placements are re-pulled through
+//     §4.2 dynamics.Reassign (applyFault / requeueStage).
+//   - Stragglers: a running stage whose attempt exceeds
+//     fault.SpeculateAfter× its estimate — the simulator's trigger —
+//     gets a speculative duplicate on the fastest eligible site; first
+//     finish wins, the loser is cancelled (arXiv:1404.1328: one replica
+//     past a fixed threshold bounds tail latency at bounded extra load).
 //   - Wedged LP solves: each pooled solve races Config.SolveDeadline;
 //     on expiry the stage is placed by the greedy in-place baseline
 //     (flagged, never cached) and the real solve is retried with
@@ -27,7 +28,6 @@ import (
 
 	"tetrium/internal/fault"
 	"tetrium/internal/journal"
-	"tetrium/internal/metrics"
 	"tetrium/internal/obs"
 )
 
@@ -57,22 +57,12 @@ func (s *state) applyFault(f fault.Fault) {
 	if f.Site < 0 || f.Site >= s.n {
 		return
 	}
-	orig := s.e.cfg.Cluster.Sites[f.Site]
 	t := s.now()
-	// Degraded links floor at 1 MB/s rather than zero: placement
-	// estimates feed wall-clock run durations here, and a near-zero
-	// divisor turns one stage into a forever-running stage. A full
-	// partition is approximated as a link this slow.
-	const minBW = 1e6
-	grew := false
-	switch f.Kind {
-	case fault.SiteCrash:
+	if f.Kind == fault.SiteCrash {
 		// Kill semantics, not decommission: running work on the site is
 		// lost and must re-execute. Requeue before zeroing capacity so
 		// the held-slot release and the capacity delta keep the
-		// free = cap − Σheld invariant. Compute dies; the site's storage
-		// tier and WAN link stay reachable (a dead link is LinkDegrade's
-		// job), so data staged there can still feed placements elsewhere.
+		// free = cap − Σheld invariant.
 		//
 		// The victims come from the site→stage index rather than a scan
 		// of every resident job: any stage holding slots or running a
@@ -102,38 +92,17 @@ func (s *state) applyFault(f fault.Fault) {
 				s.requeueStage(sr.job, sr, f.Site, t)
 			}
 		}
-		delta := s.capSlots[f.Site]
-		s.capSlots[f.Site] = 0
-		s.free[f.Site] -= delta
-	case fault.SiteRejoin:
-		delta := orig.Slots - s.capSlots[f.Site]
-		s.capSlots[f.Site] = orig.Slots
-		s.free[f.Site] += delta
-		s.upBW[f.Site] = orig.UpBW
-		s.downBW[f.Site] = orig.DownBW
-		grew = true // capacity restored: freed room can attract any placement
-	case fault.LinkDegrade:
-		up := maxFloat(orig.UpBW*(1-f.Frac), minBW)
-		down := maxFloat(orig.DownBW*(1-f.Frac), minBW)
-		grew = up > s.upBW[f.Site] || down > s.downBW[f.Site]
-		s.upBW[f.Site] = up
-		s.downBW[f.Site] = down
-	case fault.LinkRestore:
-		grew = orig.UpBW > s.upBW[f.Site] || orig.DownBW > s.downBW[f.Site]
-		s.upBW[f.Site] = orig.UpBW
-		s.downBW[f.Site] = orig.DownBW
-	default:
+	}
+	next, ok := f.Apply(s.e.cfg.Cluster.Sites[f.Site], s.site(f.Site))
+	if !ok {
 		return
 	}
+	_, grew := s.setSite(f.Site, next)
 	s.emit(obs.Fault{T: t, Fault: f.Kind.String(), Site: f.Site, Frac: f.Frac})
 	// §4.2 resource dynamics: surviving placements re-pull toward the
 	// post-fault ideal under the UpdateK site-change bound; requeued
-	// stages (no longer placed) re-solve fresh on the next pass. A
-	// capacity increase (rejoin, restore) dirties every live placement;
-	// a pure loss re-places only the stages touching the lost site.
-	s.resGen++
-	s.replacePlacements([]int{f.Site}, grew)
-	s.scheduleSoon()
+	// stages (no longer placed) re-solve fresh on the next pass.
+	s.capacityChanged([]int{f.Site}, grew)
 }
 
 // requeueStage pulls a running stage back to ready after its site died:
@@ -164,53 +133,20 @@ func (s *state) requeueStage(js *jobState, sr *stageRun, site int, t float64) {
 // Straggler speculation -------------------------------------------------------
 
 // scheduleSpecCheck arms the straggler probe for one stage attempt: if
-// the attempt is still running at threshold×estimate, a duplicate
-// launches.
+// the attempt is still running at fault.SpeculateAfter × its estimate,
+// a duplicate launches.
 func (s *state) scheduleSpecCheck(js *jobState, sr *stageRun, gen int) {
 	if !s.e.cfg.Speculate || sr.expectWall <= 0 {
 		return
 	}
-	wait := time.Duration(s.specThreshold() * float64(sr.expectWall))
+	wait := time.Duration(fault.SpeculateAfter * float64(sr.expectWall))
 	s.e.afterFunc(wait, func() {
 		s.e.inject(func() { s.specCheck(js, sr, gen) })
 	})
 }
 
-// specPercentile is the percentile of observed actual/estimate
-// stage-duration ratios that sets the speculation threshold.
-const specPercentile = 95
-
-// specThreshold is the straggle multiplier that triggers a duplicate:
-// the specPercentile of observed actual/estimate stage-duration ratios,
-// floored at 1.5 (never speculate on on-estimate stages), defaulting to
-// 2 until enough history accumulates (the 1404.1328 regime where a
-// single replica past a calibrated threshold captures most of the tail
-// win).
-func (s *state) specThreshold() float64 {
-	const defaultThr, minThr, minSamples = 2.0, 1.5, 16
-	if len(s.specRatios) < minSamples {
-		return defaultThr
-	}
-	thr := metrics.Percentile(s.specRatios, specPercentile)
-	return maxFloat(thr, minThr)
-}
-
-// observeStageRatio feeds the threshold calibration from an original
-// (non-rescued) completion.
-func (s *state) observeStageRatio(sr *stageRun) {
-	if sr.expectWall <= 0 {
-		return
-	}
-	elapsed := s.now() - sr.launchedAt
-	ratio := elapsed / sr.expectWall.Seconds()
-	s.specRatios = append(s.specRatios, ratio)
-	if len(s.specRatios) > drainRateWindow {
-		s.specRatios = s.specRatios[len(s.specRatios)-drainRateWindow:]
-	}
-}
-
-// specCheck fires threshold×estimate after launch: if the attempt is
-// still the same one and still running, launch a duplicate of the stage
+// specCheck fires fault.SpeculateAfter × estimate after launch: if the
+// attempt is still the same one and running, launch a duplicate of the stage
 // on the fastest eligible site — the one with the most free slots, the
 // best proxy for soonest finish under the wave model.
 func (s *state) specCheck(js *jobState, sr *stageRun, gen int) {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -470,5 +471,107 @@ func TestStopgapSpreadsSlotlessData(t *testing.T) {
 	}
 	if r.estNet <= 0 {
 		t.Errorf("stopgap estNet %v, want > 0", r.estNet)
+	}
+}
+
+// TestFullDropMatchesCrashPartition: an update dropping all of site 0
+// and a crash plus a partition of it leave the same site — no slots,
+// links at the engine's one floor — so a job reading that site is
+// estimated the same after either.
+func TestFullDropMatchesCrashPartition(t *testing.T) {
+	cl := cluster.PaperExample()
+	estimate := func(e *Engine) float64 {
+		t.Helper()
+		st, err := e.Submit(oneStageJob(0, 4, 2.0))
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		drainOK(t, e)
+		evs, _, err := e.Events()
+		if err != nil {
+			t.Fatalf("Events: %v", err)
+		}
+		for _, ev := range evs {
+			if p, ok := ev.(obs.Placement); ok && p.Job == st.ID {
+				return p.Est
+			}
+		}
+		t.Fatalf("job %d has no placement event", st.ID)
+		return 0
+	}
+
+	dropped := mustEngine(t, testConfig(cl))
+	if _, err := dropped.UpdateCluster([]SiteUpdate{{Site: 0, Slots: -1, Frac: 1}}); err != nil {
+		t.Fatalf("UpdateCluster: %v", err)
+	}
+	cfg := testConfig(cl)
+	cfg.Faults = mustInjector(t, "crash@0s:site=0;partition@0s:site=0", 1)
+	faulted := mustEngine(t, cfg)
+	waitCounter(t, faulted, "faults.site_crash", 10*time.Second)
+	waitCounter(t, faulted, "faults.link_degrade", 10*time.Second)
+
+	a, b := estimate(dropped), estimate(faulted)
+	if math.Abs(a-b) > 1e-9*math.Max(a, b) {
+		t.Errorf("estimate after Frac 1 = %.4g s, after crash+partition = %.4g s; want equal", a, b)
+	}
+}
+
+// TestSpeculationFiresAtSpeculateAfter: the engine copies a straggling
+// stage at fault.SpeculateAfter × its estimate, the simulator's trigger,
+// however many on-estimate completions came before it.
+func TestSpeculationFiresAtSpeculateAfter(t *testing.T) {
+	cl := cluster.PaperExample()
+	cfg := testConfig(cl)
+	cfg.TimeScale = 0.01
+	cfg.Speculate = true
+	cfg.Faults = mustInjector(t, "straggle:p=0.25,x=20", 3)
+	e := mustEngine(t, cfg)
+
+	ids := make([]int, 40)
+	for i := range ids {
+		st, err := e.Submit(oneStageJob(i%cl.N(), 4, 2.0))
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		ids[i] = st.ID
+		waitJobDone(t, e, st.ID)
+	}
+	evs, _, err := e.Events()
+	if err != nil {
+		t.Fatalf("Events: %v", err)
+	}
+	est := map[int]float64{}       // job → placement estimate (s)
+	straggled := map[int]float64{} // job → launch time of its straggling attempt
+	spec := map[int]float64{}      // job → time its duplicate launched
+	for _, ev := range evs {
+		switch ev := ev.(type) {
+		case obs.Placement:
+			est[ev.Job] = ev.Est
+		case obs.Fault:
+			if ev.Fault == fault.TaskStraggle.String() {
+				straggled[ev.Job] = ev.T
+			}
+		case obs.StageSpeculate:
+			spec[ev.Job] = ev.T
+		}
+	}
+	checked := 0
+	for _, id := range ids[20:] {
+		launch, ok := straggled[id]
+		if !ok {
+			continue
+		}
+		at, ok := spec[id]
+		if !ok {
+			t.Errorf("job %d straggled and was never copied", id)
+			continue
+		}
+		checked++
+		if ratio := (at - launch) / (est[id] * cfg.TimeScale); ratio < 1.9 {
+			t.Errorf("job %d copied at %.2f× its estimate, want ≥ %d×", id, ratio, fault.SpeculateAfter)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no straggler among jobs 20..39; pick another seed")
 	}
 }

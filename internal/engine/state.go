@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"tetrium/internal/cluster"
 	"tetrium/internal/dynamics"
 	"tetrium/internal/obs"
 	"tetrium/internal/place"
@@ -108,7 +109,8 @@ type ClusterStatus struct {
 // keep the current setting: Slots < 0 keeps slots, UpBW/DownBW ≤ 0 keep
 // bandwidth. Frac > 0 is a convenience that overrides the absolute
 // fields, dropping that fraction of the site's ORIGINAL capacity
-// (slots and both bandwidths), like a sim.Drop.
+// (slots, truncated, and both bandwidths), like a sim.Drop. Links never
+// go below the engine's 1 MB/s floor, so Frac 1 leaves them there.
 type SiteUpdate struct {
 	Site   int
 	Slots  int
@@ -253,7 +255,6 @@ type state struct {
 	restoring  bool        // journal replay in progress; skip re-journaling
 	solveCount int         // async solves dispatched (drives injected stalls)
 	poolBusy   int         // pool tasks dispatched whose commit has not reached the loop
-	specRatios []float64   // observed actual/estimated stage-duration ratios
 	doneWall   []time.Time // recent completion wall times (drain-rate window)
 	rng        *rand.Rand  // retry-backoff jitter (loop-owned)
 }
@@ -1161,9 +1162,6 @@ func (s *state) stageFinished(js *jobState, sr *stageRun, gen int, byCopy bool) 
 		return
 	}
 	s.accrueSlots(sr)
-	if !byCopy {
-		s.observeStageRatio(sr)
-	}
 	for x, h := range sr.held {
 		s.free[x] += h
 	}
@@ -1272,42 +1270,24 @@ func (s *state) updateCluster(ups []SiteUpdate) int {
 	grew := false
 	for _, u := range ups {
 		orig := s.e.cfg.Cluster.Sites[u.Site]
-		newSlots, newUp, newDown := u.Slots, u.UpBW, u.DownBW
-		if u.Frac > 0 {
-			newSlots = int(float64(orig.Slots) * (1 - u.Frac))
-			newUp = orig.UpBW * (1 - u.Frac)
-			newDown = orig.DownBW * (1 - u.Frac)
+		next := s.site(u.Site)
+		if u.Slots >= 0 {
+			next.Slots = u.Slots
 		}
-		changed := false
-		if newSlots >= 0 {
-			delta := s.capSlots[u.Site] - newSlots
-			if delta != 0 {
-				changed = true
-				grew = grew || delta < 0
-			}
-			s.capSlots[u.Site] = newSlots
-			s.free[u.Site] -= delta // may dip negative until running stages drain
+		if u.UpBW > 0 {
+			next.UpBW = u.UpBW
 		}
-		const minBW = 1.0 // keep placement LPs away from zero bandwidth
-		if newUp > 0 {
-			v := maxFloat(newUp, minBW)
-			if v != s.upBW[u.Site] {
-				changed = true
-				grew = grew || v > s.upBW[u.Site]
-			}
-			s.upBW[u.Site] = v
+		if u.DownBW > 0 {
+			next.DownBW = u.DownBW
 		}
-		if newDown > 0 {
-			v := maxFloat(newDown, minBW)
-			if v != s.downBW[u.Site] {
-				changed = true
-				grew = grew || v > s.downBW[u.Site]
-			}
-			s.downBW[u.Site] = v
+		if k := 1 - u.Frac; u.Frac > 0 {
+			next = cluster.Site{Slots: int(float64(orig.Slots) * k), UpBW: orig.UpBW * k, DownBW: orig.DownBW * k}
 		}
+		changed, g := s.setSite(u.Site, next)
 		if changed {
 			affected = append(affected, u.Site)
 		}
+		grew = grew || g
 		frac := 0.0
 		if orig.Slots > 0 {
 			frac = 1 - float64(s.capSlots[u.Site])/float64(orig.Slots)
@@ -1315,7 +1295,40 @@ func (s *state) updateCluster(ups []SiteUpdate) int {
 		s.emit(obs.DropEvent{T: t, Site: u.Site, Frac: frac, NewSlots: s.capSlots[u.Site]})
 	}
 	s.rec.Registry().Counter("engine.cluster_updates").Inc()
-	s.resGen++ // invalidate solves in flight against the old capacities
+	return s.capacityChanged(affected, grew)
+}
+
+// site returns site x's current capacity.
+func (s *state) site(x int) cluster.Site {
+	return cluster.Site{Slots: s.capSlots[x], UpBW: s.upBW[x], DownBW: s.downBW[x]}
+}
+
+// minBW is the engine's one link floor. A stage's wall duration is
+// fixed at launch from its LP estimate, so a near-zero link would turn
+// one stage into a forever-running stage: a cut link is approximated
+// as one this slow.
+const minBW = 1e6
+
+// setSite is the one writer of a site's capacity after newState: the
+// slot change lands on free (which may dip negative until running
+// stages drain) and the links are floored at minBW. changed reports
+// whether any dimension moved, grew whether any increased.
+func (s *state) setSite(x int, site cluster.Site) (changed, grew bool) {
+	up, down := maxFloat(site.UpBW, minBW), maxFloat(site.DownBW, minBW)
+	changed = site.Slots != s.capSlots[x] || up != s.upBW[x] || down != s.downBW[x]
+	grew = site.Slots > s.capSlots[x] || up > s.upBW[x] || down > s.downBW[x]
+	s.free[x] += site.Slots - s.capSlots[x]
+	s.capSlots[x], s.upBW[x], s.downBW[x] = site.Slots, up, down
+	return changed, grew
+}
+
+// capacityChanged ends every capacity change, fault or update: solves
+// in flight against the old capacities go stale, the placements the
+// change can move are re-placed (§4.2; a capacity increase dirties
+// every live placement, a pure loss only the stages touching the
+// affected sites), and a pass is queued. Returns the stages re-placed.
+func (s *state) capacityChanged(affected []int, grew bool) int {
+	s.resGen++
 	replaced := s.replacePlacements(affected, grew)
 	s.scheduleSoon()
 	return replaced

@@ -17,8 +17,8 @@
 //
 // Spec grammar — semicolon-separated clauses:
 //
-//	crash@T:site=S[,dur=D]        site S loses all capacity at T; rejoins
-//	                              after D (omitted: permanent)
+//	crash@T:site=S[,dur=D]        site S loses its compute, not its links,
+//	                              at T; rejoins after D (omitted: permanent)
 //	degrade@T:site=S,frac=F[,dur=D]
 //	                              site S loses fraction F of its WAN
 //	                              up/down bandwidth at T; restores after D
@@ -58,7 +58,7 @@ type Kind int
 
 // Fault kinds.
 const (
-	// SiteCrash removes all compute and WAN capacity at a site.
+	// SiteCrash: a site loses its compute; its WAN links stay (Apply).
 	SiteCrash Kind = iota
 	// SiteRejoin restores a crashed site's original capacity.
 	SiteRejoin

@@ -6,6 +6,7 @@ import (
 
 	"tetrium/internal/check"
 	"tetrium/internal/dynamics"
+	"tetrium/internal/fault"
 	"tetrium/internal/netsim"
 	"tetrium/internal/obs"
 	"tetrium/internal/order"
@@ -112,7 +113,7 @@ func (e *engine) dispatch() {
 }
 
 // speculate launches redundant copies of straggling tasks (§8): any task
-// whose computation has run specThreshold× the stage's estimated task
+// whose computation has run fault.SpeculateAfter× the stage's estimated task
 // duration gets one copy at the free-slot-richest site (preferring the
 // task's data site), reading the same input. The task completes when
 // either attempt finishes; the loser runs out its slot (no remote kill).
@@ -125,7 +126,7 @@ func (e *engine) speculate() {
 			if st.launched == st.done || st.spec.EstCompute <= 0 {
 				continue
 			}
-			limit := specThreshold * st.spec.EstCompute
+			limit := fault.SpeculateAfter * st.spec.EstCompute
 			for ti := range st.spec.Tasks {
 				if st.doneTask[ti] || st.copyLaunched[ti] || st.computeStart[ti] < 0 {
 					continue

@@ -132,9 +132,8 @@ func TestStraggleSlowsAndSpeculationRescues(t *testing.T) {
 
 func TestPermanentCrashShrinksCluster(t *testing.T) {
 	// Site 1 crashes permanently before any of its work can finish; the
-	// run must still complete on the surviving site (map tasks fetch
-	// their partitions over the crashed site's residual 1 B/s link is
-	// avoided because placement routes around zero-slot sites).
+	// run must still complete on the surviving site (placement routes
+	// around zero-slot sites).
 	c := uniformCluster(2, 4, units.GBps)
 	job := mapOnlyJob(0, []int{8, 0}, 1*units.MB, 1)
 	cfg := baseConfig(c, []*workload.Job{job})
@@ -142,5 +141,24 @@ func TestPermanentCrashShrinksCluster(t *testing.T) {
 	cfg.Faults = faultInjector(t, "crash@0.5s:site=1", 1)
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("run with permanent crash: %v", err)
+	}
+}
+
+// TestCrashedDataSiteStaysReadable: a crash loses the site's compute,
+// not its links (fault.Fault.Apply), so the input of a permanently
+// crashed data site still reaches the surviving site at link speed —
+// 16 GB over 100 MB/s, not over a 1 B/s residue.
+func TestCrashedDataSiteStaysReadable(t *testing.T) {
+	c := uniformCluster(2, 4, 100*units.MBps)
+	job := mapOnlyJob(0, []int{0, 16}, units.GB, 1)
+	cfg := baseConfig(c, []*workload.Job{job})
+	cfg.Check = true
+	cfg.Faults = faultInjector(t, "crash@1s:site=1", 1)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("run with a crashed data site: %v", err)
+	}
+	if r := res.Jobs[0].Response; r > 1000 {
+		t.Errorf("response %.4g s with the data site crashed, want link speed (≈ 160 s)", r)
 	}
 }

@@ -86,13 +86,14 @@ type Config struct {
 	// injector (internal/fault): its timeline's site crashes/rejoins and
 	// link degradations are applied at their scheduled simulated times,
 	// and its straggle lottery stretches task compute durations (pairing
-	// naturally with Speculation). Site crashes are modeled as graceful
-	// decommissions — tasks already computing at the site finish, new
-	// work avoids it — matching the §4.2 capacity-drift machinery; the
-	// abrupt kill-and-re-execute path lives in internal/engine, which
-	// owns recovery semantics. Solve stalls do not apply here (the
-	// simulator solves inline on virtual time). Every applied fault is
-	// emitted as an obs.Fault event.
+	// naturally with Speculation). fault.Fault.Apply sets what a fault
+	// leaves of a site, as in the engine. Site crashes are graceful
+	// decommissions — tasks computing at the site finish, new work avoids
+	// it, its data stays readable over its links — matching the §4.2
+	// capacity-drift machinery; the abrupt kill-and-re-execute path lives
+	// in internal/engine, which owns recovery semantics. Solve stalls do
+	// not apply here (the simulator solves inline on virtual time). Every
+	// applied fault is emitted as an obs.Fault event.
 	Faults *fault.Injector
 
 	// Check enables the internal/check verification layer for this run:
@@ -113,16 +114,12 @@ type Config struct {
 	Observer obs.Observer
 
 	// Speculation launches a redundant copy of a straggling task once
-	// its computation has run specThreshold× the stage's estimated task
-	// duration (§8: straggler mitigation is orthogonal to placement;
-	// copies are placed at the free-slot-richest site, preferring the
-	// task's data site).
+	// its computation has run fault.SpeculateAfter× the stage's
+	// estimated task duration (§8: straggler mitigation is orthogonal
+	// to placement; copies are placed at the free-slot-richest site,
+	// preferring the task's data site).
 	Speculation bool
 }
-
-// specThreshold is the multiple of a stage's estimated task duration a
-// task's computation must exceed before Speculation copies it.
-const specThreshold = 2
 
 // JobResult summarizes one job's execution.
 type JobResult struct {
@@ -662,7 +659,7 @@ func (e *engine) onDrop(d Drop) {
 	if newSlots < 0 {
 		newSlots = 0
 	}
-	e.setSite(d.Site, newSlots, math.Max(orig.UpBW*(1-d.Frac), minBW), math.Max(orig.DownBW*(1-d.Frac), minBW))
+	e.setSite(d.Site, cluster.Site{Slots: newSlots, UpBW: orig.UpBW * (1 - d.Frac), DownBW: orig.DownBW * (1 - d.Frac)})
 	if e.obs != nil {
 		e.obs.Emit(obs.DropEvent{T: e.now, Site: d.Site, Frac: d.Frac, NewSlots: newSlots})
 	}
@@ -670,45 +667,35 @@ func (e *engine) onDrop(d Drop) {
 	e.needDispatch = true
 }
 
-// minBW is the floor of a site's link capacities after a drop or fault:
-// netsim capacities stay positive.
+// minBW is the floor of a site's link capacities: netsim capacities
+// stay positive. A floor this low is safe here because netsim re-rates
+// running flows when a link comes back.
 const minBW = 1.0
 
-// setSite sets a site's slots and link capacities: the slot change
+// setSite is the one capacity setter after newEngine: the slot change
 // lands on free (which may go negative until running tasks drain, a
-// graceful decommission), the links on the network model and the
-// bandwidth vectors placement reads.
-func (e *engine) setSite(site, slots int, up, down float64) {
-	e.free[site] += slots - e.capSlots[site]
-	e.capSlots[site] = slots
-	e.net.SetCapacity(site, up, down)
-	e.upBW[site] = up
-	e.downBW[site] = down
+// graceful decommission), the links, floored at minBW, on the network
+// model and the bandwidth vectors placement reads.
+func (e *engine) setSite(x int, s cluster.Site) {
+	up, down := math.Max(s.UpBW, minBW), math.Max(s.DownBW, minBW)
+	e.free[x] += s.Slots - e.capSlots[x]
+	e.net.SetCapacity(x, up, down)
+	e.capSlots[x], e.upBW[x], e.downBW[x] = s.Slots, up, down
 }
 
-// onFault applies one injector timeline fault. Crashes reuse the §4.2
-// drop machinery (graceful decommission: running tasks finish, new work
-// routes around the site); rejoins and restores put the site's original
-// capacity back.
+// onFault applies one injector timeline fault through fault.Apply and
+// the §4.2 drop machinery (a crash is a graceful decommission).
 func (e *engine) onFault(f fault.Fault) {
 	if f.Site < 0 || f.Site >= e.n {
 		return
 	}
-	orig := e.cfg.Cluster.Sites[f.Site]
-	switch f.Kind {
-	case fault.SiteCrash:
-		e.dropped = true
-		e.setSite(f.Site, 0, minBW, minBW)
-	case fault.SiteRejoin:
-		e.setSite(f.Site, orig.Slots, orig.UpBW, orig.DownBW)
-	case fault.LinkDegrade:
-		e.dropped = true
-		e.setSite(f.Site, e.capSlots[f.Site], math.Max(orig.UpBW*(1-f.Frac), minBW), math.Max(orig.DownBW*(1-f.Frac), minBW))
-	case fault.LinkRestore:
-		e.setSite(f.Site, e.capSlots[f.Site], orig.UpBW, orig.DownBW)
-	default:
+	cur := cluster.Site{Slots: e.capSlots[f.Site], UpBW: e.upBW[f.Site], DownBW: e.downBW[f.Site]}
+	next, ok := f.Apply(e.cfg.Cluster.Sites[f.Site], cur)
+	if !ok {
 		return
 	}
+	e.dropped = true
+	e.setSite(f.Site, next)
 	if e.obs != nil {
 		e.obs.Emit(obs.Fault{T: e.now, Fault: f.Kind.String(), Site: f.Site, Frac: f.Frac})
 	}
@@ -777,9 +764,9 @@ func (e *engine) startCompute(st *stageRun, task, site int, isCopy bool) {
 			// would find the task already done — behaviourally identical
 			// to scheduling a check for every task, which a real
 			// scheduler (that cannot see durations) would do.
-			if dur > specThreshold*st.spec.EstCompute {
+			if dur > fault.SpeculateAfter*st.spec.EstCompute {
 				e.push(&event{
-					time: e.now + specThreshold*st.spec.EstCompute + 1e-6,
+					time: e.now + fault.SpeculateAfter*st.spec.EstCompute + 1e-6,
 					kind: evSpecCheck,
 					st:   st, task: task, site: site,
 				})

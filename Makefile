@@ -31,11 +31,13 @@ race:
 # stays within 2% of the pre-observability allocation baseline
 # (obs_overhead_test.go); a steady-state scheduling pass, a pooled LP
 # solve and the submit decoder stay within their budgets; forwarding an
-# event with analytics off allocates nothing.
+# event with analytics off allocates nothing; a stage's placement
+# request allocates only its data vector.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestNilObserverAllocBudget' .
 	$(GO) test -count=1 -run 'TestScheduleSteadyStateAllocs|TestAnalyticsDisabledHotPath' ./internal/engine
 	$(GO) test -count=1 -run 'TestSolveAllocsSteadyState' ./internal/lp
+	$(GO) test -count=1 -run 'TestStageRequestAllocs' ./internal/place
 	$(GO) test -count=1 -run 'TestDecodeJobAllocs' ./internal/engine/api
 
 bench:

@@ -26,7 +26,7 @@
 // degradation, stragglers, and solver stalls; -journal makes accepted
 // jobs durable across a crash (kill -9 loses no admitted job);
 // -speculate duplicates straggling stages; -solve-deadline bounds each
-// placement solve before a greedy fallback takes over.
+// placement solve before the In-Place stopgap takes over.
 //
 // Sharded mode (-shards N with N > 1) runs N shared-nothing engine
 // shards behind the federation router: the same routes, aggregated
@@ -109,7 +109,7 @@ func registerFlags(fs *flag.FlagSet) *flags {
 	fs.Int64Var(&o.FaultSeed, "fault-seed", 1, "fault injector seed (straggler lottery)")
 	fs.StringVar(&o.JournalPath, "journal", "", "durable-restart journal path (empty: no journal)")
 	fs.BoolVar(&o.Speculate, "speculate", false, "launch duplicates of straggling stages; first finish wins")
-	fs.DurationVar(&o.SolveDeadline, "solve-deadline", 0, "per-stage LP solve bound before greedy fallback (0: none)")
+	fs.DurationVar(&o.SolveDeadline, "solve-deadline", 0, "per-stage LP solve bound before the In-Place stopgap (0: none)")
 
 	fs.BoolVar(&o.Analytics, "analytics", false, "enable the fleet-analytics store and /v1/analytics endpoints")
 	fs.StringVar(&o.AnalyticsSnapshotPath, "analytics-snap", "", "fleet store snapshot path (empty: no snapshots)")

@@ -35,14 +35,6 @@ type placeKey struct {
 	enc  []uint64
 }
 
-// placeResult is the reusable outcome of one placement solve.
-type placeResult struct {
-	tasks      []int
-	estNet     float64
-	estCompute float64
-	wan        float64
-}
-
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -110,7 +102,7 @@ func sameEnc(a, b []uint64) bool {
 // cacheEntry is one memoized placement on the LRU ring.
 type cacheEntry struct {
 	key        placeKey
-	res        placeResult
+	res        place.Decision
 	near       placeKey         // recurrence key of the solve
 	warm       *place.WarmState // its basis; may be shared with the solved stage
 	prev, next *cacheEntry
@@ -162,10 +154,10 @@ func (c *placeCache) lookup(k placeKey) *cacheEntry {
 }
 
 // get returns the memoized result for k, refreshing its recency.
-func (c *placeCache) get(k placeKey) (placeResult, bool) {
+func (c *placeCache) get(k placeKey) (place.Decision, bool) {
 	e := c.lookup(k)
 	if e == nil {
-		return placeResult{}, false
+		return place.Decision{}, false
 	}
 	c.unlink(e)
 	c.pushFront(e)
@@ -184,7 +176,7 @@ func (c *placeCache) nearest(near placeKey) *place.WarmState {
 // put inserts (or refreshes) k's result and makes its entry the near
 // index's answer for the recurrence key near, evicting the least
 // recently used entry beyond capacity.
-func (c *placeCache) put(k, near placeKey, r placeResult, warm *place.WarmState) {
+func (c *placeCache) put(k, near placeKey, r place.Decision, warm *place.WarmState) {
 	e := c.lookup(k)
 	if e != nil {
 		c.unlink(e)
@@ -193,6 +185,8 @@ func (c *placeCache) put(k, near placeKey, r placeResult, warm *place.WarmState)
 		c.buckets[k.hash] = append(c.buckets[k.hash], e)
 		c.size++
 	}
+	// An entry keeps what commit reads, not the placement's matrices.
+	r.Map, r.Reduce = place.MapPlacement{}, place.ReducePlacement{}
 	e.res, e.near, e.warm = r, near, warm
 	c.nearIdx[near.hash] = e
 	c.pushFront(e)

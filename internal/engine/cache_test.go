@@ -21,7 +21,7 @@ func TestPlaceCacheNearIndex(t *testing.T) {
 	c := newPlaceCache(2)
 	nearA, nearB := testKey(100), testKey(200)
 	w1, w2, w3 := place.NewWarmState(), place.NewWarmState(), place.NewWarmState()
-	res := func(i int) placeResult { return placeResult{tasks: []int{i}} }
+	res := func(i int) place.Decision { return place.Decision{Tasks: []int{i}} }
 
 	if c.nearest(nearA) != nil {
 		t.Fatal("empty cache answered a near lookup")
@@ -45,7 +45,7 @@ func TestPlaceCacheNearIndex(t *testing.T) {
 	// Re-solving an exact key (two identical requests in one batch)
 	// refreshes its entry in place: no second entry, newest basis.
 	c.put(testKey(1), nearA, res(3), w3)
-	if r, ok := c.get(testKey(1)); !ok || r.tasks[0] != 3 || c.size != 2 || c.nearest(nearA) != w3 {
+	if r, ok := c.get(testKey(1)); !ok || r.Tasks[0] != 3 || c.size != 2 || c.nearest(nearA) != w3 {
 		t.Fatalf("re-put: result %v ok=%v size=%d nearest=%p (want w3 %p)", r, ok, c.size, c.nearest(nearA), w3)
 	}
 
@@ -84,7 +84,7 @@ func TestPlaceCachePutNonPositiveCapacity(t *testing.T) {
 		go func() {
 			c := newPlaceCache(capacity)
 			for i := 0; i < 3; i++ {
-				c.put(testKey(i), testKey(i%2), placeResult{tasks: []int{i}}, place.NewWarmState())
+				c.put(testKey(i), testKey(i%2), place.Decision{Tasks: []int{i}}, place.NewWarmState())
 			}
 			done <- c
 		}()

@@ -134,14 +134,10 @@ type Config struct {
 	// fastest site; first finish wins.
 	Speculate bool
 	// SolveDeadline bounds how long a stage waits on its async LP solve
-	// before falling back to the greedy in-place baseline (never
-	// cached; upgraded if the real solve lands before launch). 0
-	// disables the deadline.
+	// before the stopgap, place.InPlace, places it (never cached;
+	// upgraded if the solve lands before launch). 0 disables the
+	// deadline.
 	SolveDeadline time.Duration
-	// SolveRetries bounds how many times a deadlined solve is
-	// re-dispatched with jittered backoff. Default 2; negative
-	// disables retries.
-	SolveRetries int
 
 	// Analytics, when non-nil, receives every emitted event (typically a
 	// *fleet.Store) for fleet-wide per-tenant attribution. Must be a
@@ -209,9 +205,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.PlaceCacheSize == 0 {
 		cfg.PlaceCacheSize = 4096
 	}
-	if cfg.SolveRetries == 0 {
-		cfg.SolveRetries = 2
-	}
 	e := &Engine{
 		cfg:          cfg,
 		reqs:         make(chan func(), 128),
@@ -224,8 +217,9 @@ func New(cfg Config) (*Engine, error) {
 	e.st = newState(e)
 	e.pool.onPanic = func(r any) {
 		// Worker goroutine: re-enter the loop to touch state. The solve
-		// the panic killed never commits; its stage retries through the
-		// usual deadline/stale paths.
+		// the panic killed never commits: dispatch gives its stage the
+		// stopgap, and the stages queued behind it re-request on the next
+		// pass.
 		e.inject(func() { e.st.notePanic("solve", r) })
 	}
 	if cfg.Restore != nil {

@@ -13,10 +13,9 @@ package engine
 //     finish wins, the loser is cancelled (arXiv:1404.1328: one replica
 //     past a fixed threshold bounds tail latency at bounded extra load).
 //   - Wedged LP solves: each pooled solve races Config.SolveDeadline;
-//     on expiry the stage is placed by the greedy in-place baseline
-//     (flagged, never cached) and the real solve is retried with
-//     jittered backoff, upgrading the placement if it lands before
-//     launch.
+//     on expiry (or a panic) the stage is placed by the stopgap,
+//     place.InPlace (flagged, never cached), and the original solve
+//     still upgrades the placement if it lands before launch.
 //   - Process death: admissions/placements/completions are journaled
 //     (internal/journal); restore() rebuilds state from the recovered
 //     journal before the loop accepts traffic.
@@ -216,48 +215,22 @@ func (s *state) cancelSpec(sr *stageRun) {
 
 // solveDeadline fires when a pooled solve outlives Config.SolveDeadline
 // without committing, or panicked (dispatch): place the stage NOW with
-// the stopgap so scheduling never stalls behind a wedged solver, and
-// retry the real LP after a jittered backoff (bounded by
-// Config.SolveRetries). it is the loop's own copy of the dispatched
-// item.
+// the stopgap so scheduling never stalls behind a wedged solver. The
+// original solve keeps its seq, so if it lands before the stage
+// launches, commit upgrades the placement. it is the loop's own copy
+// of the dispatched item.
 func (s *state) solveDeadline(it solveItem) {
 	sr, js := it.sr, it.sr.job
 	if it.seq != sr.solveSeq || sr.placed || js.terminal() || it.gen != s.resGen {
 		return // the solve (or a newer attempt, or an update) got there first
 	}
-	sg := it
-	sg.deadline = true
+	it.deadline = true
 	t0 := time.Now()
-	sg.res = stopgap(s.liveResources(), it.pr)
-	sg.nanos = time.Since(t0).Nanoseconds()
+	it.res = stopgap(s.liveResources(), it.pr)
+	it.nanos = time.Since(t0).Nanoseconds()
 	s.rec.Registry().Counter("engine.solves_deadline_fallback").Inc()
-	s.commit(&sg)
+	s.commit(&it)
 	s.scheduleSoon()
-
-	if it.attempt < s.e.cfg.SolveRetries {
-		// Bounded retry: re-dispatch the real LP after 25ms·2^attempt
-		// plus jitter, as a batch of one; if it lands before the stage
-		// launches, commit upgrades the placement.
-		backoff := (25 * time.Millisecond) << it.attempt
-		backoff += time.Duration(s.rng.Int63n(int64(backoff)/2 + 1))
-		sr.solveSeq++
-		retry := it
-		retry.seq = sr.solveSeq
-		retry.attempt++
-		s.e.afterFunc(backoff, func() {
-			s.e.inject(func() {
-				if sr.solveSeq != retry.seq || js.terminal() || sr.phase != stageReady || !sr.deadlineFB {
-					return
-				}
-				if s.cache != nil {
-					// The key covers capacities, which may have moved
-					// since the first attempt.
-					retry.key = s.requestKey(retry.pr)
-				}
-				s.dispatch([]solveItem{retry})
-			})
-		})
-	}
 }
 
 // Durable restart -------------------------------------------------------------

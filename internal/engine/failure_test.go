@@ -19,6 +19,7 @@ import (
 	"tetrium/internal/journal"
 	"tetrium/internal/obs"
 	"tetrium/internal/place"
+	"tetrium/internal/workload"
 )
 
 // counterValue reads one counter from the engine's text metrics dump
@@ -165,7 +166,7 @@ func TestSpeculationRescues(t *testing.T) {
 
 // TestSolveDeadlineFallback: when every LP solve wedges on the pool for
 // far longer than Config.SolveDeadline, stages still get placed — by the
-// greedy fallback — and jobs complete. The fallback is flagged on the
+// In-Place stopgap — and jobs complete. The fallback is flagged on the
 // Placement event and counted.
 func TestSolveDeadlineFallback(t *testing.T) {
 	cl := cluster.PaperExample()
@@ -460,17 +461,17 @@ func TestStopgapSpreadsSlotlessData(t *testing.T) {
 		DownBW: []float64{1e8, 1e8, 1e8},
 	}
 	input := []float64{8e9, 0, 0}
-	r := stopgap(res, placeRequest{kind: "map", mreq: place.MapRequest{
+	r := stopgap(res, place.Request{Kind: workload.MapStage, Map: place.MapRequest{
 		InputBySite: input, NumTasks: 8, TaskCompute: 1, WANBudget: -1,
 	}})
-	if r.tasks[0] != 0 || r.tasks[1]+r.tasks[2] != 8 {
-		t.Errorf("stopgap tasks %v, want none at slotless site 0", r.tasks)
+	if r.Tasks[0] != 0 || r.Tasks[1]+r.Tasks[2] != 8 {
+		t.Errorf("stopgap tasks %v, want none at slotless site 0", r.Tasks)
 	}
-	if r.wan != input[0] {
-		t.Errorf("stopgap WAN bytes %v, want %v", r.wan, input[0])
+	if r.WAN != input[0] {
+		t.Errorf("stopgap WAN bytes %v, want %v", r.WAN, input[0])
 	}
-	if r.estNet <= 0 {
-		t.Errorf("stopgap estNet %v, want > 0", r.estNet)
+	if r.EstNet <= 0 {
+		t.Errorf("stopgap estNet %v, want > 0", r.EstNet)
 	}
 }
 

@@ -128,17 +128,22 @@ func (s *state) indexStage(sr *stageRun) {
 	}
 }
 
-// stageDataSites marks the sites a stage's input lives at: task sources
-// for a map stage, upstream output locations for a reduce stage. A
-// site's capacity change perturbs any LP whose input vector is non-zero
-// there, so data sites count as placement-touching for dirtiness even
-// when no task landed on them.
+// stageDataSites marks the sites a stage's input lives at: every site
+// holding a copy of a map task's partition, upstream output locations
+// for a reduce stage. A site's capacity change perturbs any LP whose
+// input vector is non-zero there — and, for a replicated partition,
+// moves place.PlanSrc, which reads every replica site's capacity — so
+// data sites count as placement-touching for dirtiness even when no
+// task landed on them.
 func (s *state) stageDataSites(sr *stageRun) []bool {
 	d := make([]bool, s.n)
 	if sr.spec.Kind == workload.MapStage {
 		for _, t := range sr.spec.Tasks {
 			if t.Input > 0 {
 				d[t.Src] = true
+				for _, r := range t.Replicas {
+					d[r] = true
+				}
 			}
 		}
 		return d

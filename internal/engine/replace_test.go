@@ -465,3 +465,49 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state schedule() allocates %.1f per pass, want 0", allocs)
 	}
 }
+
+// TestReplicaSiteUpdateReplaces: a map stage plans a replicated
+// partition from its slot-richest copy, ties broken by uplink
+// (place.PlanSrc), so degrading a replica site's uplink can move the
+// stage's LP input even when no task of the stage runs there. Here the
+// partition's primary site 1 and its replica site 0 have no slots, so
+// every task runs at site 2 and reads from site 0's faster uplink until
+// that uplink degrades below site 1's. The dirty set counts replica
+// sites as data sites: the incremental pass re-places the stage exactly
+// as the full scan does.
+func TestReplicaSiteUpdateReplaces(t *testing.T) {
+	cl := cluster.New([]cluster.Site{
+		{Name: "replica", Slots: 0, UpBW: 1e9, DownBW: 1e9},
+		{Name: "primary", Slots: 0, UpBW: 5e8, DownBW: 1e9},
+		{Name: "compute", Slots: 8, UpBW: 1e9, DownBW: 1e9},
+	})
+	incr := diffEngine(t, cl, false)
+	full := diffEngine(t, cl, true)
+	for _, e := range []*Engine{incr, full} {
+		j := oneStageJob(1, 8, 5)
+		for i := range j.Stages[0].Tasks {
+			j.Stages[0].Tasks[i].Replicas = []int{0}
+		}
+		if _, err := e.Submit(j); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		quiesceLoop(t, e)
+	}
+	before := snapStages(t, incr)[0][0]
+	var replaced []int
+	for _, e := range []*Engine{incr, full} {
+		n, err := e.UpdateCluster([]SiteUpdate{{Site: 0, Slots: -1, UpBW: 1e8, DownBW: -1}})
+		if err != nil {
+			t.Fatalf("UpdateCluster: %v", err)
+		}
+		replaced = append(replaced, n)
+		quiesceLoop(t, e)
+	}
+	after := snapStages(t, incr)
+	diffSnaps(t, "degrade replica site 0", after, snapStages(t, full))
+	checkIndexes(t, incr, "degrade replica site 0")
+	if replaced[0] != 1 || after[0][0].EstNet == before.EstNet {
+		t.Errorf("incremental update re-placed %d stages, estNet %g → %g: want the stage re-planned from site 1",
+			replaced[0], before.EstNet, after[0][0].EstNet)
+	}
+}

@@ -234,7 +234,7 @@ func TestPlacementRoutes(t *testing.T) {
 					}
 				})
 				r.stage(st.ID, func(sr *stageRun) {
-					near := r.e.st.buildRequest(sr).recurrenceKey()
+					near := recurrenceKey(r.e.st.buildRequest(sr))
 					if sr.warm != calls[1].warm || r.e.st.cache.nearest(near) != sr.warm {
 						r.t.Errorf("stage holds %p, cache answers %p, want both the solved clone %p",
 							sr.warm, r.e.st.cache.nearest(near), calls[1].warm)
@@ -418,7 +418,6 @@ func TestPlacementRoutes(t *testing.T) {
 			gated: true,
 			cfg: func(c *Config) {
 				c.SolveDeadline = 30 * time.Millisecond
-				c.SolveRetries = -1
 			},
 			drive: func(r *routeRig) int {
 				id := r.submit(1, 6)
@@ -448,7 +447,6 @@ func TestPlacementRoutes(t *testing.T) {
 			gated: true,
 			cfg: func(c *Config) {
 				c.SolveDeadline = 30 * time.Millisecond
-				c.SolveRetries = -1
 				c.TimeScale = 1e6
 			},
 			drive: func(r *routeRig) int {
@@ -468,37 +466,6 @@ func TestPlacementRoutes(t *testing.T) {
 				counters: map[string]float64{"engine.solves_deadline_fallback": 1, "engine.solves_late_upgrades": 1},
 				batches:  [2]int{2, 2},
 				calls:    []bool{false, false},
-			},
-		},
-		{
-			name:  "deadline retry is a batch of one",
-			inner: place.InPlace{},
-			gated: true,
-			cfg: func(c *Config) {
-				c.SolveDeadline = 30 * time.Millisecond
-				c.SolveRetries = 1
-				c.TimeScale = 1e6
-			},
-			drive: func(r *routeRig) int {
-				id := r.parkBehindBlocker()
-				// The stopgap superseded the original solve (its commit is
-				// dropped by the seq guard); only the retry, dispatched
-				// after the backoff, may upgrade.
-				r.open()
-				r.awaitPlacement(id, "upgraded", func(p obs.Placement) bool { return !p.Deadline })
-				calls := r.pp.seen()
-				r.stage(id, func(sr *stageRun) {
-					if len(calls) != 3 || sr.warm != calls[2].warm {
-						r.t.Errorf("retry's warm state not handed back: %+v, stage has %p", calls, sr.warm)
-					}
-				})
-				return id
-			},
-			want: want{
-				solved:   true,
-				counters: map[string]float64{"engine.solves_deadline_fallback": 1, "engine.solves_late_upgrades": 1},
-				batches:  [2]int{3, 3},
-				calls:    []bool{false, false, false},
 			},
 		},
 	}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"math/rand"
 	"time"
 
 	"tetrium/internal/cluster"
@@ -179,7 +178,7 @@ type stageRun struct {
 	specActive bool          // a speculative duplicate is running
 	specSite   int           // site hosting the duplicate
 	specSlots  int           // slots the duplicate holds
-	solveSeq   int           // latest async solve attempt (deadline retry guard)
+	solveSeq   int           // latest pooled solve (commit's supersede guard)
 	deadlineFB bool          // current placement is a solve-deadline fallback
 
 	interBySite []float64 // reduce input location, from upstream outputs
@@ -190,7 +189,7 @@ type stageRun struct {
 	idxSites  []bool // current stageSites membership
 
 	// warm carries the simplex basis of this stage's latest placement so
-	// re-solves (§4.2 re-placements, deadline retries) skip phase 1.
+	// re-solves (§4.2 re-placements) skip phase 1.
 	// Loop-owned: dispatch hands the pool a Clone and installs it back
 	// on commit, so the loop's copy is never written concurrently.
 	warm *place.WarmState
@@ -256,7 +255,6 @@ type state struct {
 	solveCount int         // async solves dispatched (drives injected stalls)
 	poolBusy   int         // pool tasks dispatched whose commit has not reached the loop
 	doneWall   []time.Time // recent completion wall times (drain-rate window)
-	rng        *rand.Rand  // retry-backoff jitter (loop-owned)
 }
 
 func newState(e *Engine) *state {
@@ -283,7 +281,6 @@ func newState(e *Engine) *state {
 		jobs:          make(map[int]*jobState),
 		idemKeys:      make(map[string]int),
 		rec:           rec,
-		rng:           rand.New(rand.NewSource(1)), // jitter only; determinism beats entropy
 		runningStages: make(map[*stageRun]struct{}),
 		stageSites:    sites,
 		placedLive:    make(map[*stageRun]struct{}),
@@ -573,39 +570,6 @@ func (s *state) schedule() {
 	})
 }
 
-// placeRequest bundles the inputs of one placement solve so the solve
-// itself can run off the loop against a resource snapshot.
-type placeRequest struct {
-	kind string // "map" | "reduce"
-	mreq place.MapRequest
-	rreq place.ReduceRequest
-}
-
-func (pr placeRequest) numTasks() int {
-	if pr.kind == "map" {
-		return pr.mreq.NumTasks
-	}
-	return pr.rreq.NumTasks
-}
-
-func (pr placeRequest) taskCompute() float64 {
-	if pr.kind == "map" {
-		return pr.mreq.TaskCompute
-	}
-	return pr.rreq.TaskCompute
-}
-
-// setWarm points the request at a warm-start state for the placer to
-// use. Never reflected in requestKey: a warm start changes solve speed,
-// not the placement, so cache signatures ignore it.
-func (pr *placeRequest) setWarm(w *place.WarmState) {
-	if pr.kind == "map" {
-		pr.mreq.Warm = w
-	} else {
-		pr.rreq.Warm = w
-	}
-}
-
 // recurrenceKey is the request's exact signature (requestKey) with
 // every magnitude erased: stage kind, task count, per-task compute,
 // which sites hold data and whether a WAN-budget row is present.
@@ -616,15 +580,15 @@ func (pr *placeRequest) setWarm(w *place.WarmState) {
 // a coincidence of shape: a basis tried across unrelated same-shaped
 // jobs installs, fails the feasibility gate and pays phase 1 anyway
 // (DESIGN.md "The placement pipeline").
-func (pr placeRequest) recurrenceKey() placeKey {
-	data, budget := pr.rreq.InterBySite, pr.rreq.WANBudget
-	if pr.kind == "map" {
-		data, budget = pr.mreq.InputBySite, pr.mreq.WANBudget
+func recurrenceKey(pr place.Request) placeKey {
+	data, budget, compute := pr.Reduce.InterBySite, pr.Reduce.WANBudget, pr.Reduce.TaskCompute
+	if pr.Kind == workload.MapStage {
+		data, budget, compute = pr.Map.InputBySite, pr.Map.WANBudget, pr.Map.TaskCompute
 	}
 	b := newKeyBuilder(len(data) + 4)
-	b.bit(pr.kind == "map")
-	b.int(pr.numTasks())
-	b.float(pr.taskCompute())
+	b.bit(pr.Kind == workload.MapStage)
+	b.int(pr.NumTasks())
+	b.float(compute)
 	for _, v := range data {
 		b.bit(v > 0)
 	}
@@ -632,96 +596,47 @@ func (pr placeRequest) recurrenceKey() placeKey {
 	return b.key()
 }
 
-// buildRequest snapshots a stage's placement inputs. The data vectors
-// are copied: the request outlives this loop iteration when the solve
-// is dispatched to the worker pool.
-func (s *state) buildRequest(sr *stageRun) placeRequest {
-	if sr.spec.Kind == workload.MapStage {
-		input := make([]float64, s.n)
-		for _, t := range sr.spec.Tasks {
-			input[t.Src] += t.Input
-		}
-		return placeRequest{kind: "map", mreq: place.MapRequest{
-			InputBySite: input,
-			NumTasks:    len(sr.spec.Tasks),
-			TaskCompute: sr.spec.EstCompute,
-			WANBudget:   place.WANBudget(s.e.cfg.Rho, place.MapBudget, input),
-			OutputBytes: sr.spec.TotalOutput(),
-		}}
-	}
-	inter := append([]float64(nil), sr.interBySite...)
-	return placeRequest{kind: "reduce", rreq: place.ReduceRequest{
-		InterBySite: inter,
-		NumTasks:    len(sr.spec.Tasks),
-		TaskCompute: sr.spec.EstCompute,
-		WANBudget:   place.WANBudget(s.e.cfg.Rho, place.ReduceBudget, inter),
-		OutputBytes: sr.spec.TotalOutput(),
-	}}
+// buildRequest snapshots a stage's placement question (place.StageRequest
+// over every task). Its data vector is fresh: the request outlives this
+// loop iteration when the solve is dispatched to the worker pool.
+func (s *state) buildRequest(sr *stageRun) place.Request {
+	return place.StageRequest(sr.job.spec, sr.idx, nil, sr.interBySite, s.e.cfg.Rho, s.capSlots, s.upBW)
 }
 
 // requestKey builds the canonical cache signature of a solve: current
 // capacities plus every request field, in a fixed order.
-func (s *state) requestKey(pr placeRequest) placeKey {
+func (s *state) requestKey(pr place.Request) placeKey {
 	b := newKeyBuilder(4*s.n + 8)
 	b.int(s.n)
 	b.ints(s.capSlots)
 	b.floats(s.upBW)
 	b.floats(s.downBW)
-	if pr.kind == "map" {
+	if pr.Kind == workload.MapStage {
 		b.int(0)
-		b.floats(pr.mreq.InputBySite)
-		b.int(pr.mreq.NumTasks)
-		b.float(pr.mreq.TaskCompute)
-		b.float(pr.mreq.WANBudget)
-		b.float(pr.mreq.OutputBytes)
+		b.floats(pr.Map.InputBySite)
+		b.int(pr.Map.NumTasks)
+		b.float(pr.Map.TaskCompute)
+		b.float(pr.Map.WANBudget)
+		b.float(pr.Map.OutputBytes)
 	} else {
 		b.int(1)
-		b.floats(pr.rreq.InterBySite)
-		b.int(pr.rreq.NumTasks)
-		b.float(pr.rreq.TaskCompute)
-		b.float(pr.rreq.WANBudget)
-		b.float(pr.rreq.OutputBytes)
+		b.floats(pr.Reduce.InterBySite)
+		b.int(pr.Reduce.NumTasks)
+		b.float(pr.Reduce.TaskCompute)
+		b.float(pr.Reduce.WANBudget)
+		b.float(pr.Reduce.OutputBytes)
 	}
 	return b.key()
 }
 
-// solveRequest runs one placement LP. It touches no loop state — only
-// the given placer, resource snapshot, and request — so it is safe on a
-// pool worker.
-func solveRequest(placer place.Placer, res place.Resources, pr placeRequest) (placeResult, error) {
-	if pr.kind == "map" {
-		mp, err := placer.PlaceMap(res, pr.mreq)
-		if err != nil {
-			return placeResult{}, err
-		}
-		return placeResult{
-			tasks: mp.TasksBySite(), estNet: mp.TAggr, estCompute: mp.TMap,
-			wan: mp.WANBytes(pr.mreq.InputBySite),
-		}, nil
-	}
-	rp, err := placer.PlaceReduce(res, pr.rreq)
-	if err != nil {
-		return placeResult{}, err
-	}
-	return placeResult{
-		tasks: append([]int(nil), rp.Tasks...), estNet: rp.TShufl, estCompute: rp.TRed,
-		wan: rp.WANBytes(pr.rreq.InterBySite),
-	}, nil
-}
-
 // stopgap is the one placement the engine commits when the LP gives no
-// answer — the placer erred, the solve outlived Config.SolveDeadline, or
-// it panicked — and where a placement goes whose sites have all lost
-// their capacity: place.InPlace, every task where its data is, a
-// slotless site's share spread over the sites with slots. In-Place fails
-// only on malformed resources, which the engine never builds. Never
-// cached; safe on a pool worker.
-func stopgap(res place.Resources, pr placeRequest) placeResult {
-	r, err := solveRequest(place.InPlace{}, res, pr)
-	if err != nil {
-		panic("engine: in-place stopgap failed: " + err.Error())
-	}
-	return r
+// answer — the solve outlived Config.SolveDeadline or panicked — and
+// where a placement goes whose sites have all lost their capacity:
+// place.InPlace, every task where its data is, a slotless site's share
+// spread over the sites with slots. Never cached; safe on a pool
+// worker.
+func stopgap(res place.Resources, pr place.Request) place.Decision {
+	return place.Decide(place.InPlace{}, res, pr)
 }
 
 // maxStaleDrops is how many consecutive generation-guard drops a stage
@@ -738,20 +653,18 @@ const maxStaleDrops = 2
 // worker).
 type solveItem struct {
 	sr   *stageRun
-	pr   placeRequest
+	pr   place.Request
 	key  placeKey // exact signature; zero when the cache is off
 	near placeKey // recurrence key; set on an exact miss
 
 	seq     int           // sr.solveSeq this attempt was issued under
 	gen     int           // s.resGen of the capacities it solves against
-	attempt int           // solve-deadline retries so far (failure.go)
 	restamp bool          // §4.2 re-placement of a live placement
 	stall   time.Duration // injected wedged-solver delay; pool only
 
-	res      placeResult
+	res      place.Decision
 	nanos    int64
 	starts   place.WarmStats // where this solve's LPs entered phase 2
-	fallback bool            // placer error: the stopgap stands in
 	cached   bool            // served by the memo cache, no solve ran
 	deadline bool            // deadline or panic: the stopgap stands in (failure.go)
 }
@@ -762,11 +675,8 @@ type solveItem struct {
 // state — and a pool worker — capacity snapshot, cloned warm state.
 func (it *solveItem) solve(placer place.Placer, res place.Resources, warm *place.WarmState) {
 	t0 := time.Now()
-	it.pr.setWarm(warm)
-	var err error
-	if it.res, err = solveRequest(placer, res, it.pr); err != nil {
-		it.res, it.fallback = stopgap(res, it.pr), true
-	}
+	it.pr.SetWarm(warm)
+	it.res = place.Decide(placer, res, it.pr)
 	it.nanos = time.Since(t0).Nanoseconds()
 	it.starts = warm.TakeStats()
 }
@@ -807,7 +717,7 @@ func (s *state) requestPlacement(sr *stageRun, restamp bool) (solves, hits int) 
 		}
 		s.rec.Registry().Counter("engine.place_cache_misses").Inc()
 	}
-	it.near = it.pr.recurrenceKey()
+	it.near = recurrenceKey(it.pr)
 	if restamp || sr.staleDrops >= maxStaleDrops {
 		if sr.warm == nil {
 			sr.warm = s.nearWarm(it.near)
@@ -843,8 +753,7 @@ func (s *state) nearWarm(near placeKey) *place.WarmState {
 // warm state (member j re-enters phase 2 from member j−1's basis, the
 // first from the stage's own or, pool idle, the cache's), and one
 // commit injection per group. A §4.2 update landing mid-batch therefore invalidates
-// every member, exactly as it would each solve alone. A solve-deadline
-// retry is a batch of one.
+// every member, exactly as it would each solve alone.
 func (s *state) dispatch(items []solveItem) {
 	if len(items) == 0 {
 		return
@@ -906,8 +815,8 @@ func (s *state) dispatch(items []solveItem) {
 			// Deferred, so a solve that panics (the pool contains it) still
 			// settles poolBusy and lands the members solved before it. The
 			// member that panicked will never answer: it takes the
-			// deadline's stopgap and bounded retry now. The members after
-			// it never ran; the next pass requests them afresh.
+			// deadline's stopgap now. The members after it never ran; the
+			// next pass requests them afresh.
 			solved := 0
 			defer func() {
 				s.e.inject(func() {
@@ -989,18 +898,19 @@ func (s *state) commit(it *solveItem) {
 	old := sr.tasks
 	sr.staleDrops = 0
 	sr.deadlineFB = it.deadline
-	sr.tasks = append([]int(nil), it.res.tasks...)
-	sr.estNet, sr.estCompute = it.res.estNet, it.res.estCompute
-	sr.wan = it.res.wan
-	sr.est = it.res.estNet + it.res.estCompute
+	fallback := it.res.Err != nil
+	sr.tasks = append([]int(nil), it.res.Tasks...)
+	sr.estNet, sr.estCompute = it.res.EstNet, it.res.EstCompute
+	sr.wan = it.res.WAN
+	sr.est = it.res.Est()
 	sr.placed = true
 	s.emit(obs.Placement{
-		T: s.now(), Job: js.id, Stage: sr.idx, StageKind: it.pr.kind,
-		Placer: s.e.cfg.Placer.Name(), Pending: it.pr.numTasks(),
+		T: s.now(), Job: js.id, Stage: sr.idx, StageKind: it.pr.Kind.String(),
+		Placer: s.e.cfg.Placer.Name(), Pending: it.pr.NumTasks(),
 		EstNet: sr.estNet, EstCompute: sr.estCompute, Est: sr.est,
 		TasksBySite: append([]int(nil), sr.tasks...),
-		Fallback:    it.fallback, Restamp: it.restamp, Cached: it.cached, Deadline: it.deadline,
-		Warm:       it.starts.Started > 0 && !it.fallback,
+		Fallback:    fallback, Restamp: it.restamp, Cached: it.cached, Deadline: it.deadline,
+		Warm:       it.starts.Started > 0 && !fallback,
 		SolveNanos: it.nanos,
 	})
 	if k := s.e.cfg.UpdateK; it.restamp && k > 0 {
@@ -1012,7 +922,7 @@ func (s *state) commit(it *solveItem) {
 	// Fallbacks and deadline stopgaps are never cached: they reflect a
 	// transient failure, not the placer's answer for this signature. The
 	// entry shares the stage's warm state — both stay on the loop.
-	if s.cache != nil && !it.cached && !it.fallback && !it.deadline {
+	if s.cache != nil && !it.cached && !fallback && !it.deadline {
 		s.cache.put(it.key, it.near, it.res, sr.warm)
 	}
 	if js.placed.IsZero() {
@@ -1063,9 +973,9 @@ func (s *state) launchStage(js *jobState, sr *stageRun, budget *int) int {
 		// solve (§4.2); retarget to the stopgap against surviving
 		// capacity, with its estimate and WAN bytes, and retry once.
 		if !s.anyCapacity(sr.tasks) {
-			r := stopgap(s.liveResources(), s.buildRequest(sr))
-			sr.tasks, sr.wan = r.tasks, r.wan
-			sr.estNet, sr.estCompute, sr.est = r.estNet, r.estCompute, r.estNet+r.estCompute
+			d := stopgap(s.liveResources(), s.buildRequest(sr))
+			sr.tasks, sr.wan = d.Tasks, d.WAN
+			sr.estNet, sr.estCompute, sr.est = d.EstNet, d.EstCompute, d.Est()
 			alloc = sched.Allocate(sr.tasks, s.free, *budget)
 			total = sumInts(alloc)
 		}

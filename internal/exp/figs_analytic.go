@@ -219,6 +219,10 @@ func Fig7(o Options) (*Table, error) {
 	return t, nil
 }
 
+// reverseWinTol is the relative margin by which a reverse plan's
+// estimate must beat the forward plan's to count as a win.
+const reverseWinTol = 1e-9
+
 // ForwardReverse quantifies §3.4: Tetrium's forward stage-by-stage
 // planning versus choosing the better of forward and reverse per job.
 // The paper reports 42% vs 45% gains — i.e., best-of-both adds only
@@ -254,8 +258,10 @@ func ForwardReverse(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A reverse plan wins only by more than float noise: the two
+		// plans often reach the same estimate along different sums.
 		best := fwd.Est
-		if rev.Est < best {
+		if rev.Est < fwd.Est*(1-reverseWinTol) {
 			best = rev.Est
 			better++
 		}

@@ -732,15 +732,30 @@ func (f *Federation) EventsSince(cursors []int64) ([]ShardEvent, []int64, int64,
 }
 
 // Drain stops admission on every shard and waits until all in-flight
-// jobs finish (or ctx expires). Shards drain concurrently.
+// jobs finish (or ctx expires). Shards drain concurrently. A shard
+// whose engine stops mid-drain because a restart is swapping it drains
+// its replacement instead.
 func (f *Federation) Drain(ctx context.Context) error {
-	shards := f.engines()
-	errs := make(chan error, len(shards))
-	for _, e := range shards {
-		go func(e *engine.Engine) { errs <- e.Drain(ctx) }(e)
+	errs := make(chan error, f.n)
+	for i := 0; i < f.n; i++ {
+		go func(i int) {
+			for {
+				e := f.Shard(i)
+				err := e.Drain(ctx)
+				if errors.Is(err, engine.ErrStopped) {
+					f.restartLocks[i].Lock() // wait out an in-flight restart
+					f.restartLocks[i].Unlock()
+					if f.Shard(i) != e {
+						continue
+					}
+				}
+				errs <- err
+				return
+			}
+		}(i)
 	}
 	var first error
-	for range shards {
+	for i := 0; i < f.n; i++ {
 		if err := <-errs; err != nil && first == nil {
 			first = err
 		}

@@ -135,15 +135,16 @@ type Placement struct {
 	Fallback    bool    `json:"fallback,omitempty"` // placer errored; fallback used
 	Restamp     bool    `json:"restamp,omitempty"`  // forced re-solve after a drop
 	Cached      bool    `json:"cached,omitempty"`   // served from the placement memo cache
-	Deadline    bool    `json:"deadline,omitempty"` // LP solve missed its deadline; greedy baseline used
+	Deadline    bool    `json:"deadline,omitempty"` // LP solve missed its deadline or panicked; In-Place stopgap used
 	Warm        bool    `json:"warm,omitempty"`     // the solve re-entered phase 2 from a prior basis (never with Cached, Fallback or Deadline)
 	SolveNanos  int64   `json:"-"`
 }
 
 // Route names how the decision was reached, cheapest first: "cached"
-// (memo cache, no solve), "deadline" (greedy stopgap for an overdue
-// solve), "fallback" (placer error), "warm" (LP from a prior basis) or
-// "cold" (LP from scratch) — the first thing to ask of a slow placement.
+// (memo cache, no solve), "deadline" (In-Place stopgap for an overdue
+// or panicked solve), "fallback" (placer error), "warm" (LP from a
+// prior basis) or "cold" (LP from scratch) — the first thing to ask of
+// a slow placement.
 func (e Placement) Route() string {
 	switch {
 	case e.Cached:

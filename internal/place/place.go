@@ -117,15 +117,6 @@ func (p MapPlacement) TasksBySite() []int {
 	return at
 }
 
-// SlotDemand returns D = {d_x = min(S_x, tasks at x)} (§3.1 outcome c).
-func (p MapPlacement) SlotDemand(slots []int) []int {
-	d := p.TasksBySite()
-	for y := range d {
-		d[y] = min(slots[y], d[y])
-	}
-	return d
-}
-
 // WANBytes returns the cross-site bytes this placement moves. Each task
 // carries I_input/n_map bytes (uniform partitions, §3.1), so the moved
 // volume is I_input · Σ_{x≠y} m_{x,y}.
@@ -181,15 +172,6 @@ type ReducePlacement struct {
 
 // EstTime is the LP's estimate of the stage's remaining processing time.
 func (p ReducePlacement) EstTime() float64 { return p.TShufl + p.TRed }
-
-// SlotDemand returns D = {d_x = min(S_x, r_x·n_red)} (§3.2 outcome c).
-func (p ReducePlacement) SlotDemand(slots []int) []int {
-	d := make([]int, len(slots))
-	for x := range slots {
-		d[x] = min(slots[x], p.Tasks[x])
-	}
-	return d
-}
 
 // WANBytes returns the cross-site shuffle bytes: Σ_x I_x·(1 − r_x).
 func (p ReducePlacement) WANBytes(interBySite []float64) float64 {
@@ -413,11 +395,4 @@ func uniformOverSlots(slots []int) []float64 {
 		out[i] = float64(s) / float64(total)
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -257,108 +257,43 @@ func (e *engine) ensureCache(st *stageRun) {
 func (e *engine) replan(st *stageRun) {
 	prev := st.cache
 	res := place.Resources{Slots: e.capSlots, UpBW: e.availUp(), DownBW: e.availDown()}
-	nPend := len(st.pending)
 	e.instSolves++
 	var solveT0 time.Time
 	if e.obs != nil {
 		solveT0 = time.Now()
 	}
-	if st.spec.Kind == workload.MapStage {
-		input := make([]float64, e.n)
-		for _, ti := range st.pending {
-			input[e.effSrc(st, ti)] += st.spec.Tasks[ti].Input
-		}
-		req := place.MapRequest{
-			InputBySite: input,
-			NumTasks:    nPend,
-			TaskCompute: st.spec.EstCompute,
-			WANBudget:   place.WANBudget(e.cfg.Rho, place.MapBudget, input),
-			OutputBytes: e.pendingOutput(st),
-		}
-		mp, err := e.cfg.Placer.PlaceMap(res, req)
-		if err != nil {
-			if e.check != nil {
-				e.check.Violatef("t=%g job %d stage %d: map placer failed: %v",
-					e.now, st.job.spec.ID, st.idx, err)
-			}
-			// Defensive stopgap: leave tasks with their data. In-Place
-			// fails only on malformed resources, which the simulator
-			// never builds, so an error here is a bug and stops the run.
-			var ferr error
-			if mp, ferr = (place.InPlace{}).PlaceMap(res, req); ferr != nil {
-				panic("sim: in-place fallback failed: " + ferr.Error())
-			}
-		}
-		if e.check != nil {
-			if cerr := check.MapFractions(mp.Frac, input, nPend); cerr != nil {
-				e.check.Violatef("t=%g job %d stage %d: %v", e.now, st.job.spec.ID, st.idx, cerr)
-			}
-		}
-		quota := mp.TasksBySite()
-		if e.check != nil && sum(quota) != nPend {
-			e.check.Violatef("t=%g job %d stage %d: placement apportioned %d tasks for %d pending",
-				e.now, st.job.spec.ID, st.idx, sum(quota), nPend)
-		}
-		st.cache = &placeCache{
-			est:       mp.EstTime(),
-			pendingAt: nPend,
-			quota:     quota,
-			quotaM:    mp.Tasks,
-		}
-		e.limitUpdate(st, prev)
-		e.emitPlacement(st, "map", mp.TAggr, mp.TMap, nPend, err != nil, solveT0)
-		return
-	}
-	// Reduce stage: the remaining tasks read the not-yet-consumed share
-	// of the intermediate data, located as upstream tasks left it.
-	fracLeft := 1.0
-	if tot := st.spec.TotalInput(); tot > 0 {
-		rem := 0.0
-		for _, ti := range st.pending {
-			rem += st.spec.Tasks[ti].Input
-		}
-		fracLeft = rem / tot
-	}
-	inter := make([]float64, e.n)
-	for x := 0; x < e.n; x++ {
-		inter[x] = st.interBySite[x] * fracLeft
-	}
-	req := place.ReduceRequest{
-		InterBySite: inter,
-		NumTasks:    nPend,
-		TaskCompute: st.spec.EstCompute,
-		WANBudget:   place.WANBudget(e.cfg.Rho, place.ReduceBudget, inter),
-		OutputBytes: e.pendingOutput(st),
-	}
-	rp, err := e.cfg.Placer.PlaceReduce(res, req)
-	if err != nil {
-		if e.check != nil {
-			e.check.Violatef("t=%g job %d stage %d: reduce placer failed: %v",
-				e.now, st.job.spec.ID, st.idx, err)
-		}
-		var ferr error
-		if rp, ferr = (place.InPlace{}).PlaceReduce(res, req); ferr != nil {
-			panic("sim: in-place fallback failed: " + ferr.Error())
-		}
-	}
+	req := place.StageRequest(st.job.spec, st.idx, st.pending, st.interBySite, e.cfg.Rho, e.capSlots, e.upBW)
+	d := place.Decide(e.cfg.Placer, res, req)
+	nPend := req.NumTasks()
 	if e.check != nil {
-		if cerr := check.ReduceFractions(rp.Frac); cerr != nil {
+		if d.Err != nil {
+			// In-Place stood in; the simulator builds no request a
+			// placer should refuse, so any error is a bug.
+			e.check.Violatef("t=%g job %d stage %d: %s placer failed: %v",
+				e.now, st.job.spec.ID, st.idx, req.Kind, d.Err)
+		}
+		var cerr error
+		if req.Kind == workload.MapStage {
+			cerr = check.MapFractions(d.Map.Frac, req.Map.InputBySite, nPend)
+		} else {
+			cerr = check.ReduceFractions(d.Reduce.Frac)
+		}
+		if cerr != nil {
 			e.check.Violatef("t=%g job %d stage %d: %v", e.now, st.job.spec.ID, st.idx, cerr)
 		}
-		if sum(rp.Tasks) != nPend {
+		if sum(d.Tasks) != nPend {
 			e.check.Violatef("t=%g job %d stage %d: placement apportioned %d tasks for %d pending",
-				e.now, st.job.spec.ID, st.idx, sum(rp.Tasks), nPend)
+				e.now, st.job.spec.ID, st.idx, sum(d.Tasks), nPend)
 		}
 	}
-	quota := make([]int, e.n)
-	copy(quota, rp.Tasks)
 	st.cache = &placeCache{
-		est:       rp.EstTime(),
+		est:       d.Est(),
 		pendingAt: nPend,
-		quota:     quota,
+		quota:     d.Tasks,
+		quotaM:    d.Map.Tasks,
 	}
 	e.limitUpdate(st, prev)
-	e.emitPlacement(st, "reduce", rp.TShufl, rp.TRed, nPend, err != nil, solveT0)
+	e.emitPlacement(st, req.Kind.String(), d.EstNet, d.EstCompute, nPend, d.Err != nil, solveT0)
 }
 
 // emitPlacement records one placement decision in the event trace: the
@@ -429,49 +364,10 @@ func (e *engine) availDown() []float64 {
 	return out
 }
 
-// effSrc selects which replica of a map task's partition acts as its
-// source for planning and transfers (§8 replica selection): the replica
-// at the slot-richest site, breaking ties by uplink bandwidth. Placement
-// gravitates toward slot-rich sites, so anchoring the partition there
-// maximizes the chance the task reads locally; when it still must move,
-// the tie-break prefers the cheaper exporter. Tasks without replicas
-// keep their primary site.
+// effSrc is the site map task ti of st is planned and fetched from
+// (place.PlanSrc).
 func (e *engine) effSrc(st *stageRun, ti int) int {
-	task := st.spec.Tasks[ti]
-	if len(task.Replicas) == 0 {
-		return task.Src
-	}
-	best := task.Src
-	for _, r := range task.Replicas {
-		if e.capSlots[r] > e.capSlots[best] ||
-			(e.capSlots[r] == e.capSlots[best] && e.upBW[r] > e.upBW[best]) {
-			best = r
-		}
-	}
-	return best
-}
-
-// pendingOutput returns the output bytes the stage's pending tasks will
-// produce for downstream consumers, or 0 when no stage depends on it —
-// the drain-cost lookahead input for Tetrium's placement refinement.
-func (e *engine) pendingOutput(st *stageRun) float64 {
-	consumed := false
-	for _, other := range st.job.stages {
-		for _, d := range other.spec.Deps {
-			if d == st.idx {
-				consumed = true
-				break
-			}
-		}
-	}
-	if !consumed {
-		return 0
-	}
-	rem := 0.0
-	for _, ti := range st.pending {
-		rem += st.spec.Tasks[ti].Input
-	}
-	return rem * st.spec.OutputRatio
+	return place.PlanSrc(st.spec.Tasks[ti], e.capSlots, e.upBW)
 }
 
 // flowKey identifies a (source, destination) site pair for fetch

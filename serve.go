@@ -80,8 +80,8 @@ type EngineOptions struct {
 	// Speculate launches duplicates of straggling stages on the fastest
 	// eligible site; first finish wins.
 	Speculate bool
-	// SolveDeadline bounds each placement LP solve before the greedy
-	// fallback places the stage instead; 0 disables.
+	// SolveDeadline bounds each placement LP solve before the In-Place
+	// stopgap places the stage instead; 0 disables.
 	SolveDeadline time.Duration
 
 	// Supervise (federation only) turns on the self-healing supervisor:

@@ -415,24 +415,19 @@ func plannerFor(s Scheduler, n int, check bool) (place.Placer, sched.Policy, err
 // PlaceJob computes Tetrium's placement for the first map stage of a job
 // on an idle cluster and returns the estimated stage time plus the
 // per-site task counts — a convenient way to inspect the paper's §3.1 LP
-// without running a simulation.
+// without running a simulation. The LP sees the question both drivers
+// ask (place.StageRequest) with no WAN budget (ρ = 1).
 func PlaceJob(c *Cluster, job *Job) (estSeconds float64, tasksBySite []int, err error) {
 	if job == nil || job.NumStages() == 0 {
 		return 0, nil, fmt.Errorf("tetrium: empty job")
 	}
-	st := job.Stages[0]
-	if st.Kind != workload.MapStage {
+	if job.Stages[0].Kind != workload.MapStage {
 		return 0, nil, fmt.Errorf("tetrium: job's first stage is not a map stage")
 	}
 	res := place.Resources{Slots: c.Slots(), UpBW: c.UpBW(), DownBW: c.DownBW()}
-	mp, err := place.TetriumFor(c.N()).PlaceMap(res, place.MapRequest{
-		InputBySite: st.InputBySite(c.N()),
-		NumTasks:    st.NumTasks(),
-		TaskCompute: st.EstCompute,
-		WANBudget:   -1,
-	})
-	if err != nil {
-		return 0, nil, err
+	d := place.Decide(place.TetriumFor(c.N()), res, place.StageRequest(job, 0, nil, nil, 1, res.Slots, res.UpBW))
+	if d.Err != nil {
+		return 0, nil, d.Err
 	}
-	return mp.EstTime(), mp.TasksBySite(), nil
+	return d.Est(), d.Tasks, nil
 }

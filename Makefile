@@ -30,14 +30,17 @@ race:
 # The allocation contracts, without -race: a nil-observer simulation
 # stays within 2% of the pre-observability allocation baseline
 # (obs_overhead_test.go); a steady-state scheduling pass, a pooled LP
-# solve and the submit decoder stay within their budgets; forwarding an
-# event with analytics off allocates nothing; a stage's placement
-# request allocates only its data vector.
+# solve and the submit decoder stay within their budgets; a scheduling
+# instance with free slots allocates nothing in internal/sched;
+# forwarding an event with analytics off allocates nothing; a stage's
+# placement request allocates only its data vector, and a map
+# placement's refine only the Frac and Tasks it returns.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestNilObserverAllocBudget' .
 	$(GO) test -count=1 -run 'TestScheduleSteadyStateAllocs|TestAnalyticsDisabledHotPath' ./internal/engine
+	$(GO) test -count=1 -run 'TestInstanceAllocs' ./internal/sched
 	$(GO) test -count=1 -run 'TestSolveAllocsSteadyState' ./internal/lp
-	$(GO) test -count=1 -run 'TestStageRequestAllocs' ./internal/place
+	$(GO) test -count=1 -run 'TestStageRequestAllocs|TestRefineMapAllocs' ./internal/place
 	$(GO) test -count=1 -run 'TestDecodeJobAllocs' ./internal/engine/api
 
 bench:
@@ -47,12 +50,13 @@ bench:
 # (LP solve and warm re-solve, map/reduce placement — BenchmarkPlaceMap
 # also matches BenchmarkPlaceMapRecurring, cold vs previous-job basis,
 # and BenchmarkPlaceMapSteady, phase 1 vs declared start —
-# engine submit) and of the submit decode (BenchmarkDecodeJob,
+# BenchmarkRefineMap, the §3.1 refine's dense reference vs its support
+# walk, engine submit) and of the submit decode (BenchmarkDecodeJob,
 # encoding/json vs the hand-written decoder): proves the harnesses still
 # compile and run. Measurement is the service benchmark's job
 # (BENCHMARK.json, benchmark/README.md).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSolve$$|BenchmarkResolve|BenchmarkPlaceMap|BenchmarkPlaceReduce|BenchmarkEngineSubmit|BenchmarkEngineBurstSubmit|BenchmarkDecodeJob' -benchtime=1x ./internal/lp ./internal/place ./internal/engine ./internal/engine/api
+	$(GO) test -run '^$$' -bench 'BenchmarkSolve$$|BenchmarkResolve|BenchmarkPlaceMap|BenchmarkRefineMap|BenchmarkPlaceReduce|BenchmarkEngineSubmit|BenchmarkEngineBurstSubmit|BenchmarkDecodeJob' -benchtime=1x ./internal/lp ./internal/place ./internal/engine ./internal/engine/api
 
 # The performance gate (README "Contributing a performance change"):
 # paired, alternating runs of the service benchmark on the parent commit

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"slices"
 	"time"
 
 	"tetrium/internal/cluster"
@@ -245,6 +246,8 @@ type state struct {
 	// allocates nothing.
 	candScratch  []schedCand
 	stageScratch []*stageRun
+	infoScratch  []sched.JobInfo
+	sched        sched.Scratch
 
 	// pending collects the pool-bound solves one scheduling pass
 	// produced; the pass ends by handing them to dispatch as one batch.
@@ -525,7 +528,7 @@ func (s *state) schedule() {
 	freeAtStart := totalFree
 
 	solves, hits := 0, 0
-	infos := make([]sched.JobInfo, len(cands))
+	infos := slices.Grow(s.infoScratch[:0], len(cands))[:len(cands)]
 	for i, c := range cands {
 		est := 0.0
 		for _, sr := range arena[c.lo:c.hi] {
@@ -545,7 +548,7 @@ func (s *state) schedule() {
 			RemainingTasks:  c.js.remTasks,
 		}
 	}
-	orderIdx, launched := sched.Instance(s.e.cfg.Policy, s.e.cfg.Eps, totalFree, infos, func(k, budget int) int {
+	orderIdx, launched := s.sched.Instance(s.e.cfg.Policy, s.e.cfg.Eps, totalFree, infos, func(k, budget int) int {
 		c, n := cands[k], 0
 		for _, sr := range arena[c.lo:c.hi] {
 			if budget <= 0 {
@@ -559,7 +562,7 @@ func (s *state) schedule() {
 	for i, k := range orderIdx {
 		orderIDs[i] = cands[k].js.id
 	}
-	s.candScratch, s.stageScratch = cands[:0], arena[:0]
+	s.candScratch, s.stageScratch, s.infoScratch = cands[:0], arena[:0], infos[:0]
 	s.dispatch(s.pending)
 	s.pending = nil
 	s.emit(obs.SchedInstance{

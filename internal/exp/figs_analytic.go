@@ -207,7 +207,7 @@ func Fig7(o Options) (*Table, error) {
 				EstStageTime: mp.EstTime(), RemainingTasks: j.TotalTasks(),
 			})
 		}
-		sched.Instance(sched.SRPT, 1, c.TotalSlots(), infos, func(int, int) int { return 0 })
+		new(sched.Scratch).Instance(sched.SRPT, 1, c.TotalSlots(), infos, func(int, int) int { return 0 })
 		elapsed := time.Since(start)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", jcount),

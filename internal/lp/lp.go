@@ -550,6 +550,7 @@ func nearOne(g float64) bool {
 // row (−1 when dropped) and SolveInto uses it plus ws.rowScale /
 // ws.objFactor to map dual multipliers back: y_i = y'_si·objFactor/row_si.
 func (p *Problem) equilibrate(ws *Workspace) error {
+	ws.equilibrations++
 	n := len(p.obj)
 	m := p.NumConstraints()
 	ws.eqRowStart = ws.eqRowStart[:0]

@@ -48,9 +48,11 @@ type tableau struct {
 }
 
 // init rebuilds the tableau from the workspace's equilibrated rows. It
-// normalizes rhs >= 0 in place (flipping row signs and LE<->GE senses),
-// then lays out the dense matrix with slack and artificial columns and
-// a starting basis of identity columns.
+// normalizes rhs >= 0 (a row with a negative rhs enters negated, its
+// LE/GE sense swapped) as it lays out the dense matrix with slack and
+// artificial columns and a starting basis of identity columns. The
+// equilibrated rows themselves are left as they are, so a rebuild after
+// a declined rung needs no second equilibration.
 func (t *tableau) init(ws *Workspace, nvars int) {
 	sm := len(ws.eqSense)
 	t.m, t.n = sm, nvars
@@ -58,25 +60,12 @@ func (t *tableau) init(ws *Workspace, nvars int) {
 	t.nslack, t.nart = 0, 0
 	t.flip = grow(t.flip, sm)
 	for i := 0; i < sm; i++ {
-		t.flip[i] = false
-		if ws.eqRhs[i] < 0 {
-			t.flip[i] = true
-			lo, hi := ws.eqRowStart[i], ws.eqRowStart[i+1]
-			for k := lo; k < hi; k++ {
-				ws.eqCoef[k] = -ws.eqCoef[k]
-			}
-			ws.eqRhs[i] = -ws.eqRhs[i]
-			switch ws.eqSense[i] {
-			case LE:
-				ws.eqSense[i] = GE
-			case GE:
-				ws.eqSense[i] = LE
-			}
-		}
-		if ws.eqSense[i] != EQ {
+		t.flip[i] = ws.eqRhs[i] < 0
+		sense := t.sense(ws, i)
+		if sense != EQ {
 			t.nslack++
 		}
-		if ws.eqSense[i] != LE {
+		if sense != LE {
 			t.nart++
 		}
 	}
@@ -94,12 +83,16 @@ func (t *tableau) init(ws *Workspace, nvars int) {
 	for i := 0; i < sm; i++ {
 		row := t.a[i*t.ncols : (i+1)*t.ncols]
 		lo, hi := ws.eqRowStart[i], ws.eqRowStart[i+1]
-		for k := lo; k < hi; k++ {
-			row[ws.eqIdx[k]] = ws.eqCoef[k]
+		sign := 1.0 // ±1 scales exactly: the negated row, bit for bit
+		if t.flip[i] {
+			sign = -1
 		}
-		t.b[i] = ws.eqRhs[i]
+		for k := lo; k < hi; k++ {
+			row[ws.eqIdx[k]] = sign * ws.eqCoef[k]
+		}
+		t.b[i] = sign * ws.eqRhs[i]
 		t.slack[i] = -1
-		switch ws.eqSense[i] {
+		switch t.sense(ws, i) {
 		case LE:
 			row[slackAt] = 1
 			t.basis[i], t.idCol[i], t.slack[i] = slackAt, slackAt, slackAt
@@ -117,6 +110,21 @@ func (t *tableau) init(ws *Workspace, nvars int) {
 			artAt++
 		}
 	}
+}
+
+// sense is row i's sense in the tableau: the equilibrated row's, LE and
+// GE swapped when init negated the row.
+func (t *tableau) sense(ws *Workspace, i int) Sense {
+	s := ws.eqSense[i]
+	if t.flip[i] {
+		switch s {
+		case LE:
+			return GE
+		case GE:
+			return LE
+		}
+	}
+	return s
 }
 
 // installBasis tries to install a basis — a prior solve's snapshot or

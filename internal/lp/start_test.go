@@ -240,3 +240,45 @@ func TestPriorDeclinedLandsOnDeclaredStart(t *testing.T) {
 		t.Fatalf("mismatched prior: %v, solution %+v", err, got)
 	}
 }
+
+// TestDeclinedRungEquilibratesOnce: a prior basis declined after its
+// install pivoted sends the solve back to a rebuilt tableau without a
+// second equilibration, and the solve returns what a solve on a fresh
+// workspace returns, bit for bit. A row with a negative rhs makes the
+// rebuild depend on init leaving the equilibrated rows as they were.
+func TestDeclinedRungEquilibratesOnce(t *testing.T) {
+	minShare := func(p *Problem, T Var, x []Var) { p.AddRow([]Var{x[3]}, []float64{-1}, LE, -0.01) }
+	ws := NewWorkspace()
+	var w WarmStart
+	if _, err := spreadProblem(spreadA, spreadCap, minShare).SolveWarm(ws, &w); err != nil {
+		t.Fatalf("seed solve: %v", err)
+	}
+	// Site 2 held the most work; capping it breaks the old vertex.
+	tight := []float64{1, 1, 0.05, 1}
+	p := spreadProblem(spreadA, tight, minShare)
+	probe := NewWorkspace()
+	if err := p.prepare(probe); err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	if why, dirty := probe.tab.installBasis(&w); why != DeclineInfeasible || !dirty {
+		t.Fatalf("prior install: declined %v, dirty %v; want infeasible after pivots", why, dirty)
+	}
+	before := ws.equilibrations
+	got, err := p.SolveWarm(ws, &w)
+	if err != nil {
+		t.Fatalf("SolveWarm: %v", err)
+	}
+	if got.PriorDeclined != DeclineInfeasible || got.Rung != RungPhase1 {
+		t.Fatalf("declined %v, rung %v; want infeasible, phase1", got.PriorDeclined, got.Rung)
+	}
+	if n := ws.equilibrations - before; n != 1 {
+		t.Errorf("%d equilibrations in one solve, want 1", n)
+	}
+	want, err := spreadProblem(spreadA, tight, minShare).SolveInto(NewWorkspace())
+	if err != nil {
+		t.Fatalf("SolveInto: %v", err)
+	}
+	if !sameSolution(want, got) {
+		t.Errorf("solution after the declined prior differs from a fresh solve's bits")
+	}
+}

@@ -28,8 +28,9 @@ import "fmt"
 // that then fails from the installed vertex (unbounded ray, iteration
 // limit, residual rejection) is a decline as well (DeclinePhase2). A
 // declined rung that pivoted leaves nothing behind: the tableau is
-// rebuilt from equilibrate before the next rung runs, so SolveWarm and a
-// declared start never return a worse verdict than an undeclared
+// rebuilt from the equilibrated rows before the next rung runs (init
+// leaves them untouched, so a solve equilibrates once), so SolveWarm
+// and a declared start never return a worse verdict than an undeclared
 // SolveInto. Only rung 1 is a warm start: Solution.Warm and every
 // counter named "warm" mean a prior solve's basis.
 
@@ -187,9 +188,8 @@ func (p *Problem) solve(ws *Workspace, prior *WarmStart) (*Solution, error) {
 	return sol, nil
 }
 
-// prepare builds the fresh tableau every rung starts from. init mutates
-// the equilibrated rows in place (rhs sign normalization), so a rebuild
-// after a declined rung starts from equilibrate too.
+// prepare builds the fresh tableau every rung starts from: the
+// problem's one equilibration, then init.
 func (p *Problem) prepare(ws *Workspace) error {
 	if err := p.equilibrate(ws); err != nil {
 		return err
@@ -211,9 +211,7 @@ func (p *Problem) enter(ws *Workspace, b *WarmStart, rung Rung) (*Solution, Decl
 		why, dirty = DeclinePhase2, true
 	}
 	if dirty {
-		if err := p.prepare(ws); err != nil {
-			return nil, why, err
-		}
+		ws.tab.init(ws, len(p.obj))
 	}
 	return nil, why, nil
 }

@@ -28,6 +28,9 @@ type Workspace struct {
 	minC, maxC []float64
 	eqObj      []float64
 	objFactor  float64
+	// equilibrations counts equilibrate runs since the workspace was
+	// made: one per solve.
+	equilibrations int
 
 	tab   tableau
 	start WarmStart // declaredStart scratch

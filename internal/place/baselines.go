@@ -70,7 +70,7 @@ func (InPlace) PlaceReduce(res Resources, req ReduceRequest) (ReducePlacement, e
 // matrix sees no flow.
 func fallbackMap(res Resources, req MapRequest) MapPlacement {
 	n := res.N()
-	m := newMatrix(n)
+	m := newGrid[float64](n)
 	total := req.TotalInput()
 	if total <= 0 {
 		for y, f := range uniformOverSlots(res.Slots) {
@@ -226,7 +226,7 @@ func (Tetris) PlaceMap(res Resources, req MapRequest) (MapPlacement, error) {
 	if total <= 0 {
 		return fallbackMap(res, req), nil
 	}
-	m := newMatrix(n)
+	m := newGrid[float64](n)
 
 	// Pre-configured per-task demand: one slot and the task's input
 	// bytes of network transfer when placed remotely.

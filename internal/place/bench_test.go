@@ -110,7 +110,7 @@ func BenchmarkPlaceReduce(b *testing.B) {
 // the median-sized of 32 BigData templates) with every input resized by
 // up to ±10 % per day, and the reduce stage that follows it, fed with
 // the map placement's output.
-func recurringRequests(b *testing.B, days int) (Resources, []MapRequest, []ReduceRequest) {
+func recurringRequests(b testing.TB, days int) (Resources, []MapRequest, []ReduceRequest) {
 	cl := cluster.Sim50(12)
 	res := Resources{Slots: cl.Slots(), UpBW: cl.UpBW(), DownBW: cl.DownBW()}
 	templates := workload.Generate(workload.BigData(cl.N(), 32, 7921))

@@ -31,8 +31,9 @@ func fuzzBudget(rng *rand.Rand, kind BudgetKind, data []float64, forced float64)
 // LP solve is certificate-checked internally) over randomized clusters
 // and stage shapes, asserting the returned fraction matrix obeys the
 // paper's Eq. 5 conservation, the task matrix apportions exactly the
-// requested task count, and a §4.3 budget drawn per stage is kept — or
-// reported infeasible exactly when it cannot be.
+// requested task count, a §4.3 budget drawn per stage is kept — or
+// reported infeasible exactly when it cannot be — and the placement is
+// bit for bit the dense reference refine of the same LP answer.
 func FuzzPlaceMap(f *testing.F) {
 	for _, s := range []int64{1, 2, 3, 77, -12345} {
 		f.Add(s)
@@ -120,6 +121,14 @@ func FuzzPlaceMap(f *testing.F) {
 		}
 		if total != req.NumTasks {
 			t.Fatalf("apportioned %d tasks, want %d (seed %d)", total, req.NumTasks, seed)
+		}
+		// The refine behind it, against the dense reference.
+		if req.TotalInput() > 0 {
+			frac, err := lpAnswer(tet, res, req)
+			if err != nil {
+				t.Fatalf("map LP (seed %d): %v", seed, err)
+			}
+			samePlacement(t, "PlaceMap against the dense refine", mp, denseRefineMap(res, req, frac))
 		}
 
 		// Reduce placement under the same cluster.

@@ -236,7 +236,7 @@ const (
 	ReduceBudget
 )
 
-// remEntry is apportionInto's largest-remainder bookkeeping.
+// remEntry is apportionAt's largest-remainder bookkeeping.
 type remEntry struct {
 	idx  int
 	frac float64
@@ -255,123 +255,167 @@ func apportion(frac []float64, total int) []int {
 // candidates per placement, so they reuse these buffers across
 // candidates instead of allocating per evaluation.
 func apportionInto(counts []int, rems []remEntry, frac []float64, total int) {
-	for i := range counts {
-		counts[i] = 0
+	apportionAt(counts, rems, frac, nil, total)
+}
+
+// apportionAt is apportionInto over the entries of frac at cols
+// (ascending; nil means every index), which must hold every positive
+// entry: counts is zeroed at cols and written there. Each entry gets
+// the integer part of its exact share and the leftover goes to the
+// largest remainders, ties in index order. Only positive remainders are
+// sorted: a zero one would come after all of them, so it is reached
+// only when the leftover outnumbers them, and then — or when no entry
+// is positive — the dense rule takes over, walking every index of frac
+// (the zero remainders in index order, round robin), and apportionAt
+// reports that it may have written outside cols.
+func apportionAt(counts []int, rems []remEntry, frac []float64, cols []int, total int) (dense bool) {
+	k := len(frac)
+	if cols != nil {
+		k = len(cols)
+	}
+	for j := 0; j < k; j++ {
+		counts[index(cols, j)] = 0
 	}
 	if total == 0 {
-		return
+		return false
 	}
 	sum := 0.0
-	for _, f := range frac {
-		if f > 0 {
+	for j := 0; j < k; j++ {
+		if f := frac[index(cols, j)]; f > 0 {
 			sum += f
 		}
 	}
 	if sum == 0 {
 		counts[0] = total
-		return
+		return true
 	}
 	assigned := 0
-	for i, f := range frac {
-		if f < 0 {
-			f = 0
+	pos := rems[:0]
+	for j := 0; j < k; j++ {
+		i := index(cols, j)
+		f := frac[i]
+		if f <= 0 {
+			continue
 		}
 		exact := f / sum * float64(total)
 		counts[i] = int(exact)
 		assigned += counts[i]
-		rems[i] = remEntry{i, exact - float64(counts[i])}
-	}
-	for i := 1; i < len(rems); i++ {
-		for j := i; j > 0 && rems[j].frac > rems[j-1].frac; j-- {
-			rems[j], rems[j-1] = rems[j-1], rems[j]
+		if r := exact - float64(counts[i]); r > 0 {
+			pos = append(pos, remEntry{i, r})
 		}
 	}
+	for a := 1; a < len(pos); a++ {
+		for b := a; b > 0 && pos[b].frac > pos[b-1].frac; b-- {
+			pos[b], pos[b-1] = pos[b-1], pos[b]
+		}
+	}
+	if left := total - assigned; left <= len(pos) {
+		for _, r := range pos[:max(left, 0)] {
+			counts[r.idx]++
+		}
+		return false
+	}
+	order := pos
+	for i, f := range frac {
+		if f > 0 {
+			if exact := f / sum * float64(total); exact > float64(int(exact)) {
+				continue // in pos already
+			}
+		}
+		order = append(order, remEntry{i, 0})
+	}
 	for k := 0; assigned < total; k++ {
-		counts[rems[k%len(rems)].idx]++
+		counts[order[k%len(order)].idx]++
 		assigned++
 	}
+	return true
+}
+
+// index is the j-th index apportionAt walks: cols[j], or j itself when
+// cols is nil.
+func index(cols []int, j int) int {
+	if cols == nil {
+		return j
+	}
+	return cols[j]
 }
 
 // apportionMatrix rounds a fraction matrix to integer counts that
 // preserve row totals: row x receives round(share of total) tasks, then
 // each row is apportioned across columns.
 func apportionMatrix(frac [][]float64, total int) [][]int {
-	out := newIntMatrix(len(frac))
-	s := newApportionScratch(len(frac))
-	s.matrixInto(out, frac, total)
+	out := newGrid[int](len(frac))
+	newApportionScratch(len(frac)).matrixInto(out, frac, nil, total)
 	return out
 }
 
-// apportionScratch bundles the reusable buffers of apportionInto and
-// its matrix variant.
+// apportionScratch bundles the reusable buffers of apportionAt and its
+// matrix variant; all is every site index, ascending.
 type apportionScratch struct {
 	rowSums   []float64
 	rowCounts []int
+	all       []int
 	rems      []remEntry
 }
 
 func newApportionScratch(n int) *apportionScratch {
-	return &apportionScratch{
-		rowSums:   make([]float64, n),
-		rowCounts: make([]int, n),
-		rems:      make([]remEntry, n),
+	s := &apportionScratch{}
+	s.size(n)
+	return s
+}
+
+// size makes the buffers fit n sites, reusing their storage.
+func (s *apportionScratch) size(n int) {
+	if cap(s.rowCounts) < n {
+		ints := make([]int, 2*n)
+		s.rowCounts, s.all = ints[:n:n], ints[n:]
+		s.rowSums = make([]float64, n)
+		s.rems = make([]remEntry, n)
+	}
+	s.rowCounts, s.all = s.rowCounts[:n], s.all[:n]
+	s.rowSums, s.rems = s.rowSums[:n], s.rems[:n]
+	for i := range s.all {
+		s.all[i] = i
 	}
 }
 
-// matrixInto is apportionMatrix writing into out (an n×n matrix).
-func (s *apportionScratch) matrixInto(out [][]int, frac [][]float64, total int) {
+// matrixInto is apportionMatrix writing into out (an n×n matrix). With
+// supp nil it walks every entry. Otherwise row x of frac and of out is
+// zero outside supp[x] (ascending) and only supp is walked; a row the
+// dense rule rounds (see apportionAt) may then hold counts anywhere, and
+// its support widens to every site.
+func (s *apportionScratch) matrixInto(out [][]int, frac [][]float64, supp [][]int, total int) {
 	for x := range frac {
-		s.rowSums[x] = 0
-		for _, f := range frac[x] {
-			s.rowSums[x] += f
+		sum := 0.0
+		for _, y := range rowSupport(supp, s.all, x) {
+			sum += frac[x][y]
 		}
+		s.rowSums[x] = sum
 	}
 	apportionInto(s.rowCounts, s.rems, s.rowSums, total)
 	for x := range frac {
-		apportionInto(out[x], s.rems, frac[x], s.rowCounts[x])
+		if apportionAt(out[x], s.rems, frac[x], rowSupport(supp, s.all, x), s.rowCounts[x]) && supp != nil {
+			supp[x] = s.all
+		}
 	}
 }
 
-// newMatrix allocates an n×n float matrix backed by one flat slice.
-func newMatrix(n int) [][]float64 {
-	back := make([]float64, n*n)
-	m := make([][]float64, n)
+// rowSupport is supp[x], or all when there is no support.
+func rowSupport(supp [][]int, all []int, x int) []int {
+	if supp == nil {
+		return all
+	}
+	return supp[x]
+}
+
+// newGrid allocates an n×n matrix backed by one flat slice.
+func newGrid[T any](n int) [][]T {
+	back := make([]T, n*n)
+	m := make([][]T, n)
 	for i := range m {
 		m[i] = back[i*n : (i+1)*n : (i+1)*n]
 	}
 	return m
-}
-
-// newIntMatrix allocates an n×n int matrix backed by one flat slice.
-func newIntMatrix(n int) [][]int {
-	back := make([]int, n*n)
-	m := make([][]int, n)
-	for i := range m {
-		m[i] = back[i*n : (i+1)*n : (i+1)*n]
-	}
-	return m
-}
-
-// copyMatrixInto copies src into dst, allocating dst when nil.
-func copyMatrixInto(dst, src [][]float64) [][]float64 {
-	if dst == nil {
-		dst = newMatrix(len(src))
-	}
-	for i := range src {
-		copy(dst[i], src[i])
-	}
-	return dst
-}
-
-// copyIntMatrixInto copies src into dst, allocating dst when nil.
-func copyIntMatrixInto(dst, src [][]int) [][]int {
-	if dst == nil {
-		dst = newIntMatrix(len(src))
-	}
-	for i := range src {
-		copy(dst[i], src[i])
-	}
-	return dst
 }
 
 // uniformOverSlots spreads fractions across sites proportionally to

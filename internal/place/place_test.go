@@ -727,7 +727,7 @@ func TestPropertyTetriumNeverWorseThanInPlace(t *testing.T) {
 		// Compare both under the integral (ceil-wave) evaluation: the
 		// rounding repair guarantees Tetrium never does worse than pure
 		// locality by this measure.
-		ipAggr, ipMap := ceilMapTimes(res, req, ip.Tasks)
+		ipAggr, ipMap := denseCeilMapTimes(res, req, ip.Tasks)
 		return tet.EstTime() <= ipAggr+ipMap+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -62,7 +62,9 @@ func (t Tetrium) planReverse(res Resources, mapReq MapRequest, redTasks int, red
 	r := uniformOverSlots(res.Slots)
 	T := prob.AddVar("T", 1)
 	dv := make([]lp.Var, res.N())
-	var row rowBuf
+	s := acquireScratch()
+	defer releaseScratch(s)
+	row := &s.row
 	for x := range dv {
 		dv[x] = -1
 		if res.Slots[x] <= 0 {

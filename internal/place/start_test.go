@@ -62,7 +62,7 @@ func TestPropertyInPlaceStartMatchesPhase1(t *testing.T) {
 		var errs [2]error
 		for k, inPlace := range []bool{false, true} {
 			prob := lp.NewProblem()
-			buildMapLP(prob, res, req, dests, inPlace)
+			buildMapLP(prob, acquireScratch(), res, req, dests, inPlace)
 			sols[k], errs[k] = prob.SolveInto(ws)
 			if errs[k] != nil {
 				continue

@@ -3,6 +3,8 @@ package place
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"tetrium/internal/check"
 	"tetrium/internal/lp"
@@ -60,8 +62,7 @@ func (r *rowBuf) len() int { return len(r.vs) }
 // commit adds the staged row to prob and resets the buffer.
 func (r *rowBuf) commit(prob *lp.Problem, sense lp.Sense, rhs float64) {
 	prob.AddRow(r.vs, r.cs, sense, rhs)
-	r.vs = r.vs[:0]
-	r.cs = r.cs[:0]
+	r.discard()
 }
 
 // discard drops the staged row without adding it.
@@ -70,33 +71,214 @@ func (r *rowBuf) discard() {
 	r.cs = r.cs[:0]
 }
 
-// normalizeMapFracs repairs an LP fraction matrix after negative residue
-// has been clamped to zero: each source row is rescaled to exactly its
-// Eq. 5 input share. A row whose mass was clamped away entirely falls
-// back to locality (the always-feasible diagonal).
-func normalizeMapFracs(m [][]float64, inputBySite []float64) {
+// scratch is one placement decision's reusable state, pooled next to
+// lp's Problem and Workspace: the LP row buffer and, for a map stage,
+// the LP's columns, the n×n fraction and rounding matrices the §3.1
+// refine sweeps, and the rounding buffers. The matrices are all zeros
+// while the scratch is in the pool: a placement writes them only on
+// its support and zeroes that on release, so past the LP a map
+// placement costs O(support) rather than O(n²), and allocates only the
+// Frac and Tasks it returns.
+type scratch struct {
+	row rowBuf
+
+	n int
+	// The map LP's m columns; column j is variable base+j, from source
+	// colSrc[j] to destination colDst[j]. Source x's columns are
+	// srcStart[x] ≤ j < srcStart[x+1], destinations ascending; intoCols
+	// lists the columns again by destination (intoStart), sources
+	// ascending.
+	base                lp.Var
+	colSrc, colDst      []int
+	srcStart, intoStart []int
+	intoCols, dests     []int
+
+	// supp[x] is row x's support: the destinations where the LP left a
+	// nonzero fraction, and x itself, ascending. Every matrix below is
+	// zero outside it.
+	supp     [][]int
+	suppBack []int
+
+	lpFrac, m, bestM grid[float64]
+	tasks, bestTasks grid[int]
+	round            apportionScratch
+	up, down, at     []int
+}
+
+// grid is an n×n matrix over one flat array, resized in place.
+type grid[T any] struct {
+	rows [][]T
+	back []T
+}
+
+// size lays g out as n×n. The array is all zeros, so a new stride keeps
+// every entry zero.
+func (g *grid[T]) size(n int) {
+	if cap(g.back) < n*n {
+		g.back = make([]T, n*n)
+	}
+	g.rows = resize(g.rows, n)
+	for i := range g.rows {
+		g.rows[i] = g.back[i*n : (i+1)*n : (i+1)*n]
+	}
+}
+
+// resize returns s with length n, reallocating only when it lacks the
+// capacity. Contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// maxRetainSites bounds the clusters whose scratch is pooled: the
+// matrices grow with n², and one outlier must not pin them.
+const maxRetainSites = 512
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func acquireScratch() *scratch {
+	s := scratchPool.Get().(*scratch)
+	s.row.discard()
+	return s
+}
+
+// releaseScratch zeroes the matrices on the support and returns s to
+// the pool. A map placement releases only on its normal returns: a
+// scratch a panic interrupts may hold nonzeros off its support, and is
+// dropped. The row buffer is reset on acquire instead, so the LPs that
+// use only it may release by defer.
+func releaseScratch(s *scratch) {
+	for x, cols := range s.supp {
+		for _, y := range cols {
+			s.lpFrac.rows[x][y], s.m.rows[x][y], s.bestM.rows[x][y] = 0, 0, 0
+			s.tasks.rows[x][y], s.bestTasks.rows[x][y] = 0, 0
+		}
+	}
+	s.supp = s.supp[:0]
+	if s.n <= maxRetainSites {
+		scratchPool.Put(s)
+	}
+}
+
+// sizeMap readies the map state for n sites.
+func (s *scratch) sizeMap(n int) {
+	s.n = n
+	s.lpFrac.size(n)
+	s.m.size(n)
+	s.bestM.size(n)
+	s.tasks.size(n)
+	s.bestTasks.size(n)
+	s.round.size(n)
+	s.up, s.down, s.at = resize(s.up, n), resize(s.down, n), resize(s.at, n)
+	s.srcStart, s.intoStart = resize(s.srcStart, n+1), resize(s.intoStart, n+1)
+}
+
+// mapColumns adds the map LP's m variables to prob: m[x][y] for every
+// source x holding data and every y that is a candidate destination or
+// x itself, in (x, y) order.
+func (s *scratch) mapColumns(prob *lp.Problem, input []float64, destOK []bool) {
+	n := s.n
+	s.dests = s.dests[:0]
+	for y, ok := range destOK {
+		if ok {
+			s.dests = append(s.dests, y)
+		}
+	}
+	s.base = lp.Var(prob.NumVars())
+	s.colSrc, s.colDst = s.colSrc[:0], s.colDst[:0]
+	add := func(x, y int) {
+		s.colSrc = append(s.colSrc, x)
+		s.colDst = append(s.colDst, y)
+		prob.AddVar("", 0)
+	}
+	s.srcStart[0] = 0
+	for x := 0; x < n; x++ {
+		if input[x] > 0 {
+			i, _ := slices.BinarySearch(s.dests, x)
+			for _, y := range s.dests[:i] {
+				add(x, y)
+			}
+			add(x, x)
+			for _, y := range s.dests[i:] {
+				if y != x {
+					add(x, y)
+				}
+			}
+		}
+		s.srcStart[x+1] = len(s.colDst)
+	}
+	// By destination: a counting sort of the columns, stable in j.
+	clear(s.intoStart)
+	for _, y := range s.colDst {
+		s.intoStart[y+1]++
+	}
+	for y := 0; y < n; y++ {
+		s.intoStart[y+1] += s.intoStart[y]
+	}
+	next := s.at
+	copy(next, s.intoStart[:n])
+	s.intoCols = resize(s.intoCols, len(s.colDst))
+	for j, y := range s.colDst {
+		s.intoCols[next[y]] = j
+		next[y]++
+	}
+}
+
+// v is column j's LP variable.
+func (s *scratch) v(j int) lp.Var { return s.base + lp.Var(j) }
+
+// into lists the columns whose destination is y, sources ascending.
+func (s *scratch) into(y int) []int { return s.intoCols[s.intoStart[y]:s.intoStart[y+1]] }
+
+// lpFractions reads the LP's m_{x,y} into lpFrac (values up to 10⁻¹²
+// are residue and read as zero), repairs the rows, and lays out each
+// row's support. The repair follows the clamping of negative residue:
+// each source row is rescaled to exactly its Eq. 5 input share, and a
+// row whose mass was clamped away entirely falls back to locality (the
+// always-feasible diagonal).
+func (s *scratch) lpFractions(sol *lp.Solution, input []float64) {
+	m := s.lpFrac.rows
+	for j, y := range s.colDst {
+		if f := sol.Value(s.v(j)); f > 1e-12 {
+			m[s.colSrc[j]][y] = f
+		}
+	}
 	total := 0.0
-	for _, b := range inputBySite {
+	for _, b := range input {
 		total += b
 	}
-	if total <= 0 {
-		return
-	}
-	for x := range m {
-		want := inputBySite[x] / total
+	for x := 0; x < s.n && total > 0; x++ {
+		want := input[x] / total
+		cols := s.colDst[s.srcStart[x]:s.srcStart[x+1]]
 		rowSum := 0.0
-		for _, f := range m[x] {
-			rowSum += f
+		for _, y := range cols {
+			rowSum += m[x][y]
 		}
 		switch {
 		case rowSum > 0:
 			scale := want / rowSum
-			for y := range m[x] {
+			for _, y := range cols {
 				m[x][y] *= scale
 			}
 		case want > 0:
 			m[x][x] = want
 		}
+	}
+	s.supp = resize(s.supp, s.n)
+	s.suppBack = resize(s.suppBack, len(s.colDst)+s.n)[:0]
+	for x := 0; x < s.n; x++ {
+		lo := len(s.suppBack)
+		if s.srcStart[x] == s.srcStart[x+1] {
+			s.suppBack = append(s.suppBack, x)
+		}
+		for _, y := range s.colDst[s.srcStart[x]:s.srcStart[x+1]] {
+			if y == x || m[x][y] != 0 {
+				s.suppBack = append(s.suppBack, y)
+			}
+		}
+		s.supp[x] = s.suppBack[lo:len(s.suppBack):len(s.suppBack)]
 	}
 }
 
@@ -191,9 +373,11 @@ func (t Tetrium) PlaceMap(res Resources, req MapRequest) (MapPlacement, error) {
 func (t Tetrium) solveMap(res Resources, req MapRequest, destOK []bool, ws *lp.Workspace, basis *lp.WarmStart, inPlaceStart bool) (MapPlacement, error) {
 	prob := lp.AcquireProblem()
 	defer lp.ReleaseProblem(prob)
-	mv := buildMapLP(prob, res, req, destOK, inPlaceStart)
+	s := acquireScratch()
+	buildMapLP(prob, s, res, req, destOK, inPlaceStart)
 	sol, err := solveLP(prob, ws, t.Check, req.Warm, basis)
 	if err != nil {
+		releaseScratch(s)
 		if t.Check {
 			return MapPlacement{}, err
 		}
@@ -201,25 +385,17 @@ func (t Tetrium) solveMap(res Resources, req MapRequest, destOK []bool, ws *lp.W
 		// every data site has slots); otherwise spread over slots.
 		return fallbackMap(res, req), nil
 	}
-	m := newMatrix(res.N())
-	for x := range m {
-		for y, v := range mv[x] {
-			if v < 0 {
-				continue
-			}
-			if f := sol.Value(v); f > 1e-12 {
-				m[x][y] = f
-			}
-		}
-	}
-	normalizeMapFracs(m, req.InputBySite)
-	return refineMap(res, req, m), nil
+	s.lpFractions(sol, req.InputBySite)
+	p := s.refineMap(res, req)
+	releaseScratch(s)
+	return p, nil
 }
 
 // buildMapLP emits the §3.1 map LP into prob (objective T_aggr + T_map,
-// the first two variables) and returns its m variables: mv[x] is nil for
-// a site without data, mv[x][y] is -1 where y is not a candidate
-// destination of x.
+// the first two variables), its m columns laid out in s (mapColumns):
+// m[x][y] exists only when site x holds data and y is a candidate
+// destination or x itself — this shrinks the LP substantially at
+// 50-site scale.
 //
 // With inPlaceStart it declares, row by row as it emits them, the vertex
 // the paper keeps coming back to: every partition stays where it is (the
@@ -230,15 +406,13 @@ func (t Tetrium) solveMap(res Resources, req MapRequest, destOK []bool, ws *lp.W
 // off the bottleneck sites from there. The vertex does not exist when a
 // data-holding site has no slots, nor under §3.4's destination shares;
 // then nothing is declared.
-func buildMapLP(prob *lp.Problem, res Resources, req MapRequest, destOK []bool, inPlaceStart bool) [][]lp.Var {
+func buildMapLP(prob *lp.Problem, s *scratch, res Resources, req MapRequest, destOK []bool, inPlaceStart bool) {
 	n := res.N()
 	total := req.TotalInput()
 	inPlaceStart = inPlaceStart && req.destShare == nil
-	hasData := make([]bool, n)
 	bottleneck, worst := -1, 0.0 // argmax_x I_x/S_x: where in-place computation ends last
 	for x := 0; x < n; x++ {
-		hasData[x] = req.InputBySite[x] > 0
-		if !hasData[x] {
+		if req.InputBySite[x] <= 0 {
 			continue
 		}
 		if res.Slots[x] == 0 {
@@ -247,40 +421,23 @@ func buildMapLP(prob *lp.Problem, res Resources, req MapRequest, destOK []bool, 
 			bottleneck, worst = x, load
 		}
 	}
-	exists := func(x, y int) bool {
-		return hasData[x] && (destOK[y] || y == x)
-	}
 
 	tAggr := prob.AddVar("Taggr", 1)
 	tMap := prob.AddVar("Tmap", 1)
+	s.sizeMap(n)
+	s.mapColumns(prob, req.InputBySite, destOK)
 
-	// m[x][y] exists only when site x holds data and y is a candidate
-	// destination — this shrinks the LP substantially at 50-site scale.
-	mvBack := make([]lp.Var, n*n)
-	mv := make([][]lp.Var, n)
-	for x := 0; x < n; x++ {
-		if !hasData[x] {
-			continue
-		}
-		mv[x] = mvBack[x*n : (x+1)*n]
-		for y := 0; y < n; y++ {
-			mv[x][y] = -1
-			if exists(x, y) {
-				mv[x][y] = prob.AddVar("", 0)
-			}
-		}
-	}
-
-	var row rowBuf
+	row := &s.row
 	// Eq. 2: upload at each data-holding site.
 	for x := 0; x < n; x++ {
-		if !hasData[x] {
+		lo, hi := s.srcStart[x], s.srcStart[x+1]
+		if lo == hi {
 			continue
 		}
 		row.add(tAggr, -res.UpBW[x])
-		for y := 0; y < n; y++ {
-			if y != x && exists(x, y) {
-				row.add(mv[x][y], total)
+		for j := lo; j < hi; j++ {
+			if s.colDst[j] != x {
+				row.add(s.v(j), total)
 			}
 		}
 		row.commit(prob, lp.LE, 0)
@@ -289,9 +446,9 @@ func buildMapLP(prob *lp.Problem, res Resources, req MapRequest, destOK []bool, 
 	for y := 0; y < n; y++ {
 		row.add(tAggr, -res.DownBW[y])
 		any := false
-		for x := 0; x < n; x++ {
-			if x != y && exists(x, y) {
-				row.add(mv[x][y], total)
+		for _, j := range s.into(y) {
+			if s.colSrc[j] != y {
+				row.add(s.v(j), total)
 				any = true
 			}
 		}
@@ -303,62 +460,54 @@ func buildMapLP(prob *lp.Problem, res Resources, req MapRequest, destOK []bool, 
 	}
 	// Eq. 4: computation (multi-wave, fractional) at each destination.
 	for y := 0; y < n; y++ {
-		row.add(tMap, -1)
-		any := false
-		for x := 0; x < n; x++ {
-			if exists(x, y) {
-				row.add(mv[x][y], req.TaskCompute*float64(req.NumTasks)/slotCap(res.Slots[y]))
-				any = true
-			}
+		into := s.into(y)
+		if len(into) == 0 {
+			continue
 		}
-		if any {
-			row.commit(prob, lp.LE, 0)
-			if inPlaceStart && y == bottleneck {
-				prob.DeclareBasic(prob.NumConstraints()-1, tMap)
-			}
-		} else {
-			row.discard()
+		row.add(tMap, -1)
+		for _, j := range into {
+			row.add(s.v(j), req.TaskCompute*float64(req.NumTasks)/slotCap(res.Slots[y]))
+		}
+		row.commit(prob, lp.LE, 0)
+		if inPlaceStart && y == bottleneck {
+			prob.DeclareBasic(prob.NumConstraints()-1, tMap)
 		}
 		if res.Slots[y] == 0 {
 			// No slots: forbid placement here outright.
-			for x := 0; x < n; x++ {
-				if exists(x, y) {
-					row.add(mv[x][y], 1)
-				}
+			for _, j := range into {
+				row.add(s.v(j), 1)
 			}
-			if row.len() > 0 {
-				first := row.vs[0]
-				row.commit(prob, lp.EQ, 0)
-				if inPlaceStart {
-					// An equality has no slack: any of its columns is
-					// basic in it, at level 0.
-					prob.DeclareBasic(prob.NumConstraints()-1, first)
-				}
+			row.commit(prob, lp.EQ, 0)
+			if inPlaceStart {
+				// An equality has no slack: any of its columns is
+				// basic in it, at level 0.
+				prob.DeclareBasic(prob.NumConstraints()-1, s.v(into[0]))
 			}
 		}
 	}
 	// Eq. 5: partition conservation.
 	for x := 0; x < n; x++ {
-		if !hasData[x] {
+		lo, hi := s.srcStart[x], s.srcStart[x+1]
+		if lo == hi {
 			continue
 		}
-		for y := 0; y < n; y++ {
-			if exists(x, y) {
-				row.add(mv[x][y], 1)
+		self := -1
+		for j := lo; j < hi; j++ {
+			row.add(s.v(j), 1)
+			if s.colDst[j] == x {
+				self = j
 			}
 		}
 		row.commit(prob, lp.EQ, req.InputBySite[x]/total)
 		if inPlaceStart {
-			prob.DeclareBasic(prob.NumConstraints()-1, mv[x][x])
+			prob.DeclareBasic(prob.NumConstraints()-1, s.v(self))
 		}
 	}
 	// §3.4 step (iii): each destination's share of the tasks, and so of
 	// the intermediate output, is fixed: Σ_x m_{x,y} = d_y.
 	for y, d := range req.destShare {
-		for x := 0; x < n; x++ {
-			if exists(x, y) {
-				row.add(mv[x][y], 1)
-			}
+		for _, j := range s.into(y) {
+			row.add(s.v(j), 1)
 		}
 		if row.len() > 0 {
 			row.commit(prob, lp.EQ, d)
@@ -366,45 +515,39 @@ func buildMapLP(prob *lp.Problem, res Resources, req MapRequest, destOK []bool, 
 	}
 	// WAN budget (§4.3).
 	if req.WANBudget >= 0 {
-		for x := 0; x < n; x++ {
-			for y := 0; y < n; y++ {
-				if y != x && exists(x, y) {
-					row.add(mv[x][y], total)
-				}
+		for j, y := range s.colDst {
+			if s.colSrc[j] != y {
+				row.add(s.v(j), total)
 			}
 		}
 		if row.len() > 0 {
 			row.commit(prob, lp.LE, req.WANBudget)
 		}
 	}
-	return mv
 }
 
-// refineMap repairs the LP's continuous-wave approximation. Eq. 4 models
-// computation time as a *fraction* of a wave, so with plentiful slots
-// the LP happily pays real transfer seconds to shave phantom fractions
-// of a wave that rounding then erases (the §3.1 rounding caveat cuts
-// both ways on small stages). The repair evaluates placements that move
-// α ∈ {1, ¾, ½, ¼, 0} of the LP's off-diagonal mass — α = 0 being pure
-// locality — under the integral ⌈tasks/slots⌉ wave model and keeps the
-// best, so the returned estimate is also the sharper ceil-based one.
-func refineMap(res Resources, req MapRequest, lpFrac [][]float64) MapPlacement {
-	n := res.N()
-	// One scratch candidate (matrix + rounding) reused across the α
-	// sweep; a candidate's buffers are cloned only when it becomes the
-	// running best, so the sweep costs O(1) allocations instead of
-	// O(candidates·n).
-	m := newMatrix(n)
-	tasks := newIntMatrix(n)
-	scratch := newApportionScratch(n)
-	var bestM [][]float64
-	var bestTasks [][]int
-	best := MapPlacement{}
-	bestEst := math.Inf(1)
-	for _, alpha := range []float64{1, 0.75, 0.5, 0.25, 0} {
-		for x := 0; x < n; x++ {
+// refineMap repairs the LP's continuous-wave approximation (lpFrac, on
+// its support). Eq. 4 models computation time as a *fraction* of a
+// wave, so with plentiful slots the LP happily pays real transfer
+// seconds to shave phantom fractions of a wave that rounding then
+// erases (the §3.1 rounding caveat cuts both ways on small stages). The
+// repair evaluates placements that move α ∈ {1, ¾, ½, ¼, 0} of the LP's
+// off-diagonal mass — α = 0 being pure locality — under the integral
+// ⌈tasks/slots⌉ wave model and keeps the best, so the returned estimate
+// is also the sharper ceil-based one. Every candidate is zero off the
+// LP's support, so the sweep walks only the support: each term it skips
+// would add an exact zero.
+func (s *scratch) refineMap(res Resources, req MapRequest) MapPlacement {
+	lpFrac, m, tasks := s.lpFrac.rows, s.m.rows, s.tasks.rows
+	grand := 0.0 // the bytes WANBytes charges per unit of moved fraction
+	for _, b := range req.InputBySite {
+		grand += b
+	}
+	bestEst, bestAggr, bestMap := math.Inf(1), 0.0, 0.0
+	for _, alpha := range [...]float64{1, 0.75, 0.5, 0.25, 0} {
+		for x, cols := range s.supp {
 			moved := 0.0
-			for y := 0; y < n; y++ {
+			for _, y := range cols {
 				if y == x {
 					continue
 				}
@@ -414,71 +557,131 @@ func refineMap(res Resources, req MapRequest, lpFrac [][]float64) MapPlacement {
 			}
 			m[x][x] = lpFrac[x][x] + moved
 		}
-		scratch.matrixInto(tasks, m, req.NumTasks)
+		s.roundTasks(m, req.NumTasks)
 		// Zero-slot sites cannot absorb returned tasks; the LP already
 		// forbids them as destinations, and the diagonal return target
 		// may be slotless — skip such candidates.
-		if alpha < 1 && violatesZeroSlots(res, tasks) {
+		if alpha < 1 && s.violatesZeroSlots(res) {
 			continue
 		}
-		tAggr, tMap := ceilMapTimes(res, req, tasks)
-		if req.WANBudget >= 0 {
-			p := MapPlacement{Frac: m}
-			if p.WANBytes(req.InputBySite) > req.WANBudget*(1+1e-9) {
-				continue
-			}
+		tAggr, tMap := s.ceilMapTimes(res, req)
+		if req.WANBudget >= 0 && s.wanBytes(m, grand) > req.WANBudget*(1+1e-9) {
+			continue
 		}
-		if est := tAggr + tMap + mapDrainCost(res, req, tasks); est < bestEst {
-			bestEst = est
-			bestM = copyMatrixInto(bestM, m)
-			bestTasks = copyIntMatrixInto(bestTasks, tasks)
-			best = MapPlacement{Frac: bestM, Tasks: bestTasks, TAggr: tAggr, TMap: tMap}
+		if est := tAggr + tMap + s.mapDrainCost(res, req); est < bestEst {
+			bestEst, bestAggr, bestMap = est, tAggr, tMap
+			for x, cols := range s.supp {
+				for _, y := range cols {
+					s.bestM.rows[x][y] = m[x][y]
+					s.bestTasks.rows[x][y] = tasks[x][y]
+				}
+			}
 		}
 	}
 	if math.IsInf(bestEst, 1) {
 		// Every candidate was rejected (pathological zero-slot layout):
 		// keep the raw LP solution.
-		tasks := apportionMatrix(lpFrac, req.NumTasks)
-		tAggr, tMap := ceilMapTimes(res, req, tasks)
-		return MapPlacement{Frac: lpFrac, Tasks: tasks, TAggr: tAggr, TMap: tMap}
+		s.roundTasks(lpFrac, req.NumTasks)
+		tAggr, tMap := s.ceilMapTimes(res, req)
+		return MapPlacement{Frac: exportGrid(lpFrac, s.supp), Tasks: exportGrid(tasks, s.supp), TAggr: tAggr, TMap: tMap}
 	}
-	return best
+	return MapPlacement{Frac: exportGrid(s.bestM.rows, s.supp), Tasks: exportGrid(s.bestTasks.rows, s.supp), TAggr: bestAggr, TMap: bestMap}
 }
 
-func violatesZeroSlots(res Resources, tasks [][]int) bool {
-	for x := range tasks {
-		for y, c := range tasks[x] {
-			if c > 0 && res.Slots[y] == 0 {
-				return true
+// roundTasks apportions the fractions frac (zero off the support) into
+// tasks, and sums the result per site: up[x] tasks read from x and run
+// elsewhere, down[y] run at y reading from elsewhere, at[y] run at y.
+func (s *scratch) roundTasks(frac [][]float64, total int) {
+	s.round.matrixInto(s.tasks.rows, frac, s.supp, total)
+	clear(s.up)
+	clear(s.down)
+	clear(s.at)
+	for x, cols := range s.supp {
+		for _, y := range cols {
+			c := s.tasks.rows[x][y]
+			if y != x {
+				s.up[x] += c
+				s.down[y] += c
 			}
+			s.at[y] += c
+		}
+	}
+}
+
+// violatesZeroSlots reports whether the rounded tasks run any task at a
+// site without slots.
+func (s *scratch) violatesZeroSlots(res Resources) bool {
+	for y, c := range s.at {
+		if c > 0 && res.Slots[y] == 0 {
+			return true
 		}
 	}
 	return false
 }
 
+// wanBytes is MapPlacement.WANBytes of frac on the support, grand being
+// the stage's input bytes.
+func (s *scratch) wanBytes(frac [][]float64, grand float64) float64 {
+	total := 0.0
+	for x, cols := range s.supp {
+		for _, y := range cols {
+			if y != x {
+				total += frac[x][y] * grand
+			}
+		}
+	}
+	return total
+}
+
 // mapDrainCost is the one-step lookahead of MapRequest.OutputBytes: the
-// bottleneck time to export this stage's output from where its tasks
-// ran. Zero for terminal stages.
-func mapDrainCost(res Resources, req MapRequest, tasks [][]int) float64 {
+// bottleneck time to export this stage's output from where its rounded
+// tasks ran. Zero for terminal stages.
+func (s *scratch) mapDrainCost(res Resources, req MapRequest) float64 {
 	if req.OutputBytes <= 0 || req.NumTasks == 0 {
 		return 0
 	}
-	n := res.N()
-	at := make([]int, n)
-	for x := range tasks {
-		for y, c := range tasks[x] {
-			at[y] += c
-		}
-	}
 	worst := 0.0
-	for y := 0; y < n; y++ {
-		if at[y] == 0 || res.UpBW[y] <= 0 {
+	for y, c := range s.at {
+		if c == 0 || res.UpBW[y] <= 0 {
 			continue
 		}
-		out := req.OutputBytes * float64(at[y]) / float64(req.NumTasks)
+		out := req.OutputBytes * float64(c) / float64(req.NumTasks)
 		worst = math.Max(worst, out/res.UpBW[y])
 	}
 	return worst
+}
+
+// ceilMapTimes evaluates the rounded tasks under the paper's integral
+// arithmetic: bottleneck up/down transfer plus ⌈M_x/S_x⌉ waves.
+func (s *scratch) ceilMapTimes(res Resources, req MapRequest) (tAggr, tMap float64) {
+	bpt := 0.0
+	if req.NumTasks > 0 {
+		bpt = req.TotalInput() / float64(req.NumTasks)
+	}
+	for x := 0; x < s.n; x++ {
+		if up := s.up[x]; up > 0 && res.UpBW[x] > 0 {
+			tAggr = math.Max(tAggr, float64(up)*bpt/res.UpBW[x])
+		}
+		if down := s.down[x]; down > 0 && res.DownBW[x] > 0 {
+			tAggr = math.Max(tAggr, float64(down)*bpt/res.DownBW[x])
+		}
+		if at := s.at[x]; at > 0 {
+			waves := math.Ceil(float64(at) / slotCap(res.Slots[x]))
+			tMap = math.Max(tMap, req.TaskCompute*waves)
+		}
+	}
+	return tAggr, tMap
+}
+
+// exportGrid copies g, zero off the support, into a fresh matrix.
+func exportGrid[T any](g [][]T, supp [][]int) [][]T {
+	out := newGrid[T](len(g))
+	for x, cols := range supp {
+		for _, y := range cols {
+			out[x][y] = g[x][y]
+		}
+	}
+	return out
 }
 
 // reduceDrainCost is mapDrainCost's counterpart for reduce placements.
@@ -495,37 +698,6 @@ func reduceDrainCost(res Resources, req ReduceRequest, tasks []int) float64 {
 		worst = math.Max(worst, out/res.UpBW[x])
 	}
 	return worst
-}
-
-// ceilMapTimes evaluates a rounded map placement under the paper's
-// integral arithmetic: bottleneck up/down transfer plus ⌈M_x/S_x⌉ waves.
-func ceilMapTimes(res Resources, req MapRequest, tasks [][]int) (tAggr, tMap float64) {
-	n := res.N()
-	bpt := 0.0
-	if req.NumTasks > 0 {
-		bpt = req.TotalInput() / float64(req.NumTasks)
-	}
-	for x := 0; x < n; x++ {
-		var up, down, at int
-		for y := 0; y < n; y++ {
-			if y != x {
-				up += tasks[x][y]
-				down += tasks[y][x]
-			}
-			at += tasks[y][x]
-		}
-		if up > 0 && res.UpBW[x] > 0 {
-			tAggr = math.Max(tAggr, float64(up)*bpt/res.UpBW[x])
-		}
-		if down > 0 && res.DownBW[x] > 0 {
-			tAggr = math.Max(tAggr, float64(down)*bpt/res.DownBW[x])
-		}
-		if at > 0 {
-			waves := math.Ceil(float64(at) / slotCap(res.Slots[x]))
-			tMap = math.Max(tMap, req.TaskCompute*waves)
-		}
-	}
-	return tAggr, tMap
 }
 
 // candidateDests returns the destination set PlaceMap's LP ranges over:
@@ -621,52 +793,55 @@ func solveReduce(res Resources, req ReduceRequest, includeCompute, certify bool,
 
 	prob := lp.AcquireProblem()
 	defer lp.ReleaseProblem(prob)
+	s := acquireScratch()
+	defer releaseScratch(s)
 	tShufl := prob.AddVar("Tshufl", 1)
 	var tRed lp.Var
 	if includeCompute {
 		tRed = prob.AddVar("Tred", 1)
 	}
-	rv := make([]lp.Var, n)
+	base := lp.Var(prob.NumVars()) // r_x is variable base+x
 	for x := 0; x < n; x++ {
-		rv[x] = prob.AddVar("", 0)
+		prob.AddVar("", 0)
 	}
+	rv := func(x int) lp.Var { return base + lp.Var(x) }
 
-	var row rowBuf
+	row := &s.row
 	for x := 0; x < n; x++ {
 		// Eq. 7 upload: I_x − I_x·r_x ≤ T_shufl·B_up_x.
 		if req.InterBySite[x] > 0 {
-			row.add(rv[x], -req.InterBySite[x])
+			row.add(rv(x), -req.InterBySite[x])
 			row.add(tShufl, -res.UpBW[x])
 			row.commit(prob, lp.LE, -req.InterBySite[x])
 		}
 		// Eq. 8 download.
 		others := total - req.InterBySite[x]
 		if others > 0 {
-			row.add(rv[x], others)
+			row.add(rv(x), others)
 			row.add(tShufl, -res.DownBW[x])
 			row.commit(prob, lp.LE, 0)
 		}
 		// Eq. 9 computation.
 		if includeCompute {
-			row.add(rv[x], req.TaskCompute*float64(req.NumTasks)/slotCap(res.Slots[x]))
+			row.add(rv(x), req.TaskCompute*float64(req.NumTasks)/slotCap(res.Slots[x]))
 			row.add(tRed, -1)
 			row.commit(prob, lp.LE, 0)
 		}
 		if res.Slots[x] == 0 {
-			row.add(rv[x], 1)
+			row.add(rv(x), 1)
 			row.commit(prob, lp.EQ, 0)
 		}
 	}
 	// Eq. 10.
 	for x := 0; x < n; x++ {
-		row.add(rv[x], 1)
+		row.add(rv(x), 1)
 	}
 	row.commit(prob, lp.EQ, 1)
 	// WAN budget: Σ I_x(1−r_x) ≤ W  ⇔  −Σ I_x·r_x ≤ W − ΣI.
 	if req.WANBudget >= 0 {
 		for x := 0; x < n; x++ {
 			if req.InterBySite[x] > 0 {
-				row.add(rv[x], -req.InterBySite[x])
+				row.add(rv(x), -req.InterBySite[x])
 			}
 		}
 		row.commit(prob, lp.LE, req.WANBudget-total)
@@ -681,7 +856,7 @@ func solveReduce(res Resources, req ReduceRequest, includeCompute, certify bool,
 	}
 	frac := make([]float64, n)
 	for x := 0; x < n; x++ {
-		if v := sol.Value(rv[x]); v > 1e-12 {
+		if v := sol.Value(rv(x)); v > 1e-12 {
 			frac[x] = v
 		}
 	}

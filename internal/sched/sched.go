@@ -9,7 +9,10 @@
 // call them, supplying the per-job state and carrying out the launches.
 package sched
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Policy selects the job-ordering rule at each scheduling instance.
 type Policy int
@@ -51,35 +54,65 @@ type JobInfo struct {
 // Order returns the indices into jobs in scheduling order for the
 // policy. The input slice is not modified.
 func Order(policy Policy, jobs []JobInfo) []int {
-	idx := make([]int, len(jobs))
+	return orderInto(make([]int, len(jobs)), policy, jobs)
+}
+
+// orderInto is Order writing into idx (len(jobs) long).
+func orderInto(idx []int, policy Policy, jobs []JobInfo) []int {
 	for i := range idx {
 		idx[i] = i
 	}
 	switch policy {
 	case SRPT:
-		sort.SliceStable(idx, func(a, b int) bool {
-			ja, jb := jobs[idx[a]], jobs[idx[b]]
+		slices.SortStableFunc(idx, func(a, b int) int {
+			ja, jb := &jobs[a], &jobs[b]
 			if ja.RemainingStages != jb.RemainingStages {
-				return ja.RemainingStages < jb.RemainingStages
+				return cmp.Compare(ja.RemainingStages, jb.RemainingStages)
 			}
 			if ja.EstStageTime != jb.EstStageTime {
-				return ja.EstStageTime < jb.EstStageTime
+				return less(ja.EstStageTime < jb.EstStageTime)
 			}
-			return ja.ID < jb.ID
+			return cmp.Compare(ja.ID, jb.ID)
 		})
 	default: // FIFO and Fair order by arrival
-		sort.SliceStable(idx, func(a, b int) bool {
-			return jobs[idx[a]].ID < jobs[idx[b]].ID
+		slices.SortStableFunc(idx, func(a, b int) int {
+			return cmp.Compare(jobs[a].ID, jobs[b].ID)
 		})
 	}
 	return idx
 }
 
+// less turns a "before" verdict into a comparison result. The stable
+// sorts only ask whether a comparison is negative, so this keeps a
+// comparator that is not a total order (a NaN estimate) deciding
+// exactly as its less form does.
+func less(before bool) int {
+	if before {
+		return -1
+	}
+	return 1
+}
+
+// remainder is FairShares' largest-remainder bookkeeping.
+type remainder struct {
+	idx  int
+	frac float64
+}
+
+// byRemainder sorts remainders largest first.
+func byRemainder(a, b remainder) int { return less(a.frac > b.frac) }
+
 // FairShares returns p_i = S*·f_i/Σf_i, the slot reservation of each job
 // under proportional fairness (§4.4), rounded by largest remainder to
 // sum exactly to totalSlots (or fewer if there are fewer tasks).
 func FairShares(totalSlots int, remTasks []int) []int {
-	shares := make([]int, len(remTasks))
+	return fairSharesInto(make([]int, len(remTasks)), make([]remainder, len(remTasks)), totalSlots, remTasks)
+}
+
+// fairSharesInto is FairShares writing into shares, with rems as
+// scratch; both len(remTasks) long.
+func fairSharesInto(shares []int, rems []remainder, totalSlots int, remTasks []int) []int {
+	clear(shares)
 	totalTasks := 0
 	for _, f := range remTasks {
 		totalTasks += f
@@ -87,11 +120,6 @@ func FairShares(totalSlots int, remTasks []int) []int {
 	if totalTasks == 0 || totalSlots <= 0 {
 		return shares
 	}
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, len(remTasks))
 	assigned := 0
 	for i, f := range remTasks {
 		exact := float64(totalSlots) * float64(f) / float64(totalTasks)
@@ -101,9 +129,9 @@ func FairShares(totalSlots int, remTasks []int) []int {
 			shares[i] = f
 		}
 		assigned += shares[i]
-		rems[i] = rem{i, exact - float64(shares[i])}
+		rems[i] = remainder{i, exact - float64(shares[i])}
 	}
-	sort.SliceStable(rems, func(a, b int) bool { return rems[a].frac > rems[b].frac })
+	slices.SortStableFunc(rems, byRemainder)
 	for k := 0; assigned < totalSlots && k < 4*len(rems); k++ {
 		i := rems[k%len(rems)].idx
 		if shares[i] < remTasks[i] {
@@ -141,29 +169,41 @@ func Cap(eps float64, totalSlots int, shares []int, k int) int {
 	return q
 }
 
+// Scratch is the memory of one scheduling instance: the order, the
+// jobs' remaining tasks and their fair shares. A caller that keeps one
+// across instances schedules without allocating. The zero value is
+// ready to use; a Scratch must not be shared between concurrent
+// instances.
+type Scratch struct {
+	order, remTasks, shares []int
+	rems                    []remainder
+}
+
 // Instance runs the policy half of one scheduling instance over jobs
 // with free slots available in total: it orders the jobs (§4.1), gives
 // each its fair share p_i (§4.4), and walks them in order, offering job
 // k its ε-fair budget q_k of the slots still free. launch(k, budget)
 // starts up to budget slots' worth of job k's tasks and returns how
 // many it started. The walk ends when no slot is left. Fair forces
-// ε = 0. Instance returns the order (indices into jobs) and the total
-// launched.
-func Instance(policy Policy, eps float64, free int, jobs []JobInfo, launch func(k, budget int) int) (order []int, launched int) {
+// ε = 0. Instance returns the order (indices into jobs, valid until
+// the next Instance on s) and the total launched.
+func (s *Scratch) Instance(policy Policy, eps float64, free int, jobs []JobInfo, launch func(k, budget int) int) (order []int, launched int) {
 	if policy == Fair {
 		eps = 0
 	}
-	order = Order(policy, jobs)
-	remTasks := make([]int, len(jobs))
+	n := len(jobs)
+	s.order = orderInto(slices.Grow(s.order[:0], n)[:n], policy, jobs)
+	s.remTasks = slices.Grow(s.remTasks[:0], n)[:n]
 	for i, j := range jobs {
-		remTasks[i] = j.RemainingTasks
+		s.remTasks[i] = j.RemainingTasks
 	}
-	shares := FairShares(free, remTasks)
-	for _, k := range order {
+	s.rems = slices.Grow(s.rems[:0], n)[:n]
+	s.shares = fairSharesInto(slices.Grow(s.shares[:0], n)[:n], s.rems, free, s.remTasks)
+	for _, k := range s.order {
 		if free <= 0 {
 			break
 		}
-		budget := Cap(eps, free, shares, k)
+		budget := Cap(eps, free, s.shares, k)
 		if budget <= 0 {
 			continue
 		}
@@ -171,7 +211,7 @@ func Instance(policy Policy, eps float64, free int, jobs []JobInfo, launch func(
 		launched += n
 		free -= n
 	}
-	return order, launched
+	return s.order, launched
 }
 
 // Allocate sizes one stage's launch: each site gets the smaller of its
@@ -209,18 +249,14 @@ func ScaleDemand(d []int, cap int) []int {
 		return out
 	}
 	assigned := 0
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, len(d))
+	rems := make([]remainder, len(d))
 	for i, x := range d {
 		exact := float64(x) * float64(cap) / float64(total)
 		out[i] = int(exact)
 		assigned += out[i]
-		rems[i] = rem{i, exact - float64(out[i])}
+		rems[i] = remainder{i, exact - float64(out[i])}
 	}
-	sort.SliceStable(rems, func(a, b int) bool { return rems[a].frac > rems[b].frac })
+	slices.SortStableFunc(rems, byRemainder)
 	for k := 0; assigned < cap && k < len(rems); k++ {
 		i := rems[k].idx
 		if out[i] < d[i] {

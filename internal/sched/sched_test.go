@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -207,7 +209,7 @@ type offer struct{ job, budget int }
 // take(k, budget) slots.
 func walk(policy Policy, eps float64, free int, jobs []JobInfo, take func(k, budget int) int) ([]int, int, []offer) {
 	var offers []offer
-	order, launched := Instance(policy, eps, free, jobs, func(k, budget int) int {
+	order, launched := new(Scratch).Instance(policy, eps, free, jobs, func(k, budget int) int {
 		offers = append(offers, offer{k, budget})
 		return take(k, budget)
 	})
@@ -358,4 +360,102 @@ func TestPolicyString(t *testing.T) {
 	if SRPT.String() != "srpt" || FIFO.String() != "fifo" || Fair.String() != "fair" {
 		t.Error("Policy strings wrong")
 	}
+}
+
+// TestInstanceAllocs: a scheduling pass over 64 jobs with free slots
+// allocates nothing once its Scratch has grown to fit.
+func TestInstanceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	rng := rand.New(rand.NewSource(3))
+	jobs := make([]JobInfo, 64)
+	for i := range jobs {
+		jobs[i] = JobInfo{ID: i, RemainingStages: 1 + rng.Intn(4), EstStageTime: rng.Float64(), RemainingTasks: 1 + rng.Intn(50)}
+	}
+	var s Scratch
+	for _, policy := range []Policy{SRPT, FIFO, Fair} {
+		if n := testing.AllocsPerRun(100, func() {
+			s.Instance(policy, 0.5, 200, jobs, func(int, int) int { return 0 })
+		}); n != 0 {
+			t.Errorf("%v: %v allocations per instance, want 0", policy, n)
+		}
+	}
+}
+
+// TestOrderMatchesSliceStable: the order and the fair shares are the
+// ones sort.SliceStable gives with the same less functions, on jobs with
+// tied keys and NaN estimates.
+func TestOrderMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 500; trial++ {
+		jobs := make([]JobInfo, rng.Intn(70))
+		rem := make([]int, len(jobs))
+		for i := range jobs {
+			est := float64(rng.Intn(4))
+			if rng.Float64() < 0.1 {
+				est = math.NaN()
+			}
+			jobs[i] = JobInfo{ID: rng.Intn(40), RemainingStages: 1 + rng.Intn(3), EstStageTime: est, RemainingTasks: rng.Intn(9)}
+			rem[i] = jobs[i].RemainingTasks
+		}
+		for _, policy := range []Policy{SRPT, FIFO} {
+			if got, want := Order(policy, jobs), sliceStableOrder(policy, jobs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v order %v, sort.SliceStable %v", policy, got, want)
+			}
+		}
+		free := rng.Intn(100)
+		if got, want := FairShares(free, rem), sliceStableShares(free, rem); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shares %v, sort.SliceStable %v", got, want)
+		}
+	}
+}
+
+func sliceStableOrder(policy Policy, jobs []JobInfo) []int {
+	idx := make([]int, len(jobs))
+	for i := range idx {
+		idx[i] = i
+	}
+	if policy != SRPT {
+		sort.SliceStable(idx, func(a, b int) bool { return jobs[idx[a]].ID < jobs[idx[b]].ID })
+		return idx
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		ja, jb := jobs[idx[a]], jobs[idx[b]]
+		if ja.RemainingStages != jb.RemainingStages {
+			return ja.RemainingStages < jb.RemainingStages
+		}
+		if ja.EstStageTime != jb.EstStageTime {
+			return ja.EstStageTime < jb.EstStageTime
+		}
+		return ja.ID < jb.ID
+	})
+	return idx
+}
+
+func sliceStableShares(totalSlots int, remTasks []int) []int {
+	shares := make([]int, len(remTasks))
+	totalTasks := 0
+	for _, f := range remTasks {
+		totalTasks += f
+	}
+	if totalTasks == 0 || totalSlots <= 0 {
+		return shares
+	}
+	rems := make([]remainder, len(remTasks))
+	assigned := 0
+	for i, f := range remTasks {
+		exact := float64(totalSlots) * float64(f) / float64(totalTasks)
+		shares[i] = min(int(exact), f)
+		assigned += shares[i]
+		rems[i] = remainder{i, exact - float64(shares[i])}
+	}
+	sort.SliceStable(rems, func(a, b int) bool { return rems[a].frac > rems[b].frac })
+	for k := 0; assigned < totalSlots && k < 4*len(rems); k++ {
+		if i := rems[k%len(rems)].idx; shares[i] < remTasks[i] {
+			shares[i]++
+			assigned++
+		}
+	}
+	return shares
 }

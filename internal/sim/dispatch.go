@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -73,7 +74,8 @@ func (e *engine) dispatch() {
 		return
 	}
 	freeAtStart := totalFree
-	infos := make([]sched.JobInfo, len(cands))
+	infos := slices.Grow(e.infos[:0], len(cands))[:len(cands)]
+	e.infos = infos
 	for i, c := range cands {
 		est := 0.0
 		for _, st := range c.stages {
@@ -89,7 +91,7 @@ func (e *engine) dispatch() {
 			RemainingTasks:  c.job.remainingTasks,
 		}
 	}
-	orderIdx, launched := sched.Instance(e.cfg.Policy, e.cfg.Eps, totalFree, infos, func(k, budget int) int {
+	orderIdx, launched := e.sched.Instance(e.cfg.Policy, e.cfg.Eps, totalFree, infos, func(k, budget int) int {
 		n := 0
 		for _, st := range cands[k].stages {
 			if budget <= 0 {
@@ -423,10 +425,7 @@ func (e *engine) launchStage(st *stageRun, budget *int) int {
 			st.launched++
 			st.cache.quota[y]--
 			if st.spec.Kind == workload.MapStage {
-				src := st.spec.Tasks[ti].Src
-				if st.cache.quotaM != nil && st.cache.quotaM[src] != nil && st.cache.quotaM[src][y] > 0 {
-					st.cache.quotaM[src][y]--
-				}
+				e.spendQuota(st, ti, y)
 			}
 			e.free[y]--
 			if e.check != nil {
@@ -440,6 +439,19 @@ func (e *engine) launchStage(st *stageRun, budget *int) int {
 	}
 	e.flushBatch(st, batch)
 	return launched
+}
+
+// spendQuota takes map task ti's launch at y off the (src → y) quota
+// row chooseTasks picked it from: its planning source effSrc, which is
+// a replica site when the task is anchored at one. A launch that finds
+// no quota left there is chooseTasks' rounding fallback.
+func (e *engine) spendQuota(st *stageRun, ti, y int) {
+	src := e.effSrc(st, ti)
+	if q := st.cache.quotaM; q != nil && q[src] != nil && q[src][y] > 0 {
+		q[src][y]--
+		return
+	}
+	e.quotaMisses++
 }
 
 // beginTask starts one task at site y: tasks with purely local input go

@@ -147,3 +147,34 @@ func TestReplicaSpeculationLandsOnReplica(t *testing.T) {
 		t.Errorf("response = %v, want ~3 (threshold 2 + copy 1)", res.Jobs[0].Response)
 	}
 }
+
+// TestReplicaLaunchesSpendTheirQuotaRow: every map launch of a
+// replicated BigData trace on ec2-8 spends the quota row chooseTasks
+// picked it from — its planning source, a replica site for the tasks
+// anchored at one — so none finds its row empty.
+func TestReplicaLaunchesSpendTheirQuotaRow(t *testing.T) {
+	c := cluster.EC2EightRegions()
+	gen := workload.BigData(c.N(), 20, 1)
+	gen.ReplicaCount = 1
+	jobs := workload.Generate(gen)
+	anchored := 0
+	for _, j := range jobs {
+		for _, st := range j.Stages {
+			for _, task := range st.Tasks {
+				if st.Kind == workload.MapStage && place.PlanSrc(task, c.Slots(), c.UpBW()) != task.Src {
+					anchored++
+				}
+			}
+		}
+	}
+	if anchored == 0 {
+		t.Fatal("no map task is anchored at a replica: the trace does not exercise the quota rows")
+	}
+	e := newEngine(baseConfig(c, jobs))
+	if err := e.run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.quotaMisses != 0 {
+		t.Errorf("%d map launches found no quota left in their row (%d tasks anchored at a replica)", e.quotaMisses, anchored)
+	}
+}

@@ -344,6 +344,13 @@ type engine struct {
 	cfg Config
 	n   int
 
+	// schedule() scratch, reused across instances.
+	infos []sched.JobInfo
+	sched sched.Scratch
+	// quotaMisses counts map launches that found no quota left in their
+	// (src → dst) row (spendQuota).
+	quotaMisses int
+
 	net      *netsim.Network
 	events   eventHeap
 	seq      int64

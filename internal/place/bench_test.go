@@ -164,8 +164,9 @@ func recurringRequests(b testing.TB, days int) (Resources, []MapRequest, []Reduc
 // BenchmarkPlaceMapRecurring is the layer number behind cross-job warm
 // starts (engine placement cache, near hits): the 50-site MaxDest: 10
 // map LP and the 50-site reduce LP of one recurring query over fresh
-// data, solved cold and re-entered from the previous day's basis. The
-// timed loop solves as production does, with Check off, through the
+// data, solved cold (the map LP from its declared in-place start, as
+// production enters it) and re-entered from the previous day's basis.
+// The timed loop solves as production does, with Check off, through the
 // benchmark's own workspace. Before it, the same sequence runs once
 // under Check over all 33 days and the wrap back to day 1, so a solve
 // that cannot be certified still fails the benchmark. warm/op and
@@ -183,7 +184,7 @@ func BenchmarkPlaceMapRecurring(b *testing.B) {
 			req.Warm = w
 			pl := tet
 			pl.Check = check
-			_, err = pl.solveMap(res, req, dests, ws, w.mapBasis(), pl.MaxDest == 0)
+			_, err = pl.solveMap(res, req, dests, ws, w.mapBasis(), true)
 		} else {
 			req := reduces[day]
 			req.Warm = w
@@ -298,9 +299,10 @@ func steadyRequests(b *testing.B) (Resources, []MapRequest, []ReduceRequest) {
 
 // BenchmarkPlaceMapSteady is the layer number behind the declared start:
 // submit-steady's own LPs (steadyRequests), one per iteration in
-// population order, the map LP entered through phase 1 and at the
-// in-place vertex it declares in production, and the reduce LP, which
-// declares nothing and moves only with the solver underneath.
+// population order, the map LP entered at the in-place vertex every
+// production map LP declares and through phase 1 (the oracle), and the
+// reduce LP, which declares nothing and moves only with the solver
+// underneath.
 // pivots/op counts every simplex pivot, install pivots included.
 func BenchmarkPlaceMapSteady(b *testing.B) {
 	res, maps, reduces := steadyRequests(b)

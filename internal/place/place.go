@@ -15,7 +15,11 @@
 // not significantly affect performance").
 package place
 
-import "errors"
+import (
+	"cmp"
+	"errors"
+	"slices"
+)
 
 // Resources is the capacity snapshot a placement decision works with:
 // the slots currently allocatable per site and the per-site WAN
@@ -263,11 +267,12 @@ func apportionInto(counts []int, rems []remEntry, frac []float64, total int) {
 // entry: counts is zeroed at cols and written there. Each entry gets
 // the integer part of its exact share and the leftover goes to the
 // largest remainders, ties in index order. Only positive remainders are
-// sorted: a zero one would come after all of them, so it is reached
+// ranked: a zero one would come after all of them, so it is reached
 // only when the leftover outnumbers them, and then — or when no entry
 // is positive — the dense rule takes over, walking every index of frac
-// (the zero remainders in index order, round robin), and apportionAt
-// reports that it may have written outside cols.
+// (the positive remainders in rank order, then the zero ones in index
+// order, round robin), and apportionAt reports that it may have written
+// outside cols.
 func apportionAt(counts []int, rems []remEntry, frac []float64, cols []int, total int) (dense bool) {
 	k := len(frac)
 	if cols != nil {
@@ -304,17 +309,17 @@ func apportionAt(counts []int, rems []remEntry, frac []float64, cols []int, tota
 			pos = append(pos, remEntry{i, r})
 		}
 	}
-	for a := 1; a < len(pos); a++ {
-		for b := a; b > 0 && pos[b].frac > pos[b-1].frac; b-- {
-			pos[b], pos[b-1] = pos[b-1], pos[b]
-		}
-	}
 	if left := total - assigned; left <= len(pos) {
-		for _, r := range pos[:max(left, 0)] {
+		left = max(left, 0)
+		selectFirst(pos, left)
+		for _, r := range pos[:left] {
 			counts[r.idx]++
 		}
 		return false
 	}
+	slices.SortFunc(pos, func(a, b remEntry) int {
+		return cmp.Or(cmp.Compare(b.frac, a.frac), cmp.Compare(a.idx, b.idx))
+	})
 	order := pos
 	for i, f := range frac {
 		if f > 0 {
@@ -329,6 +334,40 @@ func apportionAt(counts []int, rems []remEntry, frac []float64, cols []int, tota
 		assigned++
 	}
 	return true
+}
+
+// before reports whether a's remainder is handed a leftover task ahead
+// of b's: the larger first, ties to the lower index.
+func (a remEntry) before(b remEntry) bool {
+	return a.frac > b.frac || a.frac == b.frac && a.idx < b.idx
+}
+
+// selectFirst moves the k entries of rems that come first under before
+// into rems[:k], in no particular order: all largest-remainder rounding
+// needs to know is which entries get a leftover, so a selection in
+// linear expected time replaces a sort. before is a total order over
+// distinct indices, so the k entries are the same whatever the pivots.
+func selectFirst(rems []remEntry, k int) {
+	lo, hi := 0, len(rems)
+	for lo < k && k < hi {
+		m := lo + (hi-lo)/2
+		p := rems[m]
+		rems[m], rems[hi-1] = rems[hi-1], rems[m]
+		s := lo
+		for i := lo; i < hi-1; i++ {
+			if rems[i].before(p) {
+				rems[i], rems[s] = rems[s], rems[i]
+				s++
+			}
+		}
+		rems[s], rems[hi-1] = rems[hi-1], rems[s]
+		// rems[lo:s] come before p, now at rems[s], and rems[s+1:hi] after.
+		if k <= s {
+			hi = s
+		} else {
+			lo = s + 1
+		}
+	}
 }
 
 // index is the j-th index apportionAt walks: cols[j], or j itself when

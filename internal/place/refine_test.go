@@ -445,7 +445,7 @@ func TestRefineMapAllocs(t *testing.T) {
 func lpAnswer(tet Tetrium, res Resources, req MapRequest) ([][]float64, error) {
 	s := acquireScratch()
 	prob := lp.NewProblem()
-	buildMapLP(prob, s, res, req, tet.candidateDests(res), tet.MaxDest == 0)
+	buildMapLP(prob, s, res, req, tet.candidateDests(res), true)
 	sol, err := prob.SolveInto(lp.NewWorkspace())
 	if err != nil {
 		return nil, err

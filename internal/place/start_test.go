@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tetrium/internal/check"
+	"tetrium/internal/cluster"
 	"tetrium/internal/lp"
 	"tetrium/internal/units"
 )
@@ -20,8 +21,8 @@ import (
 // the declaration must be withheld, not wrong) and without (their
 // equality rows need a basic column), sites without data, the §4.3 row
 // at ρ ∈ {0, ½, 1} (ρ = 0 makes the start the optimum), and candidate
-// sets restricted by MaxDest, for which production declares nothing yet
-// (ROADMAP 4(e)).
+// sets restricted by MaxDest, which production declares the start for
+// too (TestDeclaredStartPast16Sites).
 func TestPropertyInPlaceStartMatchesPhase1(t *testing.T) {
 	const trials = 400
 	declared := 0
@@ -113,5 +114,65 @@ func TestPropertyInPlaceStartMatchesPhase1(t *testing.T) {
 	}
 	if declared < trials/3 {
 		t.Errorf("only %d of %d LPs entered at the in-place vertex: the population no longer exercises it", declared, trials)
+	}
+}
+
+// TestDeclaredStartPast16Sites pins the start production's restricted
+// map LP (TetriumFor's MaxDest regime) enters at: one cold map stage on
+// cluster.OSPLike(n, 1), every site holding 1–10 GB and 20 tasks, placed
+// under Check. The solve must take the declared in-place rung, and the
+// same solve on a workspace of the test's own must pivot at most 2n
+// times: it takes n + 2 here, where phase 1 takes 259 pivots at 50
+// sites, 665 at 100 and 2 230 (about 20 s) at 300. The 300-site row
+// runs only without -short.
+func TestDeclaredStartPast16Sites(t *testing.T) {
+	sizes := []int{50, 100}
+	if !testing.Short() {
+		sizes = append(sizes, 300)
+	}
+	for _, n := range sizes {
+		c := cluster.OSPLike(n, 1)
+		res := Resources{Slots: c.Slots(), UpBW: c.UpBW(), DownBW: c.DownBW()}
+		rng := rand.New(rand.NewSource(int64(n)))
+		input := make([]float64, n)
+		for i := range input {
+			input[i] = (1 + 9*rng.Float64()) * units.GB
+		}
+		req := MapRequest{
+			InputBySite: input,
+			NumTasks:    20 * n,
+			TaskCompute: 2,
+			WANBudget:   WANBudget(1, MapBudget, input),
+			OutputBytes: 0.5 * units.GB * float64(n),
+		}
+		tet := TetriumFor(n)
+		tet.Check = true
+		if tet.MaxDest == 0 {
+			t.Fatalf("n=%d: TetriumFor does not restrict the candidates", n)
+		}
+
+		warm := req
+		warm.Warm = NewWarmState() // holds no basis: a cold solve that reports its rung
+		placed, err := tet.PlaceMap(res, warm)
+		if err != nil {
+			t.Fatalf("n=%d: PlaceMap: %v", n, err)
+		}
+		if st := warm.Warm.TakeStats(); st.Declared != 1 || st.Started != 0 {
+			t.Errorf("n=%d: the cold solve did not enter at the declared start: %+v", n, st)
+		}
+
+		ws := lp.NewWorkspace()
+		again, err := tet.solveMap(res, req, tet.candidateDests(res), ws, nil, true)
+		if err != nil {
+			t.Fatalf("n=%d: solveMap: %v", n, err)
+		}
+		if !sameMapPlacement(placed, again) {
+			t.Fatalf("n=%d: solveMap from the declared start differs from PlaceMap", n)
+		}
+		if p := ws.Pivots(); p > 2*n {
+			t.Errorf("n=%d: %d pivots from the declared start, want ≤ %d", n, p, 2*n)
+		} else {
+			t.Logf("n=%d: %d pivots", n, p)
+		}
 	}
 }

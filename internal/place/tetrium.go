@@ -364,8 +364,7 @@ func (t Tetrium) PlaceMap(res Resources, req MapRequest) (MapPlacement, error) {
 
 	ws := lp.AcquireWorkspace()
 	defer lp.ReleaseWorkspace(ws)
-	// The start is declared for the unrestricted LP only: ROADMAP 4(e).
-	return t.solveMap(res, req, t.candidateDests(res), ws, req.Warm.mapBasis(), t.MaxDest == 0)
+	return t.solveMap(res, req, t.candidateDests(res), ws, req.Warm.mapBasis(), true)
 }
 
 // solveMap builds and solves the §3.1 map LP restricted to the given

@@ -11,6 +11,8 @@ package sched
 
 import (
 	"cmp"
+	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -146,27 +148,73 @@ func fairSharesInto(shares []int, rems []remainder, totalSlots int, remTasks []i
 // ε-fairness (§4.4): q_k = S* − Σ_{i≠k} (1−ε)·p_i. ε = 1 reverts to
 // pure SRPT (no reservation for others); ε = 0 is complete fairness.
 func Cap(eps float64, totalSlots int, shares []int, k int) int {
-	if eps < 0 {
-		eps = 0
-	}
-	if eps > 1 {
-		eps = 1
-	}
+	eps = clampEps(eps)
 	reserved := 0.0
 	for i, p := range shares {
 		if i != k {
 			reserved += (1 - eps) * float64(p)
 		}
 	}
-	q := totalSlots - int(reserved+0.5)
-	if q < 0 {
-		q = 0
+	return capOf(totalSlots, reserved, shares[k])
+}
+
+// capOf is Cap's q_k given the reservation for the other jobs. Complete
+// fairness still guarantees the job its own share.
+func capOf(totalSlots int, reserved float64, own int) int {
+	return max(totalSlots-int(reserved+0.5), 0, own)
+}
+
+func clampEps(eps float64) float64 { return min(max(eps, 0), 1) }
+
+// reservation answers Cap for every job of one instance. Cap sums
+// (1−ε)·p_i over i ≠ k in index order, in floating point, so a total
+// taken once minus job k's term rounds differently: at ε = 0.9, shares
+// [8 5 1 1 3] and 18 slots, Cap gives job 4 16 slots and the subtraction
+// 17. When 1−ε = m·2^e with m·Σ|p_i| < 2^53, though, every term and
+// partial sum of Cap's loop is exact and equals (1−ε)·(Σp_i − p_k), so
+// the reservation is summed once and each cap costs O(1): ε ∈ {0, ¼,
+// ½, ¾, 1} and any other short binary fraction. The rest (ε = 0.1,
+// whose 1−ε has a 53-bit m) run Cap's loop per job.
+type reservation struct {
+	eps   float64
+	sum   int // Σ p_i
+	exact bool
+}
+
+func newReservation(eps float64, shares []int) reservation {
+	r := reservation{eps: clampEps(eps)}
+	abs := 0
+	for _, p := range shares {
+		r.sum += p
+		abs += max(p, -p)
 	}
-	// Complete fairness still guarantees the job its own share.
-	if q < shares[k] {
-		q = shares[k]
+	r.exact = exactMultiples(1-r.eps, abs)
+	return r
+}
+
+// cap is Cap(r.eps, totalSlots, shares, k) for the shares r was made of.
+func (r reservation) cap(totalSlots int, shares []int, k int) int {
+	if !r.exact {
+		return Cap(r.eps, totalSlots, shares, k)
 	}
-	return q
+	return capOf(totalSlots, (1-r.eps)*float64(r.sum-shares[k]), shares[k])
+}
+
+// exactMultiples reports whether c·p is a float64 without rounding for
+// every integer p with |p| ≤ bound: c = m·2^e with m odd and
+// m·bound < 2^53. Sums of such products whose |p| add up to at most
+// bound are exact too, being multiples of 2^e below 2^53·2^e.
+func exactMultiples(c float64, bound int) bool {
+	switch {
+	case c == 0:
+		return true
+	case math.IsNaN(c):
+		return false // what a NaN ε caps is Cap's loop to say
+	}
+	frac, _ := math.Frexp(c)
+	m := uint64(frac * (1 << 53))
+	m >>= bits.TrailingZeros64(m)
+	return uint64(bound) <= (1<<53-1)/m
 }
 
 // Scratch is the memory of one scheduling instance: the order, the
@@ -199,11 +247,12 @@ func (s *Scratch) Instance(policy Policy, eps float64, free int, jobs []JobInfo,
 	}
 	s.rems = slices.Grow(s.rems[:0], n)[:n]
 	s.shares = fairSharesInto(slices.Grow(s.shares[:0], n)[:n], s.rems, free, s.remTasks)
+	reserve := newReservation(eps, s.shares)
 	for _, k := range s.order {
 		if free <= 0 {
 			break
 		}
-		budget := Cap(eps, free, s.shares, k)
+		budget := reserve.cap(free, s.shares, k)
 		if budget <= 0 {
 			continue
 		}

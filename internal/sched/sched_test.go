@@ -139,6 +139,49 @@ func TestCapClampsEpsilon(t *testing.T) {
 	}
 }
 
+// TestReservationMatchesCap: the reservation Instance sums once per
+// instance gives every job of 12 000 random share vectors the cap Cap's
+// per-job loop gives it, at ε ∈ {0, 0.1, ¼, ½, 0.9, 1}. ε ∈ {0, ¼, ½,
+// 1} must take the O(1) path on every vector (else this compares Cap
+// with itself); and at ε = 0.9 a total minus job k's term does round
+// differently, which is why 0.1 and 0.9 keep the loop.
+func TestReservationMatchesCap(t *testing.T) {
+	const trials = 12000
+	epss := []float64{0, 0.1, 0.25, 0.5, 0.9, 1}
+	exact := make(map[float64]int)
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < trials; trial++ {
+		shares := make([]int, 1+rng.Intn(64))
+		top := []int{2, 10, 100, 5000}[rng.Intn(4)]
+		sum := 0
+		for i := range shares {
+			shares[i] = rng.Intn(top)
+			sum += shares[i]
+		}
+		total := sum + rng.Intn(1+sum/4)
+		for _, eps := range epss {
+			r := newReservation(eps, shares)
+			if r.exact {
+				exact[eps]++
+			}
+			for k := range shares {
+				if got, want := r.cap(total, shares, k), Cap(eps, total, shares, k); got != want {
+					t.Fatalf("ε %v, shares %v, %d slots: job %d capped at %d, Cap says %d", eps, shares, total, k, got, want)
+				}
+			}
+		}
+	}
+	for _, eps := range []float64{0, 0.25, 0.5, 1} {
+		if exact[eps] != trials {
+			t.Errorf("ε %v: %d of %d instances summed the reservation once", eps, exact[eps], trials)
+		}
+	}
+	eps, shares := 0.9, []int{8, 5, 1, 1, 3}
+	if once, loop := capOf(18, (1-eps)*float64(18-3), 3), Cap(eps, 18, shares, 4); once == loop {
+		t.Errorf("ε 0.9, shares %v: subtracting from the total caps job 4 at %d like Cap does; the counterexample is gone", shares, once)
+	}
+}
+
 func TestScaleDemand(t *testing.T) {
 	d := []int{8, 4, 4}
 	got := ScaleDemand(d, 8)

@@ -97,14 +97,16 @@ benchmark-check:
 # Short fuzzing passes over the LP solver (every solution certified
 # against the brute-force reference / duality bound), the placement
 # layer (every placement checked against the paper's conservation
-# equations) and the submit decoder (whatever it accepts, encoding/json
+# equations), the submit decoder (whatever it accepts, encoding/json
 # decodes to the same value; the route answers as an encoding/json-only
-# route would). Go allows one -fuzz pattern per invocation, hence three
-# runs.
+# route would) and the journal reader (arbitrary bytes never panic
+# ReadFile; valid CRC frames among junk lines are all recovered). Go
+# allows one -fuzz pattern per invocation, hence four runs.
 fuzz-smoke:
 	$(GO) test ./internal/check -fuzz=FuzzSolve -fuzztime=10s
 	$(GO) test ./internal/place -fuzz=FuzzPlaceMap -fuzztime=10s
 	$(GO) test ./internal/engine/api -fuzz=FuzzDecodeJob -fuzztime=10s
+	$(GO) test ./internal/journal -fuzz=FuzzReplay -fuzztime=10s
 
 # End-to-end check of the serving path: tetrium-serve -smoke runs the
 # server's one lifecycle on an ephemeral port and, in place of waiting

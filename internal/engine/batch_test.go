@@ -163,6 +163,9 @@ func TestStartCensus(t *testing.T) {
 			t.Errorf("%s = %g before any re-solve, want 0: a declared start is not a warm start", name, v)
 		}
 	}
+	if v := counterValue(t, e, "engine.solves_phase1"); v != 0 {
+		t.Errorf("engine.solves_phase1 = %g after a job's first map solve, want 0", v)
+	}
 
 	for site := 0; site < cl.N(); site++ {
 		if _, err := e.UpdateCluster([]SiteUpdate{{Site: site, Slots: -1, Frac: 0.8}}); err != nil {

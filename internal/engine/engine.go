@@ -13,7 +13,9 @@
 // status readers, and dynamics updaters are safe without any locks on
 // the scheduling path. Stage-completion timers re-enter the loop the
 // same way. This mirrors the paper's global manager: one decision
-// maker observing arrivals and resource reports (§5).
+// maker observing arrivals and resource reports (§5). A journaled
+// engine adds one writer goroutine that owns the journal (writer.go):
+// the loop queues records to it and never waits on the disk.
 //
 // Every placement takes one pipeline (state.go): request → memo cache
 // (Config.PlaceCacheSize) → solve → commit. Admission solves — the
@@ -121,8 +123,9 @@ type Config struct {
 	Faults *fault.Injector
 	// Journal, when non-nil, makes admissions durable: every accepted
 	// job is journaled before the submit returns, and placements and
-	// completions follow. The engine owns the journal and closes it in
-	// Close.
+	// completions follow. The engine owns the journal from New on —
+	// one writer goroutine calls it, never the event loop — and closes
+	// it in Close.
 	Journal *journal.Journal
 	// Restore, when non-nil, is replayed before the loop serves its
 	// first request: done jobs come back as terminal records, live jobs
@@ -169,8 +172,9 @@ type Engine struct {
 	start        time.Time
 	st           *state
 	pool         *solvePool
-	replaying    atomic.Bool   // journal replay still pending on the loop
-	faultTimers  []*time.Timer // injector timeline; stopped in Close
+	journal      *journalWriter // nil without Config.Journal; owns the journal after New
+	replaying    atomic.Bool    // journal replay still pending on the loop
+	faultTimers  []*time.Timer  // injector timeline; stopped in Close
 
 	// Supervision signals, readable from any goroutine without entering
 	// the loop (the supervisor must not depend on a wedged loop to learn
@@ -215,6 +219,9 @@ func New(cfg Config) (*Engine, error) {
 		pool:         newSolvePool(cfg.SolveWorkers),
 	}
 	e.st = newState(e)
+	if cfg.Journal != nil {
+		e.journal = newJournalWriter(e, cfg.Journal)
+	}
 	e.pool.onPanic = func(r any) {
 		// Worker goroutine: re-enter the loop to touch state. The solve
 		// the panic killed never commits: dispatch gives its stage the
@@ -405,12 +412,10 @@ func (e *Engine) doShutdown(snapshotJournal bool) {
 	if n := e.pool.close(); n > 0 {
 		e.st.rec.Registry().Counter("engine.solves_dropped_on_close").Add(float64(n))
 	}
-	if j := e.cfg.Journal; j != nil {
-		if snapshotJournal {
-			j.Close()
-		} else {
-			j.Abandon()
-		}
+	if w := e.journal; w != nil {
+		// Every record the loop queued is written before the final
+		// snapshot or the abandon.
+		w.close(snapshotJournal)
 	}
 	if c, ok := e.cfg.Analytics.(io.Closer); ok {
 		c.Close()
@@ -473,21 +478,33 @@ func (e *Engine) SubmitIdem(job *workload.Job, idemKey string) (JobStatus, bool,
 	var (
 		status JobStatus
 		dup    bool
+		ticket *admitTicket
 		serr   error
 	)
 	err := e.do(func() {
-		id, d, err2 := e.st.submit(job, idemKey)
+		id, d, t, err2 := e.st.submit(job, idemKey)
 		if err2 != nil {
 			serr = err2
 			return
 		}
-		dup = d
+		dup, ticket = d, t
 		status = e.st.snapshot(e.st.jobs[id], false)
 	})
 	if err != nil {
 		return JobStatus{}, false, err
 	}
-	return status, dup, serr
+	if serr != nil {
+		return JobStatus{}, false, serr
+	}
+	if ticket != nil {
+		// Acknowledge only a durable admission: wait, off the loop, for
+		// the journal writer to write the admit record (writer.go).
+		<-ticket.done
+		if ticket.err != nil {
+			return JobStatus{}, false, ticket.err
+		}
+	}
+	return status, dup, nil
 }
 
 // Job returns one job's status snapshot.

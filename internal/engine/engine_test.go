@@ -583,7 +583,7 @@ func TestFairCapScalesAcrossSites(t *testing.T) {
 	// Both admitted in one loop turn, so the scheduling pass sees both.
 	if err := e.do(func() {
 		for i := 0; i < 2; i++ {
-			if _, _, err := e.st.submit(job(), ""); err != nil {
+			if _, _, _, err := e.st.submit(job(), ""); err != nil {
 				t.Errorf("submit: %v", err)
 			}
 		}

@@ -17,8 +17,9 @@ package engine
 //     place.InPlace (flagged, never cached), and the original solve
 //     still upgrades the placement if it lands before launch.
 //   - Process death: admissions/placements/completions are journaled
-//     (internal/journal); restore() rebuilds state from the recovered
-//     journal before the loop accepts traffic.
+//     (internal/journal) by the engine's journal writer (writer.go);
+//     restore() rebuilds state from the recovered journal before the
+//     loop accepts traffic.
 
 import (
 	"fmt"

@@ -61,7 +61,7 @@ func TestPanicInDrainedRequestKeepsScheduling(t *testing.T) {
 	if err := e.do(func() {
 		e.st.scheduleSoon()
 		e.inject(func() {
-			id, _, _ := e.st.submit(oneStageJob(0, 2, 1), "")
+			id, _, _, _ := e.st.submit(oneStageJob(0, 2, 1), "")
 			admitted <- id
 		})
 		e.InjectPanic("boom in a drained request")

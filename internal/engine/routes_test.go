@@ -290,8 +290,8 @@ func TestPlacementRoutes(t *testing.T) {
 				// scheduling pass, hence one batch and one shape group.
 				var a, b int
 				if err := r.e.do(func() {
-					a, _, _ = r.e.st.submit(oneStageJob(1, 6, 5), "")
-					b, _, _ = r.e.st.submit(oneStageJob(1, 6, 5), "")
+					a, _, _, _ = r.e.st.submit(oneStageJob(1, 6, 5), "")
+					b, _, _, _ = r.e.st.submit(oneStageJob(1, 6, 5), "")
 				}); err != nil {
 					r.t.Fatalf("engine: %v", err)
 				}

@@ -7,6 +7,7 @@ import (
 
 	"tetrium/internal/cluster"
 	"tetrium/internal/dynamics"
+	"tetrium/internal/journal"
 	"tetrium/internal/obs"
 	"tetrium/internal/place"
 	"tetrium/internal/sched"
@@ -133,7 +134,13 @@ type jobState struct {
 	finished   time.Time
 	wanBytes   float64
 	remTasks   int
-	journaled  bool // first placement written to the journal
+	journaled  bool // first placement queued for the journal
+
+	// admit is the launch gate of a journaled job: non-nil while its
+	// admit record is queued or being written. The job may be placed
+	// meanwhile; none of its stages launches until the record is on
+	// disk (writer.go).
+	admit *admitTicket
 
 	// Incremental-scheduling index state (index.go).
 	orderPos   int  // position in s.order; arrival-order sort key
@@ -315,16 +322,15 @@ func (s *state) noteLoopStall(d time.Duration) {
 // notePanic records one contained panic (engine.go runGuarded, solve
 // pool). State mid-panic may be inconsistent — that is the supervisor's
 // restart decision to make; here the damage is counted, traced, and the
-// journal's consistent mirror is snapshotted to disk so a restart
-// recovers the freshest durable state.
+// journal writer is asked to snapshot its consistent mirror to disk,
+// after every record queued before it, so a restart recovers the
+// freshest durable state (Kill writes the queue out first).
 func (s *state) notePanic(origin string, r any) {
 	s.e.panics.Add(1)
 	s.rec.Registry().Counter("engine.panics_recovered").Inc()
 	s.emit(obs.Fault{T: s.now(), Fault: "panic_recovered_" + origin})
-	if j := s.e.cfg.Journal; j != nil {
-		if err := j.Snapshot(); err != nil {
-			s.rec.Registry().Counter("engine.journal_errors").Inc()
-		}
+	if w := s.e.journal; w != nil {
+		w.enqueue(snapshotRec)
 	}
 }
 
@@ -410,43 +416,49 @@ func (s *state) scheduleSoon() {
 
 // Admission ----------------------------------------------------------------
 
-func (s *state) submit(spec *workload.Job, idemKey string) (int, bool, error) {
+// submit admits a job, or finds the one its idempotency key already
+// names. On a journaled engine it also returns the job's admit ticket
+// while the admit record is not yet written: the submitter must wait
+// for it before acknowledging, a duplicate key included.
+func (s *state) submit(spec *workload.Job, idemKey string) (int, bool, *admitTicket, error) {
 	if idemKey != "" {
 		// Dedup wins over every other admission gate: a replayed key is
 		// not new work, so it succeeds even while draining or full.
 		if id, ok := s.idemKeys[idemKey]; ok {
 			s.rec.Registry().Counter("engine.submit_deduped").Inc()
-			return id, true, nil
+			return id, true, s.jobs[id].admit, nil
 		}
 	}
 	if s.draining {
-		return 0, false, ErrDraining
+		return 0, false, nil, ErrDraining
 	}
 	if s.activeCount >= s.e.cfg.MaxPending {
 		s.rec.Registry().Counter("engine.rejected").Inc()
-		return 0, false, ErrQueueFull
+		return 0, false, nil, ErrQueueFull
 	}
 	id := s.nextID
 	tenant := spec.Tenant
 	if tenant == "" {
 		tenant = "default"
 	}
-	if j := s.e.cfg.Journal; j != nil {
+	js := &jobState{id: id, name: spec.Name, tenant: tenant, spec: spec, submitted: time.Now()}
+	if w := s.e.journal; w != nil {
 		// The admission is durable before it is acknowledged: a journal
 		// write failure rejects the job rather than accepting work a
 		// restart would silently lose.
-		if err := j.AdmitIdem(id, time.Now().UnixMilli(), tenant, idemKey, spec); err != nil {
-			s.rec.Registry().Counter("engine.journal_errors").Inc()
-			return 0, false, err
-		}
+		js.admit = &admitTicket{js: js, idem: idemKey, done: make(chan struct{})}
+		ms := time.Now().UnixMilli()
+		w.enqueue(journalRec{id: id, ticket: js.admit, write: func(j *journal.Journal) error {
+			return j.AdmitIdem(id, ms, tenant, idemKey, spec)
+		}})
 	}
 	if idemKey != "" {
 		s.idemKeys[idemKey] = id
 	}
 	s.nextID++
-	s.admit(&jobState{id: id, name: spec.Name, tenant: tenant, spec: spec, submitted: time.Now()})
+	s.admit(js)
 	s.scheduleSoon()
-	return id, false, nil
+	return id, false, js.admit, nil
 }
 
 // admit makes an accepted job live: it builds the job's stages (map
@@ -516,27 +528,34 @@ func (s *state) schedule() {
 	// same order the full s.order scan produced.
 	cands := s.candScratch[:0]
 	arena := s.stageScratch[:0]
+	solves, hits := 0, 0
 	for _, js := range s.readyJobs {
 		lo := len(arena)
 		for _, sr := range js.stages {
-			if sr.phase == stageReady {
-				arena = append(arena, sr)
+			if sr.phase != stageReady {
+				continue
 			}
-		}
-		cands = append(cands, schedCand{js: js, lo: lo, hi: len(arena)})
-	}
-	freeAtStart := totalFree
-
-	solves, hits := 0, 0
-	infos := slices.Grow(s.infoScratch[:0], len(cands))[:len(cands)]
-	for i, c := range cands {
-		est := 0.0
-		for _, sr := range arena[c.lo:c.hi] {
 			if !sr.placed {
 				sv, ht := s.requestPlacement(sr, false)
 				solves += sv
 				hits += ht
 			}
+			arena = append(arena, sr)
+		}
+		if js.admit != nil {
+			// Placed while its admit record is queued; launched once the
+			// record is written (admitsWritten).
+			arena = arena[:lo]
+			continue
+		}
+		cands = append(cands, schedCand{js: js, lo: lo, hi: len(arena)})
+	}
+	freeAtStart := totalFree
+
+	infos := slices.Grow(s.infoScratch[:0], len(cands))[:len(cands)]
+	for i, c := range cands {
+		est := 0.0
+		for _, sr := range arena[c.lo:c.hi] {
 			if sr.est > est {
 				est = sr.est
 			}
@@ -914,6 +933,7 @@ func (s *state) commit(it *solveItem) {
 		TasksBySite: append([]int(nil), sr.tasks...),
 		Fallback:    fallback, Restamp: it.restamp, Cached: it.cached, Deadline: it.deadline,
 		Warm:       it.starts.Started > 0 && !fallback,
+		Phase1:     it.starts.Phase1,
 		SolveNanos: it.nanos,
 	})
 	if k := s.e.cfg.UpdateK; it.restamp && k > 0 {
@@ -935,11 +955,10 @@ func (s *state) commit(it *solveItem) {
 		}
 		s.rec.Registry().Histogram("engine.submit_to_place_s", 1e-6, 4, 16).
 			Observe(js.placed.Sub(js.submitted).Seconds())
-		if j := s.e.cfg.Journal; j != nil && !s.restoring && !js.journaled {
+		if w := s.e.journal; w != nil && !s.restoring && !js.journaled {
 			js.journaled = true
-			if err := j.Place(js.id, sr.idx, time.Now().UnixMilli()); err != nil {
-				s.rec.Registry().Counter("engine.journal_errors").Inc()
-			}
+			id, stage, ms := js.id, sr.idx, time.Now().UnixMilli()
+			w.enqueue(journalRec{id: id, write: func(j *journal.Journal) error { return j.Place(id, stage, ms) }})
 		}
 	}
 }
@@ -957,6 +976,7 @@ func (s *state) noteWarmStats(it *solveItem) {
 	}
 	add("engine.solves_warm_started", it.starts.Started)
 	add("engine.solves_declared_start", it.starts.Declared)
+	add("engine.solves_phase1", it.starts.Phase1)
 	add("engine.solves_warm_fallback", it.starts.Fallback)
 }
 
@@ -1151,22 +1171,29 @@ func (s *state) wakeDownstream(js *jobState, t float64) {
 func (s *state) finishJob(js *jobState, t float64) {
 	js.phase = JobDone
 	js.finished = time.Now()
-	s.activeCount--
-	s.rec.Registry().Gauge("engine.pending").Set(float64(s.activeCount))
 	s.emit(obs.JobDone{
 		T: t, Job: js.id,
 		Response: js.finished.Sub(js.submitted).Seconds(),
 		WANBytes: js.wanBytes,
 	})
-	if j := s.e.cfg.Journal; j != nil && !s.restoring {
-		if err := j.Done(js.id, js.finished.UnixMilli(), js.tenant, js.name, js.numStages, js.wanBytes); err != nil {
-			s.rec.Registry().Counter("engine.journal_errors").Inc()
-		}
+	if w := s.e.journal; w != nil && !s.restoring {
+		id, ms, tenant, name, stages, wan := js.id, js.finished.UnixMilli(), js.tenant, js.name, js.numStages, js.wanBytes
+		w.enqueue(journalRec{id: id, write: func(j *journal.Journal) error {
+			return j.Done(id, ms, tenant, name, stages, wan)
+		}})
 	}
 	s.doneWall = append(s.doneWall, js.finished)
 	if len(s.doneWall) > drainRateWindow {
 		s.doneWall = s.doneWall[len(s.doneWall)-drainRateWindow:]
 	}
+	s.deactivate()
+}
+
+// deactivate retires one admitted job from the active count (finishJob,
+// withdraw) and releases Drain once none is left.
+func (s *state) deactivate() {
+	s.activeCount--
+	s.rec.Registry().Gauge("engine.pending").Set(float64(s.activeCount))
 	if s.draining && s.activeCount == 0 {
 		for _, ch := range s.drainDone {
 			close(ch)

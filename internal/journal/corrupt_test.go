@@ -163,7 +163,7 @@ func TestUnframedLinesQuarantined(t *testing.T) {
 	bare := `{"k":"admit","id":7,"t":105,"spec":{"name":"x","stages":[{"kind":0,"tasks":[{"Src":0,"Input":1000000,"Compute":1}]}]}}
 {"k":"done","id":0,"t":106,"tenant":"acme","name":"a","stages":1,"wan_bytes":42}
 `
-	if _, err := j.f.WriteString(bare); err != nil {
+	if _, err := j.f.Write([]byte(bare)); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Admit(1, 110, "", sampleJob("b")); err != nil {

@@ -23,6 +23,11 @@
 // generation record written by Open, which is fsynced before Open
 // returns so restart epochs are totally ordered even across power loss.
 //
+// Callers: a Journal has one owner goroutine. A journaled engine
+// (internal/engine) owns it from a writer goroutine of its own, not
+// from its event loop: the loop queues each record in order and
+// acknowledges a submission only once that job's Admit has returned.
+//
 // Corruption: a record that fails its CRC, or fails to parse, is
 // quarantined — its raw line is appended to <path>.corrupt — and replay
 // continues with the next line. A torn final line (the write in flight
@@ -134,11 +139,13 @@ type State struct {
 	Quarantined int
 }
 
-// Journal is an open journal. Methods are not safe for concurrent use;
-// the engine calls them from its single-writer loop.
+// Journal is an open journal. Methods are not safe for concurrent use:
+// one goroutine owns it. A journaled engine calls them from its journal
+// writer goroutine, never from its event loop, so no scheduling decision
+// waits on an encode, a write or a snapshot's fsync.
 type Journal struct {
 	path        string
-	f           *os.File
+	f           file
 	snapEvery   int
 	appended    int // records since the last snapshot
 	gen         int
@@ -150,6 +157,16 @@ type Journal struct {
 	live   map[int]*LiveJob
 	done   map[int]*DoneJob
 	nextID int
+}
+
+// file is what a Journal needs of its open journal file: *os.File, or a
+// stand-in that injects faults in tests.
+type file interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
 }
 
 // Open opens (creating if absent) the journal at path, recovers its
@@ -268,13 +285,7 @@ func (j *Journal) append(rec record) error {
 	if err != nil {
 		return err
 	}
-	line := make([]byte, 0, len(b)+11)
-	line = append(line, '~')
-	line = appendCRCHex(line, crc32.ChecksumIEEE(b))
-	line = append(line, ' ')
-	line = append(line, b...)
-	line = append(line, '\n')
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := j.f.Write(appendFrame(make([]byte, 0, len(b)+11), b)); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	j.apply(rec)
@@ -285,6 +296,15 @@ func (j *Journal) append(rec record) error {
 		}
 	}
 	return nil
+}
+
+// appendFrame appends one record line, `~CCCCCCCC <payload>\n`, to dst.
+func appendFrame(dst, payload []byte) []byte {
+	dst = append(dst, '~')
+	dst = appendCRCHex(dst, crc32.ChecksumIEEE(payload))
+	dst = append(dst, ' ')
+	dst = append(dst, payload...)
+	return append(dst, '\n')
 }
 
 // appendCRCHex appends the 8-digit lowercase hex of crc to dst.

@@ -137,6 +137,7 @@ type Placement struct {
 	Cached      bool    `json:"cached,omitempty"`   // served from the placement memo cache
 	Deadline    bool    `json:"deadline,omitempty"` // LP solve missed its deadline or panicked; In-Place stopgap used
 	Warm        bool    `json:"warm,omitempty"`     // the solve re-entered phase 2 from a prior basis (never with Cached, Fallback or Deadline)
+	Phase1      int     `json:"phase1,omitempty"`   // LPs of the solve that ran phase 1
 	SolveNanos  int64   `json:"-"`
 }
 

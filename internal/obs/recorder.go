@@ -64,16 +64,17 @@ func NewRecorder() *Recorder {
 	// Help docstrings for the core families, surfaced as "# HELP" lines
 	// in the Prometheus exposition.
 	for name, help := range map[string]string{
-		"jobs.arrived":    "Jobs admitted to the scheduler.",
-		"jobs.done":       "Jobs whose last stage completed.",
-		"jobs.active":     "Jobs admitted but not yet done.",
-		"lp.solves":       "Placement LP solves executed.",
-		"lp.cache_hits":   "Placements served from the memo cache.",
-		"lp.warm_solves":  "Placement solves that re-entered phase 2 from a prior basis.",
-		"wan.bytes":       "Cross-site bytes moved by placements.",
-		"tasks.rescued":   "Straggling tasks finished by a speculative copy.",
-		"job.response_s":  "Job response time (arrival to last stage done), seconds.",
-		"stages.launched": "Stages whose tasks took slots (serving engine).",
+		"jobs.arrived":     "Jobs admitted to the scheduler.",
+		"jobs.done":        "Jobs whose last stage completed.",
+		"jobs.active":      "Jobs admitted but not yet done.",
+		"lp.solves":        "Placement LP solves executed.",
+		"lp.cache_hits":    "Placements served from the memo cache.",
+		"lp.warm_solves":   "Placement solves that re-entered phase 2 from a prior basis.",
+		"lp.phase1_solves": "Placement LPs that ran phase 1.",
+		"wan.bytes":        "Cross-site bytes moved by placements.",
+		"tasks.rescued":    "Straggling tasks finished by a speculative copy.",
+		"job.response_s":   "Job response time (arrival to last stage done), seconds.",
+		"stages.launched":  "Stages whose tasks took slots (serving engine).",
 	} {
 		r.reg.SetHelp(name, help)
 	}
@@ -115,6 +116,9 @@ func (r *Recorder) Emit(ev Event) {
 		}
 		if e.Warm {
 			r.reg.Counter("lp.warm_solves").Inc()
+		}
+		if e.Phase1 > 0 {
+			r.reg.Counter("lp.phase1_solves").Add(float64(e.Phase1))
 		}
 		if e.Fallback {
 			r.reg.Counter("lp.fallbacks").Inc()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tetrium/internal/check"
@@ -174,5 +175,63 @@ func TestDeclaredStartPast16Sites(t *testing.T) {
 		} else {
 			t.Logf("n=%d: %d pivots", n, p)
 		}
+	}
+}
+
+// TestCountingStateCountsRungs: a counting state changes no decision —
+// each placement equals the one solved with no WarmState — and counts
+// where each LP started: the map LP at its declared start, phase 1 for
+// a map LP with data on a slotless site (no declared vertex) and for
+// the reduce LP.
+func TestCountingStateCountsRungs(t *testing.T) {
+	c := cluster.PaperExample()
+	res := Resources{Slots: c.Slots(), UpBW: c.UpBW(), DownBW: c.DownBW()}
+	crashed := res
+	crashed.Slots = []int{0, res.Slots[1], res.Slots[2]}
+	input := []float64{4 * units.GB, 1 * units.GB, 2 * units.GB}
+	mapReq := MapRequest{InputBySite: input, NumTasks: 60, TaskCompute: 2, WANBudget: -1, OutputBytes: units.GB}
+	tet := Tetrium{Check: true}
+	for _, tc := range []struct {
+		name string
+		res  Resources
+		want WarmStats
+	}{
+		{"map", res, WarmStats{Declared: 1}},
+		{"map/slotless-data", crashed, WarmStats{Phase1: 1}},
+	} {
+		bare, err := tet.PlaceMap(tc.res, mapReq)
+		if err != nil {
+			t.Fatalf("%s: PlaceMap: %v", tc.name, err)
+		}
+		counted := mapReq
+		counted.Warm = NewCountingState()
+		got, err := tet.PlaceMap(tc.res, counted)
+		if err != nil {
+			t.Fatalf("%s: PlaceMap counted: %v", tc.name, err)
+		}
+		if !sameMapPlacement(bare, got) {
+			t.Errorf("%s: counting changed the placement", tc.name)
+		}
+		if st := counted.Warm.TakeStats(); st != tc.want {
+			t.Errorf("%s: counted %+v, want %+v", tc.name, st, tc.want)
+		}
+	}
+
+	redReq := ReduceRequest{InterBySite: input, NumTasks: 30, TaskCompute: 4, WANBudget: -1, OutputBytes: units.GB}
+	bare, err := tet.PlaceReduce(res, redReq)
+	if err != nil {
+		t.Fatalf("PlaceReduce: %v", err)
+	}
+	counted := redReq
+	counted.Warm = NewCountingState()
+	got, err := tet.PlaceReduce(res, counted)
+	if err != nil {
+		t.Fatalf("PlaceReduce counted: %v", err)
+	}
+	if !reflect.DeepEqual(bare, got) {
+		t.Errorf("reduce: counting changed the placement: %+v vs %+v", bare, got)
+	}
+	if st := counted.Warm.TakeStats(); st != (WarmStats{Phase1: 1}) {
+		t.Errorf("reduce: counted %+v, want one phase-1 LP", st)
 	}
 }

@@ -28,11 +28,11 @@ func solveLP(prob *lp.Problem, ws *lp.Workspace, certify bool, wstate *WarmState
 	var err error
 	if basis != nil {
 		sol, err = prob.SolveWarm(ws, basis)
-		if err == nil {
-			wstate.observe(sol)
-		}
 	} else {
 		sol, err = prob.SolveInto(ws)
+	}
+	if err == nil {
+		wstate.observe(sol)
 	}
 	if err != nil || !certify {
 		return sol, err

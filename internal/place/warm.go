@@ -22,6 +22,7 @@ import "tetrium/internal/lp"
 type WarmState struct {
 	mapLP  lp.WarmStart
 	reduce lp.WarmStart
+	cold   bool // keeps no basis: NewCountingState
 
 	stats WarmStats
 }
@@ -33,10 +34,16 @@ type WarmStats struct {
 	Started  int // re-entered phase 2 from a prior basis
 	Declared int // entered at the LP's declared start, with or without a prior basis
 	Fallback int // had a prior basis, declined; ran from the declared start or phase 1
+	Phase1   int // ran phase 1, with or without a prior basis
 }
 
 // NewWarmState returns an empty (all-cold) warm state.
 func NewWarmState() *WarmState { return &WarmState{} }
+
+// NewCountingState returns a WarmState that keeps no basis: every solve
+// through it runs exactly as with no WarmState at all, and only where
+// phase 2 started is counted. The simulator counts its LPs through one.
+func NewCountingState() *WarmState { return &WarmState{cold: true} }
 
 // Clone returns an independent copy of w's bases for a concurrent
 // solve attempt; the stats counters start at zero. Clone(nil) is nil.
@@ -44,7 +51,7 @@ func (w *WarmState) Clone() *WarmState {
 	if w == nil {
 		return nil
 	}
-	c := &WarmState{}
+	c := &WarmState{cold: w.cold}
 	c.mapLP.CopyFrom(&w.mapLP)
 	c.reduce.CopyFrom(&w.reduce)
 	return c
@@ -63,7 +70,7 @@ func (w *WarmState) TakeStats() WarmStats {
 
 // mapBasis returns the map-LP basis slot, nil (cold) when w is nil.
 func (w *WarmState) mapBasis() *lp.WarmStart {
-	if w == nil {
+	if w == nil || w.cold {
 		return nil
 	}
 	return &w.mapLP
@@ -71,7 +78,7 @@ func (w *WarmState) mapBasis() *lp.WarmStart {
 
 // reduceBasis returns the reduce-LP basis slot, nil when w is nil.
 func (w *WarmState) reduceBasis() *lp.WarmStart {
-	if w == nil {
+	if w == nil || w.cold {
 		return nil
 	}
 	return &w.reduce
@@ -88,6 +95,8 @@ func (w *WarmState) observe(sol *lp.Solution) {
 		w.stats.Started++
 	case lp.RungDeclared:
 		w.stats.Declared++
+	case lp.RungPhase1:
+		w.stats.Phase1++
 	}
 	if sol.PriorDeclined != lp.DeclineNone {
 		w.stats.Fallback++

@@ -104,6 +104,37 @@ type remainder struct {
 // byRemainder sorts remainders largest first.
 func byRemainder(a, b remainder) int { return less(a.frac > b.frac) }
 
+// before is the order a stable sort by byRemainder leaves entries that
+// start in index order: larger remainder first, then lower index.
+func (r remainder) before(o remainder) bool {
+	return r.frac > o.frac || (r.frac == o.frac && r.idx < o.idx)
+}
+
+// selectFirst reorders rems so that its first k entries are the k
+// first under before, in no particular order (quickselect, in place).
+func selectFirst(rems []remainder, k int) {
+	lo, hi := 0, len(rems)
+	for lo < k && k < hi {
+		m := lo + (hi-lo)/2
+		p := rems[m]
+		rems[m], rems[hi-1] = rems[hi-1], rems[m]
+		s := lo
+		for i := lo; i < hi-1; i++ {
+			if rems[i].before(p) {
+				rems[i], rems[s] = rems[s], rems[i]
+				s++
+			}
+		}
+		rems[s], rems[hi-1] = rems[hi-1], rems[s]
+		// rems[lo:s] come before p, now at rems[s], and rems[s+1:hi] after.
+		if k <= s {
+			hi = s
+		} else {
+			lo = s + 1
+		}
+	}
+}
+
 // FairShares returns p_i = S*·f_i/Σf_i, the slot reservation of each job
 // under proportional fairness (§4.4), rounded by largest remainder to
 // sum exactly to totalSlots (or fewer if there are fewer tasks).
@@ -122,7 +153,7 @@ func fairSharesInto(shares []int, rems []remainder, totalSlots int, remTasks []i
 	if totalTasks == 0 || totalSlots <= 0 {
 		return shares
 	}
-	assigned := 0
+	assigned, open := 0, 0
 	for i, f := range remTasks {
 		exact := float64(totalSlots) * float64(f) / float64(totalTasks)
 		shares[i] = int(exact)
@@ -130,8 +161,30 @@ func fairSharesInto(shares []int, rems []remainder, totalSlots int, remTasks []i
 		if shares[i] > f {
 			shares[i] = f
 		}
+		if shares[i] < f {
+			open++
+		}
 		assigned += shares[i]
 		rems[i] = remainder{i, exact - float64(shares[i])}
+	}
+	// The walk below gives each job under its task count one leftover
+	// slot per round, in the stable remainder order. While those jobs
+	// are at least as many as the leftover, the walk ends inside its
+	// first round: the leftover goes to the first left of them in that
+	// order, which a selection finds without sorting. Otherwise the walk
+	// wraps around, and runs over the sorted order.
+	if left := totalSlots - assigned; left <= open {
+		eligible := rems[:0]
+		for _, r := range rems {
+			if shares[r.idx] < remTasks[r.idx] {
+				eligible = append(eligible, r)
+			}
+		}
+		selectFirst(eligible, left)
+		for _, r := range eligible[:left] {
+			shares[r.idx]++
+		}
+		return shares
 	}
 	slices.SortStableFunc(rems, byRemainder)
 	for k := 0; assigned < totalSlots && k < 4*len(rems); k++ {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -423,6 +424,25 @@ func TestInstanceAllocs(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%v: %v allocations per instance, want 0", policy, n)
 		}
+	}
+}
+
+// BenchmarkInstance times one scheduling pass with free slots left and
+// a no-op launch, so the order, the fair shares and the caps are the
+// whole cost.
+func BenchmarkInstance(b *testing.B) {
+	for _, n := range []int{64, 400} {
+		rng := rand.New(rand.NewSource(3))
+		jobs := make([]JobInfo, n)
+		for i := range jobs {
+			jobs[i] = JobInfo{ID: i, RemainingStages: 1 + rng.Intn(4), EstStageTime: rng.Float64(), RemainingTasks: 1 + rng.Intn(50)}
+		}
+		b.Run(fmt.Sprintf("jobs=%d", n), func(b *testing.B) {
+			var s Scratch
+			for i := 0; i < b.N; i++ {
+				s.Instance(SRPT, 0.5, 200, jobs, func(int, int) int { return 0 })
+			}
+		})
 	}
 }
 

@@ -265,6 +265,7 @@ func (e *engine) replan(st *stageRun) {
 		solveT0 = time.Now()
 	}
 	req := place.StageRequest(st.job.spec, st.idx, st.pending, st.interBySite, e.cfg.Rho, e.capSlots, e.upBW)
+	req.SetWarm(e.starts)
 	d := place.Decide(e.cfg.Placer, res, req)
 	nPend := req.NumTasks()
 	if e.check != nil {
@@ -295,14 +296,14 @@ func (e *engine) replan(st *stageRun) {
 		quotaM:    d.Map.Tasks,
 	}
 	e.limitUpdate(st, prev)
-	e.emitPlacement(st, req.Kind.String(), d.EstNet, d.EstCompute, nPend, d.Err != nil, solveT0)
+	e.emitPlacement(st, req.Kind.String(), d.EstNet, d.EstCompute, nPend, d.Err != nil, e.starts.TakeStats().Phase1, solveT0)
 }
 
 // emitPlacement records one placement decision in the event trace: the
 // LP's time estimates (the SRPT T_j signal and the estimate-vs-actual
 // stamp), the per-site quota after any §4.2 k-limit adjustment, and
 // the solve's wall-clock latency.
-func (e *engine) emitPlacement(st *stageRun, kind string, estNet, estCompute float64, pending int, fallback bool, solveT0 time.Time) {
+func (e *engine) emitPlacement(st *stageRun, kind string, estNet, estCompute float64, pending int, fallback bool, phase1 int, solveT0 time.Time) {
 	if e.obs == nil {
 		return
 	}
@@ -316,6 +317,7 @@ func (e *engine) emitPlacement(st *stageRun, kind string, estNet, estCompute flo
 		TasksBySite: quota,
 		Fallback:    fallback,
 		Restamp:     e.restamping,
+		Phase1:      phase1,
 		SolveNanos:  time.Since(solveT0).Nanoseconds(),
 	})
 }

@@ -93,6 +93,18 @@ func TestObserverEventStreamShape(t *testing.T) {
 		t.Errorf("tasks.done = %v < %d spec tasks", done, total)
 	}
 
+	// Every site has slots, so every map LP enters at its declared start
+	// and only the reduce LPs run phase 1, one per reduce placement.
+	reduces := 0
+	for _, ev := range events {
+		if p, ok := ev.(obs.Placement); ok && p.StageKind == "reduce" && !p.Fallback {
+			reduces++
+		}
+	}
+	if got := reg.Counter("lp.phase1_solves").Value(); reduces == 0 || got != float64(reduces) {
+		t.Errorf("lp.phase1_solves = %v, want one per reduce placement (%d)", got, reduces)
+	}
+
 	// Per-job responses in JobDone events must match the Result.
 	want := map[int]float64{}
 	for _, j := range res.Jobs {

@@ -383,6 +383,10 @@ type engine struct {
 	instSolves    int  // LP solves since the last SchedInstance event
 	instCacheHits int  // placement-cache reuses since the last event
 	restamping    bool // current solve is a forced post-drop re-place
+	// starts counts where each placement's LPs started phase 2
+	// (place.NewCountingState: no basis kept, decisions unchanged); nil
+	// with obs.
+	starts *place.WarmState
 
 	// Invariant checker (internal/check). Nil unless Config.Check; every
 	// check site is guarded the same way the observer is, so disabled
@@ -407,6 +411,9 @@ func newEngine(cfg Config) *engine {
 	}
 	if cfg.Check {
 		e.check = check.NewSimInvariants()
+	}
+	if e.obs != nil {
+		e.starts = place.NewCountingState()
 	}
 	for _, j := range cfg.Jobs {
 		jr := &jobRun{spec: j, completedAt: -1}

@@ -33,11 +33,13 @@ race:
 # solve and the submit decoder stay within their budgets; a scheduling
 # instance with free slots allocates nothing in internal/sched;
 # forwarding an event with analytics off allocates nothing; a stage's
-# placement request allocates only its data vector, and a map
-# placement's refine only the Frac and Tasks it returns.
+# placement request allocates only its data vector, a map placement's
+# refine only the Frac and Tasks it returns, and a dispatch of k pooled
+# solves its capacity snapshot plus one pool task and one warm state
+# per solve.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestNilObserverAllocBudget' .
-	$(GO) test -count=1 -run 'TestScheduleSteadyStateAllocs|TestAnalyticsDisabledHotPath' ./internal/engine
+	$(GO) test -count=1 -run 'TestScheduleSteadyStateAllocs|TestAnalyticsDisabledHotPath|TestDispatchAllocs' ./internal/engine
 	$(GO) test -count=1 -run 'TestInstanceAllocs' ./internal/sched
 	$(GO) test -count=1 -run 'TestSolveAllocsSteadyState' ./internal/lp
 	$(GO) test -count=1 -run 'TestStageRequestAllocs|TestRefineMapAllocs' ./internal/place

@@ -51,8 +51,8 @@ func placementsByName(t *testing.T, e *Engine) map[string][]int {
 // as multi-member batches — must produce exactly the placements that
 // one-at-a-time submission (every batch a batch of one) does: batching
 // and warm-starting change solve latency, never the decision. Distinct
-// job shapes keep every batch group a singleton, so the comparison is
-// deterministic.
+// job shapes give every solve its own recurrence key, so no solve starts
+// from another job's basis and the comparison is deterministic.
 func TestParallelSubmitMatchesSequential(t *testing.T) {
 	cl := cluster.PaperExample()
 	run := func(parallelSubmit bool) map[string][]int {
@@ -101,6 +101,46 @@ func TestParallelSubmitMatchesSequential(t *testing.T) {
 			if got[x] != want[x] {
 				t.Errorf("job %q site %d: batched placed %d tasks, sequential %d", name, x, got[x], want[x])
 			}
+		}
+	}
+}
+
+// TestDispatchAllocs: a batch of k pooled solves allocates the three
+// slices of its capacity snapshot and, per solve, its pool task and its
+// warm state, whether or not the solves share a recurrence key: dispatch
+// builds no per-batch index of its items.
+func TestDispatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	e := mustEngine(t, testConfig(cluster.PaperExample()))
+	const k, runs = 4, 100
+	for _, shared := range []bool{true, false} {
+		items := make([]solveItem, k)
+		for i := range items {
+			items[i] = solveItem{sr: &stageRun{}, near: placeKey{hash: uint64(i)}}
+			if shared {
+				items[i].near.hash = 1
+			}
+		}
+		var allocs float64
+		if err := e.do(func() {
+			// A pool without workers, its queue sized up front: the tasks
+			// never run, so only dispatch's own allocations count.
+			live, busy := e.pool, e.st.poolBusy
+			stub := newSolvePool(0)
+			stub.queue = make([]func(), 0, (runs+1)*k)
+			e.pool = stub
+			defer func() {
+				e.pool, e.st.poolBusy = live, busy
+				stub.close()
+			}()
+			allocs = testing.AllocsPerRun(runs, func() { e.st.dispatch(items) })
+		}); err != nil {
+			t.Fatalf("engine: %v", err)
+		}
+		if want := float64(3 + 2*k); allocs != want {
+			t.Errorf("shared recurrence %v: dispatch of %d solves allocates %g, want %g", shared, k, allocs, want)
 		}
 	}
 }

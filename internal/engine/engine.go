@@ -18,10 +18,11 @@
 // the loop queues records to it and never waits on the disk.
 //
 // Every placement takes one pipeline (state.go): request → memo cache
-// (Config.PlaceCacheSize) → solve → commit. Admission solves — the
-// expensive part of a scheduling instance — leave the loop: the pass
-// snapshots the current capacities once, dispatches its solves as a
-// batch to a sized worker pool (Config.SolveWorkers), and commits each
+// (Config.PlaceCacheSize) → solve → commit, and each solve runs on one
+// of two routes. Admission solves — the expensive part of a scheduling
+// instance — leave the loop: the pass snapshots the current capacities
+// once, hands each of its solves to a sized worker pool
+// (Config.SolveWorkers) as a pool task of its own, and commits each
 // placement when it re-enters the loop. A resource-generation counter
 // guards the commit: if a §4.2 cluster update landed while the LP was
 // solving, the stale result is dropped and the solve re-requested

@@ -12,6 +12,7 @@ import (
 	"tetrium/internal/cluster"
 	"tetrium/internal/fault"
 	"tetrium/internal/journal"
+	"tetrium/internal/obs"
 	"tetrium/internal/place"
 	"tetrium/internal/workload"
 )
@@ -199,6 +200,66 @@ func TestPooledSolvePanicSettlesPoolBusy(t *testing.T) {
 	}
 	if js.Phase != JobDone {
 		t.Fatalf("job 0 is %v after Drain, want done", js.Phase)
+	}
+}
+
+// TestPooledSolvePanicStrandsNoNeighbour: two same-recurrence
+// admissions in one loop turn share one batch, and one of their pooled
+// solves panics. Only that solve's stage takes the stopgap; its batch
+// neighbour still commits its own LP placement from that same batch,
+// with no second dispatch to request it again.
+func TestPooledSolvePanicStrandsNoNeighbour(t *testing.T) {
+	cfg := testConfig(cluster.PaperExample())
+	cfg.Placer = &panicOncePlacer{}
+	e := mustEngine(t, cfg)
+	var a, b int
+	if err := e.do(func() {
+		a, _, _, _ = e.st.submit(oneStageJob(1, 6, 5), "")
+		b, _, _, _ = e.st.submit(oneStageJob(1, 6, 5), "")
+	}); err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	waitJobDone(t, e, a)
+	waitJobDone(t, e, b)
+	if got := e.PanicsRecovered(); got != 1 {
+		t.Fatalf("PanicsRecovered = %d, want 1", got)
+	}
+	if v := counterValue(t, e, "engine.solves_deadline_fallback"); v != 1 {
+		t.Errorf("engine.solves_deadline_fallback = %g, want 1 (the panicked solve's stage)", v)
+	}
+	evs, _, err := e.Events()
+	if err != nil {
+		t.Fatalf("Events: %v", err)
+	}
+	stopgaps, solved := 0, 0
+	for _, ev := range evs {
+		p, ok := ev.(obs.Placement)
+		if !ok || (p.Job != a && p.Job != b) {
+			continue
+		}
+		switch {
+		case p.Deadline:
+			stopgaps++
+		case !p.Fallback && !p.Cached:
+			solved++
+		}
+	}
+	if stopgaps != 1 || solved != 1 {
+		t.Errorf("placements: %d stopgaps and %d LP solves, want one of each", stopgaps, solved)
+	}
+	reg, err := e.MetricsSnapshot()
+	if err != nil {
+		t.Fatalf("MetricsSnapshot: %v", err)
+	}
+	if h := reg.Histogram("engine.batch_sizes", 1, 2, 8); h.Count() != 1 || h.Sum() != 2 {
+		t.Errorf("engine.batch_sizes: %d batches of %g solves, want 1 of 2", h.Count(), h.Sum())
+	}
+	busy := -1
+	if err := e.do(func() { busy = e.st.poolBusy }); err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	if busy != 0 {
+		t.Errorf("poolBusy = %d after both jobs finished, want 0", busy)
 	}
 }
 

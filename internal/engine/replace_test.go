@@ -47,8 +47,8 @@ func diffConfig(cl *cluster.Cluster, full bool) Config {
 // diffEngine starts one engine of the differential pair with pooled
 // solves stepped: each waits for an idle loop before it runs. A
 // scheduling pass drains queued requests before it runs, so whether the
-// commit of a batch's second shape group joins the pass that follows
-// the first group's commit depends on timing — and with slots scarce,
+// commit of a batch's second solve joins the pass that follows the
+// first solve's commit depends on timing — and with slots scarce,
 // that decides who launches. Stepping makes the sequence commit → pass
 // → commit → pass on both engines, whatever the timing. (Inline solves
 // run on the loop, which the idle poll would deadlock; probePlacer

@@ -171,7 +171,7 @@ func (r *routeRig) parkBehindBlocker() int {
 // per route, what commit emitted (the obs.Placement flags), what it
 // counted, which goroutine solved (inline solves see the loop's live
 // capacity slices, pooled ones a snapshot), and that the warm state a
-// stage ends up with is the one its solve chained through.
+// stage ends up with is the one its solve ran on.
 func TestPlacementRoutes(t *testing.T) {
 	// flags are the route markers of a job's last Placement event.
 	type flags struct{ cached, fallback, restamp, deadline, warm bool }
@@ -284,10 +284,11 @@ func TestPlacementRoutes(t *testing.T) {
 			},
 		},
 		{
-			name: "pooled solve, two-member warm chain",
+			name: "two same-recurrence solves in one batch",
 			drive: func(r *routeRig) int {
 				// Two same-shape admissions in one loop turn share one
-				// scheduling pass, hence one batch and one shape group.
+				// scheduling pass, hence one batch: one pool task each,
+				// each from its own warm state.
 				var a, b int
 				if err := r.e.do(func() {
 					a, _, _, _ = r.e.st.submit(oneStageJob(1, 6, 5), "")
@@ -298,25 +299,22 @@ func TestPlacementRoutes(t *testing.T) {
 				waitJobDone(r.t, r.e, a)
 				waitJobDone(r.t, r.e, b)
 				calls := r.pp.seen()
-				if len(calls) != 2 || calls[0].warm == nil || calls[0].warm != calls[1].warm {
-					r.t.Fatalf("group members did not chain one warm state: %+v", calls)
+				if len(calls) != 2 || calls[0].warm == nil || calls[1].warm == nil || calls[0].warm == calls[1].warm {
+					r.t.Fatalf("the two solves did not each get their own warm state: %+v", calls)
 				}
-				r.stage(a, func(sr *stageRun) {
-					if sr.warm != calls[0].warm {
-						r.t.Errorf("group head was not handed the chained warm state back")
-					}
-				})
-				r.stage(b, func(sr *stageRun) {
-					if sr.warm == nil || sr.warm == calls[0].warm {
-						r.t.Errorf("second member's warm state %p: want its own clone of the chain %p", sr.warm, calls[0].warm)
-					}
-				})
+				var wa, wb *place.WarmState
+				r.stage(a, func(sr *stageRun) { wa = sr.warm })
+				r.stage(b, func(sr *stageRun) { wb = sr.warm })
+				// The pool may run the two in either order.
+				if !(wa == calls[0].warm && wb == calls[1].warm) && !(wa == calls[1].warm && wb == calls[0].warm) {
+					r.t.Errorf("stages hold warm states %p and %p, want one each of their solves' %p and %p",
+						wa, wb, calls[0].warm, calls[1].warm)
+				}
 				return b
 			},
 			want: want{
-				flags:    flags{warm: true},
 				solved:   true,
-				counters: map[string]float64{"engine.place_cache_misses": 2, "engine.solves_warm_started": 1},
+				counters: map[string]float64{"engine.place_cache_misses": 2, "engine.solves_warm_started": 0},
 				batches:  [2]int{1, 2},
 				calls:    []bool{false, false},
 			},

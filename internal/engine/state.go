@@ -378,10 +378,11 @@ func (s *state) accrueSlots(sr *stageRun) {
 	sr.slotT0 = now
 }
 
-// batchAdmit bounds how many queued requests one scheduling instance
-// absorbs. Measured dispatch sizes on the service benchmark average
-// 1.0–1.2 (benchmark/README.md), so the bound is a burst ceiling, not a
-// tuning knob.
+// batchAdmit bounds how many queued requests one scheduling pass
+// drains before it schedules. The drain is used: in one submit-steady
+// run of the service benchmark (seed 1, 2 vCPUs) 24 % of 158 215
+// passes drained at least one request, 93 106 requests in all, about
+// 2.5 per such pass. The bound is a burst ceiling, not a tuning knob.
 const batchAdmit = 8
 
 // scheduleSoon queues one coalesced scheduling pass on the todo queue.
@@ -718,9 +719,10 @@ func (s *state) liveResources() place.Resources {
 // count and re-levels holds right after, and a stage whose pooled
 // solves keep being invalidated by a rapid stream of updates, where
 // solving on the loop is the only way to guarantee progress — or is
-// parked for the pass's dispatch to the worker pool. restamp re-solves
-// a stage that already has a placement and marks the event Restamp.
-// Returns (LP solves started, cache hits), each 0 or 1.
+// parked for the pass's dispatch, which gives it a pool task of its
+// own. restamp re-solves a stage that already has a placement and marks
+// the event Restamp. Returns (LP solves started, cache hits), each 0
+// or 1.
 func (s *state) requestPlacement(sr *stageRun, restamp bool) (solves, hits int) {
 	if (sr.placed && !restamp) || sr.solving {
 		return 0, 0
@@ -770,12 +772,10 @@ func (s *state) nearWarm(near placeKey) *place.WarmState {
 }
 
 // dispatch ships a batch of solves to the worker pool: one capacity
-// snapshot and one resource generation for the whole batch, one pool
-// task per recurrence key solving its members in order through a shared
-// warm state (member j re-enters phase 2 from member j−1's basis, the
-// first from the stage's own or, pool idle, the cache's), and one
-// commit injection per group. A §4.2 update landing mid-batch therefore invalidates
-// every member, exactly as it would each solve alone.
+// snapshot and one resource generation for the whole batch, then one
+// pool task and one commit injection per solve. A §4.2 update landing
+// mid-batch therefore invalidates every solve of the batch, exactly as
+// it would each solve alone.
 func (s *state) dispatch(items []solveItem) {
 	if len(items) == 0 {
 		return
@@ -790,10 +790,11 @@ func (s *state) dispatch(items []solveItem) {
 	placer := s.e.cfg.Placer
 	inj := s.e.cfg.Faults
 	deadline := s.e.cfg.SolveDeadline
-	// Group by recurrence, preserving encounter order within and across
-	// groups so commits land in a deterministic order per group.
-	byNear := make(map[uint64][]*solveItem, len(items))
-	var order []uint64
+	// A stage with no basis of its own borrows the cache's only when no
+	// pool task was outstanding at dispatch: a lone arrival of a
+	// recurring query, the case the near index is for. Behind a backlog
+	// it solves cold (DESIGN.md "The placement pipeline" says why).
+	idle := s.poolBusy == 0
 	for i := range items {
 		it := &items[i]
 		it.gen = s.resGen
@@ -803,7 +804,7 @@ func (s *state) dispatch(items []solveItem) {
 		}
 		s.solveCount++
 		if deadline > 0 {
-			// Armed with a value copy, BEFORE any pool task exists: the
+			// Armed with a value copy, BEFORE its pool task exists: the
 			// worker writes the item (warm pointer, result), and the
 			// deadline closure must not read the same struct.
 			armed := *it
@@ -811,23 +812,9 @@ func (s *state) dispatch(items []solveItem) {
 				s.e.inject(func() { s.solveDeadline(armed) })
 			})
 		}
-		k := it.near.hash
-		if _, ok := byNear[k]; !ok {
-			order = append(order, k)
-		}
-		byNear[k] = append(byNear[k], it)
-	}
-	// A group head with no basis of its own borrows the cache's only
-	// when no pool task is outstanding: a lone arrival of a recurring
-	// query, the case the near index is for. Behind a backlog it solves
-	// cold, as every head did before the near index existed (DESIGN.md
-	// "The placement pipeline" says why).
-	idle := s.poolBusy == 0
-	for _, k := range order {
-		group := byNear[k]
-		warm := group[0].sr.warm.Clone()
+		warm := it.sr.warm.Clone()
 		if warm == nil && idle {
-			warm = s.nearWarm(group[0].near)
+			warm = s.nearWarm(it.near)
 		}
 		if warm == nil {
 			warm = place.NewWarmState()
@@ -835,51 +822,37 @@ func (s *state) dispatch(items []solveItem) {
 		s.poolBusy++
 		s.e.pool.submit(func() {
 			// Deferred, so a solve that panics (the pool contains it) still
-			// settles poolBusy and lands the members solved before it. The
-			// member that panicked will never answer: it takes the
-			// deadline's stopgap now. The members after it never ran; the
-			// next pass requests them afresh.
-			solved := 0
+			// settles poolBusy; its stage will never get this answer, so it
+			// takes the deadline's stopgap now.
+			solved := false
 			defer func() {
 				s.e.inject(func() {
 					s.poolBusy--
-					for i, it := range group {
-						if i >= solved {
-							if it.seq == it.sr.solveSeq {
-								it.sr.solving = false
-							}
-							if i == solved {
-								s.solveDeadline(*it)
-							}
-							continue
-						}
+					if solved {
 						s.noteWarmStats(it)
 						if it.seq == it.sr.solveSeq {
-							// Hand the chained basis back to each member for
-							// its next re-solve; clones keep the stages' warm
-							// states independent from here on.
-							if i == 0 {
-								it.sr.warm = warm
-							} else {
-								it.sr.warm = warm.Clone()
-							}
+							// The stage's basis for its next re-solve.
+							it.sr.warm = warm
 						}
 						s.commit(it)
+					} else {
+						if it.seq == it.sr.solveSeq {
+							it.sr.solving = false
+						}
+						s.solveDeadline(*it)
 					}
 					// Launch what just got placed, or re-request what the
 					// generation guard dropped.
 					s.scheduleSoon()
 				})
 			}()
-			for _, it := range group {
-				if it.stall > 0 {
-					// Injected wedged solver. Stalls only ever run on a
-					// pool worker — the inline route never sleeps.
-					time.Sleep(it.stall)
-				}
-				it.solve(placer, res, warm)
-				solved++
+			if it.stall > 0 {
+				// Injected wedged solver. Stalls only ever run on a pool
+				// worker — the inline route never sleeps.
+				time.Sleep(it.stall)
 			}
+			it.solve(placer, res, warm)
+			solved = true
 		})
 	}
 }
